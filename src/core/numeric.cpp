@@ -498,15 +498,6 @@ void SStarNumeric::factorize() {
   }
 }
 
-void SStarNumeric::forward_block(int k, std::vector<double>& b) const {
-  // A column-major n x 1 vector IS a row-major panel with ld = 1.
-  forward_block_panel(k, b.data(), 1, 1);
-}
-
-void SStarNumeric::backward_block(int k, std::vector<double>& b) const {
-  backward_block_panel(k, b.data(), 1, 1);
-}
-
 void SStarNumeric::forward_block_panel(int k, double* rhs, int ld,
                                        int ncols) const {
   const BlockLayout& lay = *layout_;
@@ -554,49 +545,6 @@ void SStarNumeric::backward_block_panel(int k, double* rhs, int ld,
                            pcols.data(), bk, ld, nullptr,
                            /*skip_zero_x_rows=*/false);
   blas::rhs_upper_solve(w, ncols, store_->diag(k), w, bk, ld);
-}
-
-std::vector<double> SStarNumeric::solve(std::vector<double> b) const {
-  const BlockLayout& lay = *layout_;
-  SSTAR_CHECK(static_cast<int>(b.size()) == lay.n());
-  for (int k = 0; k < lay.num_blocks(); ++k) forward_block(k, b);
-  for (int k = lay.num_blocks() - 1; k >= 0; --k) backward_block(k, b);
-  return b;
-}
-
-void SStarNumeric::solve_multi(double* b, int nrhs) const {
-  const BlockLayout& lay = *layout_;
-  const int n = lay.n();
-  const int nb = lay.num_blocks();
-  SSTAR_CHECK(nrhs >= 0);
-  if (nrhs == 0) return;  // an empty block may come with a null pointer
-  SSTAR_CHECK(b != nullptr);
-  if (nrhs == 1) {
-    // A column-major n x 1 vector already is a row-major ld = 1 panel.
-    for (int k = 0; k < nb; ++k) forward_block_panel(k, b, 1, 1);
-    for (int k = nb - 1; k >= 0; --k) backward_block_panel(k, b, 1, 1);
-    return;
-  }
-  // Transpose into a row-major panel (each system row's nrhs values
-  // contiguous), sweep the blocked stages once, transpose back. The
-  // sweep itself never walks the RHS column-at-a-time, and each result
-  // column is bitwise what solve() computes for that column.
-  std::vector<double> panel(static_cast<std::size_t>(n) *
-                            static_cast<std::size_t>(nrhs));
-  for (int c = 0; c < nrhs; ++c) {
-    const double* bc = b + static_cast<std::ptrdiff_t>(c) * n;
-    for (int i = 0; i < n; ++i)
-      panel[static_cast<std::size_t>(i) * nrhs + c] = bc[i];
-  }
-  for (int k = 0; k < nb; ++k)
-    forward_block_panel(k, panel.data(), nrhs, nrhs);
-  for (int k = nb - 1; k >= 0; --k)
-    backward_block_panel(k, panel.data(), nrhs, nrhs);
-  for (int c = 0; c < nrhs; ++c) {
-    double* bc = b + static_cast<std::ptrdiff_t>(c) * n;
-    for (int i = 0; i < n; ++i)
-      bc[i] = panel[static_cast<std::size_t>(i) * nrhs + c];
-  }
 }
 
 namespace {
@@ -712,47 +660,35 @@ void SStarNumeric::transpose_backward_block_panel(int k, double* rhs, int ld,
   }
 }
 
-std::vector<double> SStarNumeric::solve_transpose(
-    std::vector<double> b) const {
-  SSTAR_CHECK(static_cast<int>(b.size()) == layout_->n());
-  // A column-major n x 1 vector IS a row-major ld = 1 panel.
-  solve_transpose_multi(b.data(), 1);
+void SStarNumeric::solve_panel(double* rhs, int ncols, bool transpose) const {
+  SSTAR_CHECK(ncols >= 1);
+  const int nb = layout_->num_blocks();
+  for (int k = 0; k < nb; ++k) {
+    if (transpose)
+      transpose_forward_block_panel(k, rhs, ncols, ncols);
+    else
+      forward_block_panel(k, rhs, ncols, ncols);
+  }
+  for (int k = nb - 1; k >= 0; --k) {
+    if (transpose)
+      transpose_backward_block_panel(k, rhs, ncols, ncols);
+    else
+      backward_block_panel(k, rhs, ncols, ncols);
+  }
+}
+
+// A vector is a row-major panel with one column.
+std::vector<double> SStarNumeric::solve(std::vector<double> b) const {
+  SSTAR_CHECK(b.size() == static_cast<std::size_t>(layout_->n()));
+  solve_panel(b.data(), 1);
   return b;
 }
 
-void SStarNumeric::solve_transpose_multi(double* b, int nrhs) const {
-  const BlockLayout& lay = *layout_;
-  const int n = lay.n();
-  const int nb = lay.num_blocks();
-  SSTAR_CHECK(nrhs >= 0);
-  if (nrhs == 0) return;
-  SSTAR_CHECK(b != nullptr);
-  if (nrhs == 1) {
-    for (int k = 0; k < nb; ++k)
-      transpose_forward_block_panel(k, b, 1, 1);
-    for (int k = nb - 1; k >= 0; --k)
-      transpose_backward_block_panel(k, b, 1, 1);
-    return;
-  }
-  // Transpose into a row-major panel, sweep the blocked transpose
-  // stages once, transpose back — exactly solve_multi's shape, so each
-  // result column is bitwise what solve_transpose computes for it.
-  std::vector<double> panel(static_cast<std::size_t>(n) *
-                            static_cast<std::size_t>(nrhs));
-  for (int c = 0; c < nrhs; ++c) {
-    const double* bc = b + static_cast<std::ptrdiff_t>(c) * n;
-    for (int i = 0; i < n; ++i)
-      panel[static_cast<std::size_t>(i) * nrhs + c] = bc[i];
-  }
-  for (int k = 0; k < nb; ++k)
-    transpose_forward_block_panel(k, panel.data(), nrhs, nrhs);
-  for (int k = nb - 1; k >= 0; --k)
-    transpose_backward_block_panel(k, panel.data(), nrhs, nrhs);
-  for (int c = 0; c < nrhs; ++c) {
-    double* bc = b + static_cast<std::ptrdiff_t>(c) * n;
-    for (int i = 0; i < n; ++i)
-      bc[i] = panel[static_cast<std::size_t>(i) * nrhs + c];
-  }
+std::vector<double> SStarNumeric::solve_transpose(
+    std::vector<double> b) const {
+  SSTAR_CHECK(b.size() == static_cast<std::size_t>(layout_->n()));
+  solve_panel(b.data(), 1, /*transpose=*/true);
+  return b;
 }
 
 void SStarNumeric::reconstruct_pa_lu(std::vector<int>* perm, DenseMatrix* l,

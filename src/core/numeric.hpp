@@ -25,6 +25,14 @@
 // same logically). The resulting factors are applied to right-hand sides
 // by replaying the swap/eliminate sequence, and reconstruct_pa_lu() can
 // rebuild the conventional PA = LU triple for verification.
+//
+// Every solve runs on one shape: a ROW-major panel (system row r's
+// `ncols` right-hand-side values contiguous at rhs + r*ld) swept through
+// per-supernode stages, forward over blocks 0..N-1 then backward over
+// N-1..0. solve_panel() is that sweep; the serving layer and the
+// distributed solve (core/solve_1d) replay the same stages task by task;
+// a single-RHS solve is the ncols == 1 case and a transposed solve the
+// transposed stages.
 #pragma once
 
 #include <memory>
@@ -83,62 +91,34 @@ class SStarNumeric {
   /// Sequential right-looking driver: Fig. 6's loop nest.
   void factorize();
 
-  /// Solve A x = b with the computed factors.
-  std::vector<double> solve(std::vector<double> b) const;
-
-  /// Per-supernode stages of the solve, exposed so the parallel solve
-  /// driver (core/solve_1d) can execute them task by task:
-  /// forward_block applies block k's row interchanges and eliminates
-  /// with its L columns; backward_block back-substitutes block k's U
-  /// rows. solve() is exactly forward 0..N-1 then backward N-1..0.
-  void forward_block(int k, std::vector<double>& b) const;
-  void backward_block(int k, std::vector<double>& b) const;
-
-  /// Blocked multi-RHS stages over a ROW-major panel — system row r's
-  /// `ncols` right-hand-side values contiguous at rhs + r*ld — used by
-  /// the serving layer (src/serve) and by solve_multi. Per RHS column
-  /// the arithmetic is bitwise-identical to forward_block /
-  /// backward_block on that column alone: both route through the same
-  /// dispatched kernels, whose element op order is independent of ncols
-  /// (blas/kernel_backend.hpp, multi-RHS contract). forward_block and
-  /// backward_block are the ncols == 1 case.
+  // --- solve stages over a row-major panel (see the header comment) ----
+  /// forward_block_panel applies block k's row interchanges and
+  /// eliminates with its L columns; backward_block_panel back-substitutes
+  /// block k's U rows. They route through the dispatched rhs_* kernels,
+  /// whose element op order is independent of ncols (multi-RHS contract,
+  /// blas/kernel_backend.hpp), so per column the result is bitwise the
+  /// ncols == 1 result, and the L/U blocks are loaded once per panel.
   void forward_block_panel(int k, double* rhs, int ld, int ncols) const;
   void backward_block_panel(int k, double* rhs, int ld, int ncols) const;
 
-  /// Solve Aᵀ x = b with the computed factors (the transposed
-  /// elimination sequence: Uᵀ forward solve, then the adjoint of each
-  /// block's eliminate-and-swap stage in reverse). Needed by the 1-norm
-  /// condition estimator and for adjoint/least-squares workflows.
-  /// The ncols == 1 case of the transpose panel stages below.
-  std::vector<double> solve_transpose(std::vector<double> b) const;
-
-  /// Blocked multi-RHS TRANSPOSE stages over a row-major panel: the
-  /// Aᵀ X = B counterparts of forward/backward_block_panel, routed
-  /// through the same dispatched rhs_* kernels (an index reversal maps
-  /// each block's transposed triangular factors onto the existing
-  /// upper/lower panel solves — see reversed_diag_copy in numeric.cpp).
-  /// solve_transpose_multi over blocks 0..N-1 (transpose_forward) then
-  /// N-1..0 (transpose_backward) is the transposed elimination
-  /// sequence; per RHS column the arithmetic is bitwise-identical to
-  /// solve_transpose on that column alone (kernel column-lane
-  /// independence, blas/kernel_backend.hpp).
+  /// The Aᵀ X = B stages: the transposed elimination sequence (Uᵀ
+  /// forward solve, then the adjoint of each block's eliminate-and-swap
+  /// stage in reverse), on the same kernels — an index reversal maps
+  /// each block's transposed triangular factors onto the upper/lower
+  /// panel solves (see reversed_diag_copy in numeric.cpp).
   void transpose_forward_block_panel(int k, double* rhs, int ld,
                                      int ncols) const;
   void transpose_backward_block_panel(int k, double* rhs, int ld,
                                       int ncols) const;
 
-  /// Solve Aᵀ X = B for `nrhs` right-hand sides stored column-major in
-  /// one n x nrhs array (the batched form of solve_transpose, mirroring
-  /// solve_multi's transpose-to-panel sweep).
-  void solve_transpose_multi(double* b, int nrhs) const;
+  /// The one panel sweep: solve A X = B, or Aᵀ X = B when `transpose`,
+  /// in place over the row-major n x ncols panel `rhs` (ld = ncols).
+  void solve_panel(double* rhs, int ncols, bool transpose = false) const;
 
-  /// Solve A X = B for `nrhs` right-hand sides stored column-major in
-  /// one n x nrhs array. Transposes into a row-major panel and sweeps
-  /// it through the blocked multi-RHS kernels (DGEMM-shaped: every L/U
-  /// block is loaded once per panel, not once per column), so the
-  /// per-column cost amortizes. Each column of the result is
-  /// bitwise-identical to solve() on that column.
-  void solve_multi(double* b, int nrhs) const;
+  /// Solve A x = b (Aᵀ x = b) with the computed factors: solve_panel at
+  /// ncols == 1, the sequential reference the parallel solves match.
+  std::vector<double> solve(std::vector<double> b) const;
+  std::vector<double> solve_transpose(std::vector<double> b) const;
 
   /// pivot_of_col()[m] = storage row swapped into step m (== m when the
   /// diagonal won the pivot search).

@@ -11,6 +11,7 @@ ParallelRunResult run_solve_1d(const SStarNumeric& numeric,
   const BlockLayout& lay = numeric.layout();
   const int nb = lay.num_blocks();
   const int p = machine.processors;
+  SSTAR_CHECK(b == nullptr || b->size() == static_cast<std::size_t>(lay.n()));
   sim::ParallelProgram prog(p);
 
   // Forward tasks in block order, backward tasks in reverse, all cyclic.
@@ -27,8 +28,8 @@ ParallelRunResult run_solve_1d(const SStarNumeric& numeric,
     def.kind = kKindUpdate;
     if (b) {
       const SStarNumeric* num = &numeric;
-      std::vector<double>* vec = b;
-      def.run = [num, vec, k] { num->forward_block(k, *vec); };
+      double* x = b->data();
+      def.run = [num, x, k] { num->forward_block_panel(k, x, 1, 1); };
     }
     fs[k] = prog.add_task(std::move(def));
   }
@@ -43,8 +44,8 @@ ParallelRunResult run_solve_1d(const SStarNumeric& numeric,
     def.kind = kKindUpdate;
     if (b) {
       const SStarNumeric* num = &numeric;
-      std::vector<double>* vec = b;
-      def.run = [num, vec, k] { num->backward_block(k, *vec); };
+      double* x = b->data();
+      def.run = [num, x, k] { num->backward_block_panel(k, x, 1, 1); };
     }
     bs[k] = prog.add_task(std::move(def));
   }

@@ -1,6 +1,5 @@
 #include "serve/session.hpp"
 
-#include <algorithm>
 #include <cstddef>
 
 #include "trace/trace.hpp"
@@ -64,43 +63,9 @@ std::vector<double> SolveSession::solve(const std::vector<double>& b) {
 std::vector<double> SolveSession::solve_multi(const std::vector<double>& b,
                                               int nrhs) {
   const WallTimer timer;
-  const int n = factor_->n();
-  SSTAR_CHECK(nrhs >= 0);
-  SSTAR_CHECK(static_cast<std::int64_t>(b.size()) ==
-              static_cast<std::int64_t>(n) * nrhs);
-  const SolverSetup& setup = factor_->setup();
-  const bool eq = !setup.row_scale.empty();
-  std::vector<double> x(b.size());
-
-  for (int c0 = 0; c0 < nrhs; c0 += opt_.panel_width) {
-    const int w = std::min(opt_.panel_width, nrhs - c0);
-    panel_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(w));
-    // Permute (and scale) the chunk's columns into the row-major panel —
-    // per column the exact Solver::solve expressions, so chunking is
-    // invisible bitwise.
-    for (int i = 0; i < n; ++i) {
-      const int orig = setup.row_perm[i];
-      double* row = panel_.data() + static_cast<std::ptrdiff_t>(i) * w;
-      for (int c = 0; c < w; ++c) {
-        const double v = b[static_cast<std::size_t>(c0 + c) *
-                               static_cast<std::size_t>(n) +
-                           static_cast<std::size_t>(orig)];
-        row[c] = eq ? v * setup.row_scale[static_cast<std::size_t>(orig)] : v;
-      }
-    }
-    sweep(w);
-    for (int j = 0; j < n; ++j) {
-      const int orig = setup.col_perm[j];
-      const double* row = panel_.data() + static_cast<std::ptrdiff_t>(j) * w;
-      for (int c = 0; c < w; ++c) {
-        const double v = row[c];
-        x[static_cast<std::size_t>(c0 + c) * static_cast<std::size_t>(n) +
-          static_cast<std::size_t>(orig)] =
-            eq ? v * setup.col_scale[static_cast<std::size_t>(orig)] : v;
-      }
-    }
-  }
-
+  std::vector<double> x =
+      solve_in_panels(factor_->setup(), b, nrhs, /*transpose=*/false,
+                      opt_.panel_width, panel_, [this](int w) { sweep(w); });
   ++stats_.requests;
   stats_.columns += nrhs;
   stats_.seconds += timer.seconds();

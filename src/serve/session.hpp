@@ -7,11 +7,13 @@
 // per client thread), but any number of sessions may solve against the
 // same Factorization concurrently with no locking whatsoever.
 //
-// Solves sweep the RHS in panels of `panel_width` columns through the
-// blocked forward/backward stages (core/numeric panel kernels, routed
-// through the dispatched SIMD backends). With threads > 1 each sweep
-// replays the factor's solve DAG (core/solve_graph) on the
-// work-stealing executor; the DAG's writer chains order every
+// Solves take Solver's one path (solve_in_panels, solve/solver.hpp):
+// the caller's columns are gathered, `panel_width` at a time, straight
+// into the session's row-major panel, swept through the per-supernode
+// stages (core/numeric panel kernels, routed through the dispatched SIMD
+// backends), and scattered back. Only the sweep is the session's own:
+// with threads > 1 it replays the factor's solve DAG (core/solve_graph)
+// on the work-stealing executor; the DAG's writer chains order every
 // conflicting row-block access in sequential order, so results are
 // BITWISE identical to Solver::solve per column at any thread count,
 // panel width, and backend choice (for a fixed backend).

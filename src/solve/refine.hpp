@@ -56,12 +56,11 @@ struct RefineMultiResult {
 };
 
 /// Solve A X = B with iterative refinement, sweeping all still-active
-/// columns through the factor as one panel per iteration (never routing
-/// columns one-by-one through the single-RHS path). Column c of the
-/// result is BITWISE identical to refined_solve(solver, a, B[:,c], opt)
-/// on the session's wrapped solver: the panel solves are per-column
-/// bitwise equal to Solver::solve, and the residual/backward-error
-/// arithmetic replicates the single-RHS order exactly.
+/// columns through the factor as one panel per iteration. refined_solve
+/// is the nrhs == 1 case of the same loop, and the session's panel
+/// solves are per-column bitwise equal to Solver::solve, so column c of
+/// the result is BITWISE identical to refined_solve(solver, a, B[:,c],
+/// opt) on the session's wrapped solver.
 RefineMultiResult refined_solve_multi(serve::SolveSession& session,
                                       const SparseMatrix& a,
                                       const std::vector<double>& b, int nrhs,

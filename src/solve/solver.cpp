@@ -19,6 +19,15 @@ SolverSetup prepare(const SparseMatrix& a, const SolverOptions& opt) {
   SSTAR_CHECK(a.rows() == a.cols());
   SSTAR_CHECK(opt.max_block >= 1);
   const int n = a.rows();
+  // Reject NaN and Inf here, in the caller's numbering: past this point
+  // they surface as a singular pivot at a permuted column, or pass
+  // silently into x.
+  for (int j = 0; j < n; ++j)
+    for (int k = a.col_begin(j); k < a.col_end(j); ++k)
+      SSTAR_CHECK_MSG(std::isfinite(a.values()[k]),
+                      "non-finite entry " << a.values()[k] << " at (row "
+                                          << a.row_idx()[k] << ", col " << j
+                                          << ")");
 
   SolverSetup setup;
   // 0. Optional equilibration: rows to unit max magnitude, then columns.
@@ -139,112 +148,73 @@ void Solver::refactorize(const PivotPolicy& policy) {
   factorized_ = true;
 }
 
-std::vector<double> Solver::solve(const std::vector<double>& b) const {
-  SSTAR_CHECK_MSG(factorized_, "solve() before factorize()");
-  const int n = setup_.permuted.rows();
-  SSTAR_CHECK(static_cast<int>(b.size()) == n);
-  // Permute (and, under equilibration, scale) the right-hand side into
-  // the pipeline's row numbering.
-  const bool eq = !setup_.row_scale.empty();
-  std::vector<double> c(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const int orig = setup_.row_perm[i];
-    c[i] = eq ? b[orig] * setup_.row_scale[orig] : b[orig];
-  }
-  const std::vector<double> y = numeric_.solve(std::move(c));
-  // Undo the column permutation (and column scaling).
-  std::vector<double> x(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    const int orig = setup_.col_perm[j];
-    x[orig] = eq ? y[j] * setup_.col_scale[orig] : y[j];
+std::vector<double> solve_in_panels(const SolverSetup& setup,
+                                    const std::vector<double>& b, int nrhs,
+                                    bool transpose, int panel_width,
+                                    std::vector<double>& panel,
+                                    const std::function<void(int)>& sweep) {
+  const std::size_t n = setup.row_perm.size();
+  SSTAR_CHECK(nrhs >= 0 && panel_width >= 1);
+  SSTAR_CHECK(b.size() == n * static_cast<std::size_t>(nrhs));
+  const auto& in_perm = transpose ? setup.col_perm : setup.row_perm;
+  const auto& in_scale = transpose ? setup.col_scale : setup.row_scale;
+  const auto& out_perm = transpose ? setup.row_perm : setup.col_perm;
+  const auto& out_scale = transpose ? setup.row_scale : setup.col_scale;
+  const bool eq = !in_scale.empty();
+  std::vector<double> x(b.size());
+  for (int c0 = 0; c0 < nrhs; c0 += panel_width) {
+    const std::size_t w = static_cast<std::size_t>(
+        std::min(panel_width, nrhs - c0));
+    const double* bc = b.data() + static_cast<std::size_t>(c0) * n;
+    double* xc = x.data() + static_cast<std::size_t>(c0) * n;
+    panel.resize(n * w);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t orig = static_cast<std::size_t>(in_perm[i]);
+      for (std::size_t c = 0; c < w; ++c) {
+        const double v = bc[c * n + orig];
+        panel[i * w + c] = eq ? v * in_scale[orig] : v;
+      }
+    }
+    sweep(static_cast<int>(w));
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t orig = static_cast<std::size_t>(out_perm[i]);
+      for (std::size_t c = 0; c < w; ++c) {
+        const double v = panel[i * w + c];
+        xc[c * n + orig] = eq ? v * out_scale[orig] : v;
+      }
+    }
   }
   return x;
 }
 
-std::vector<double> Solver::solve_multi(const std::vector<double>& b,
-                                        int nrhs) const {
-  SSTAR_CHECK_MSG(factorized_, "solve_multi() before factorize()");
-  const int n = setup_.permuted.rows();
-  SSTAR_CHECK(nrhs >= 0);
-  SSTAR_CHECK(static_cast<int>(b.size()) ==
-              static_cast<std::int64_t>(n) * nrhs);
-  const bool eq = !setup_.row_scale.empty();
+std::vector<double> Solver::solve_columns(const std::vector<double>& b,
+                                          int nrhs, bool transpose) const {
+  SSTAR_CHECK_MSG(factorized_, "solve before factorize()");
+  std::vector<double> panel;
+  return solve_in_panels(setup_, b, nrhs, transpose, std::max(nrhs, 1), panel,
+                         [&](int ncols) {
+                           numeric_.solve_panel(panel.data(), ncols,
+                                                transpose);
+                         });
+}
 
-  std::vector<double> c(b.size());
-  for (int r = 0; r < nrhs; ++r) {
-    const double* src = b.data() + static_cast<std::ptrdiff_t>(r) * n;
-    double* dst = c.data() + static_cast<std::ptrdiff_t>(r) * n;
-    for (int i = 0; i < n; ++i) {
-      const int orig = setup_.row_perm[i];
-      dst[i] = eq ? src[orig] * setup_.row_scale[orig] : src[orig];
-    }
-  }
-  numeric_.solve_multi(c.data(), nrhs);
-  std::vector<double> x(b.size());
-  for (int r = 0; r < nrhs; ++r) {
-    const double* src = c.data() + static_cast<std::ptrdiff_t>(r) * n;
-    double* dst = x.data() + static_cast<std::ptrdiff_t>(r) * n;
-    for (int j = 0; j < n; ++j) {
-      const int orig = setup_.col_perm[j];
-      dst[orig] = eq ? src[j] * setup_.col_scale[orig] : src[j];
-    }
-  }
-  return x;
+std::vector<double> Solver::solve(const std::vector<double>& b) const {
+  return solve_columns(b, 1, /*transpose=*/false);
 }
 
 std::vector<double> Solver::solve_transpose(
     const std::vector<double>& b) const {
-  SSTAR_CHECK_MSG(factorized_, "solve_transpose() before factorize()");
-  const int n = setup_.permuted.rows();
-  SSTAR_CHECK(static_cast<int>(b.size()) == n);
-  // With B = R A Cᵀ (the pipeline's permuted matrix), Aᵀ x = b becomes
-  // Bᵀ y = C b with x = Rᵀ y: feed b through the COLUMN permutation,
-  // and read the result back through the ROW permutation.
-  const bool eq = !setup_.row_scale.empty();
-  std::vector<double> c(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    const int orig = setup_.col_perm[j];
-    c[j] = eq ? b[orig] * setup_.col_scale[orig] : b[orig];
-  }
-  const std::vector<double> y = numeric_.solve_transpose(std::move(c));
-  std::vector<double> x(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const int orig = setup_.row_perm[i];
-    x[orig] = eq ? y[i] * setup_.row_scale[orig] : y[i];
-  }
-  return x;
+  return solve_columns(b, 1, /*transpose=*/true);
+}
+
+std::vector<double> Solver::solve_multi(const std::vector<double>& b,
+                                        int nrhs) const {
+  return solve_columns(b, nrhs, /*transpose=*/false);
 }
 
 std::vector<double> Solver::solve_transpose_multi(
     const std::vector<double>& b, int nrhs) const {
-  SSTAR_CHECK_MSG(factorized_, "solve_transpose_multi() before factorize()");
-  const int n = setup_.permuted.rows();
-  SSTAR_CHECK(nrhs >= 0);
-  SSTAR_CHECK(static_cast<int>(b.size()) ==
-              static_cast<std::int64_t>(n) * nrhs);
-  // Same permutation sandwich as solve_transpose, per RHS column: feed
-  // through the COLUMN permutation, read back through the ROW one.
-  const bool eq = !setup_.row_scale.empty();
-  std::vector<double> c(b.size());
-  for (int r = 0; r < nrhs; ++r) {
-    const double* src = b.data() + static_cast<std::ptrdiff_t>(r) * n;
-    double* dst = c.data() + static_cast<std::ptrdiff_t>(r) * n;
-    for (int j = 0; j < n; ++j) {
-      const int orig = setup_.col_perm[j];
-      dst[j] = eq ? src[orig] * setup_.col_scale[orig] : src[orig];
-    }
-  }
-  numeric_.solve_transpose_multi(c.data(), nrhs);
-  std::vector<double> x(b.size());
-  for (int r = 0; r < nrhs; ++r) {
-    const double* src = c.data() + static_cast<std::ptrdiff_t>(r) * n;
-    double* dst = x.data() + static_cast<std::ptrdiff_t>(r) * n;
-    for (int i = 0; i < n; ++i) {
-      const int orig = setup_.row_perm[i];
-      dst[orig] = eq ? src[i] * setup_.row_scale[orig] : src[i];
-    }
-  }
-  return x;
+  return solve_columns(b, nrhs, /*transpose=*/true);
 }
 
 }  // namespace sstar

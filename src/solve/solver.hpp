@@ -10,8 +10,14 @@
 // The parallel (simulated distributed-memory) drivers live in
 // core/lu_1d.hpp and core/lu_2d.hpp and consume the same preprocessing
 // through this class.
+//
+// Every solve — A or Aᵀ, one right-hand side or many, here or in a
+// serve::SolveSession — is one path: solve_in_panels() gathers the
+// caller's columns into a row-major panel in the pipeline's numbering,
+// SStarNumeric sweeps it, and the result is scattered back.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -69,8 +75,24 @@ struct SolverSetup {
   double presplit_avg_width = 0.0;
 };
 
-/// Run the symbolic pipeline only.
+/// Run the symbolic pipeline only. Throws CheckError naming the first
+/// non-finite entry of `a` (column-major order) by its (row, col).
 SolverSetup prepare(const SparseMatrix& a, const SolverOptions& opt);
+
+/// The one mapping between the caller's numbering and the pipeline's.
+/// Solves A X = B, or Aᵀ X = B when `transpose`, for the column-major
+/// n x nrhs B in the ORIGINAL numbering: each chunk of at most
+/// `panel_width` columns is gathered straight into the row-major
+/// `panel` in the pipeline's numbering, solved in place by
+/// `sweep(ncols)`, and scattered back. The permuted matrix is
+/// R (Dr A Dc) Cᵀ, so A gathers through row_perm/row_scale and
+/// scatters through col_perm/col_scale; Aᵀ swaps the two. Each entry
+/// is moved with the same single multiply at any width or chunking.
+std::vector<double> solve_in_panels(const SolverSetup& setup,
+                                    const std::vector<double>& b, int nrhs,
+                                    bool transpose, int panel_width,
+                                    std::vector<double>& panel,
+                                    const std::function<void(int)>& sweep);
 
 class Solver {
  public:
@@ -95,14 +117,11 @@ class Solver {
   /// condition estimation).
   std::vector<double> solve_transpose(const std::vector<double>& b) const;
 
-  /// Solve A X = B for nrhs right-hand sides (column-major n x nrhs),
-  /// amortizing the factor traversal with BLAS-3 kernels.
+  /// Solve A X = B (Aᵀ X = B) for nrhs right-hand sides (column-major
+  /// n x nrhs) as one panel, amortizing the factor traversal; column r
+  /// is bitwise solve (solve_transpose) of column r.
   std::vector<double> solve_multi(const std::vector<double>& b,
                                   int nrhs) const;
-
-  /// Solve Aᵀ X = B for nrhs right-hand sides (column-major n x nrhs)
-  /// through the batched transpose panel sweep; column r is bitwise
-  /// solve_transpose of column r.
   std::vector<double> solve_transpose_multi(const std::vector<double>& b,
                                             int nrhs) const;
 
@@ -114,6 +133,10 @@ class Solver {
   const FactorStats& stats() const { return numeric_.stats(); }
 
  private:
+  /// The routine the four solve methods forward to.
+  std::vector<double> solve_columns(const std::vector<double>& b, int nrhs,
+                                    bool transpose) const;
+
   SolverOptions opt_;
   SolverSetup setup_;
   SStarNumeric numeric_;

@@ -163,8 +163,7 @@ TEST(SolveMulti, MatchesColumnwiseSolves) {
     const std::vector<double> br(b.begin() + r * 70,
                                  b.begin() + (r + 1) * 70);
     const auto xr = solver.solve(br);
-    for (int i = 0; i < 70; ++i)
-      EXPECT_NEAR(x[r * 70 + i], xr[i], 1e-11) << "rhs " << r;
+    for (int i = 0; i < 70; ++i) EXPECT_EQ(x[r * 70 + i], xr[i]) << "rhs " << r;
   }
 }
 
@@ -206,7 +205,7 @@ TEST(SolveMulti, EquilibrationComposes) {
     const std::vector<double> br(b.begin() + r * 40,
                                  b.begin() + (r + 1) * 40);
     const auto xr = solver.solve(br);
-    for (int i = 0; i < 40; ++i) EXPECT_NEAR(x[r * 40 + i], xr[i], 1e-11);
+    for (int i = 0; i < 40; ++i) EXPECT_EQ(x[r * 40 + i], xr[i]);
   }
 }
 

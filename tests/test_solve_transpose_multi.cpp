@@ -29,50 +29,53 @@ TEST(SolveTransposeMulti, NumericBitwiseVsSolo) {
 
   const int n = layout.n();
   for (const int nrhs : {1, 2, 3, 5, 8, 17}) {
-    std::vector<double> b(static_cast<std::size_t>(n) * nrhs);
+    // Row-major n x nrhs panel: row i's nrhs values contiguous.
+    std::vector<std::vector<double>> cols;
+    std::vector<double> panel(static_cast<std::size_t>(n) * nrhs);
     for (int c = 0; c < nrhs; ++c) {
-      const auto col = testing::random_vector(n, 500 + c);
-      std::copy(col.begin(), col.end(),
-                b.begin() + static_cast<std::ptrdiff_t>(c) * n);
-    }
-    std::vector<double> batched = b;
-    num.solve_transpose_multi(batched.data(), nrhs);
-    for (int c = 0; c < nrhs; ++c) {
-      std::vector<double> col(
-          b.begin() + static_cast<std::ptrdiff_t>(c) * n,
-          b.begin() + static_cast<std::ptrdiff_t>(c + 1) * n);
-      const auto solo = num.solve_transpose(std::move(col));
+      cols.push_back(testing::random_vector(n, 500 + c));
       for (int i = 0; i < n; ++i)
-        ASSERT_EQ(batched[static_cast<std::size_t>(c) * n + i], solo[i])
+        panel[static_cast<std::size_t>(i) * nrhs + c] = cols.back()[i];
+    }
+    num.solve_panel(panel.data(), nrhs, /*transpose=*/true);
+    for (int c = 0; c < nrhs; ++c) {
+      const auto solo = num.solve_transpose(cols[c]);
+      for (int i = 0; i < n; ++i)
+        ASSERT_EQ(panel[static_cast<std::size_t>(i) * nrhs + c], solo[i])
             << "nrhs " << nrhs << " col " << c << " row " << i;
     }
   }
 }
 
 TEST(SolveTransposeMulti, SolverBitwiseVsSoloWithEquilibration) {
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const auto a = testing::random_sparse(80, 5, 1200 + seed, 0.4);
-    SolverOptions opt;
-    opt.max_block = 10;
-    Solver solver(a, opt);
-    solver.factorize();
-    const int n = 80;
-    const int nrhs = 7;
-    std::vector<double> b(static_cast<std::size_t>(n) * nrhs);
-    for (int c = 0; c < nrhs; ++c) {
-      const auto col = testing::random_vector(n, 900 * seed + c);
-      std::copy(col.begin(), col.end(),
-                b.begin() + static_cast<std::ptrdiff_t>(c) * n);
-    }
-    const auto batched = solver.solve_transpose_multi(b, nrhs);
-    for (int c = 0; c < nrhs; ++c) {
-      const std::vector<double> col(
-          b.begin() + static_cast<std::ptrdiff_t>(c) * n,
-          b.begin() + static_cast<std::ptrdiff_t>(c + 1) * n);
-      const auto solo = solver.solve_transpose(col);
-      for (int i = 0; i < n; ++i)
-        ASSERT_EQ(batched[static_cast<std::size_t>(c) * n + i], solo[i])
-            << "seed " << seed << " col " << c << " row " << i;
+  for (const bool equilibrate : {false, true}) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      const auto a = testing::random_sparse(80, 5, 1200 + seed, 0.4);
+      SolverOptions opt;
+      opt.max_block = 10;
+      opt.equilibrate = equilibrate;
+      Solver solver(a, opt);
+      solver.factorize();
+      ASSERT_EQ(solver.setup().row_scale.empty(), !equilibrate);
+      const int n = 80;
+      const int nrhs = 7;
+      std::vector<double> b(static_cast<std::size_t>(n) * nrhs);
+      for (int c = 0; c < nrhs; ++c) {
+        const auto col = testing::random_vector(n, 900 * seed + c);
+        std::copy(col.begin(), col.end(),
+                  b.begin() + static_cast<std::ptrdiff_t>(c) * n);
+      }
+      const auto batched = solver.solve_transpose_multi(b, nrhs);
+      for (int c = 0; c < nrhs; ++c) {
+        const std::vector<double> col(
+            b.begin() + static_cast<std::ptrdiff_t>(c) * n,
+            b.begin() + static_cast<std::ptrdiff_t>(c + 1) * n);
+        const auto solo = solver.solve_transpose(col);
+        for (int i = 0; i < n; ++i)
+          ASSERT_EQ(batched[static_cast<std::size_t>(c) * n + i], solo[i])
+              << "equilibrate " << equilibrate << " seed " << seed
+              << " col " << c << " row " << i;
+      }
     }
   }
 }

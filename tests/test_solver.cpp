@@ -2,6 +2,10 @@
 // options and the generated benchmark suite.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "matrix/generators.hpp"
 #include "matrix/pattern_ops.hpp"
 #include "matrix/suite.hpp"
@@ -57,6 +61,42 @@ TEST(Solver, RejectsStructurallySingular) {
   const auto a = SparseMatrix::from_triplets(
       3, 3, {{0, 0, 1.0}, {1, 0, 1.0}, {0, 1, 1.0}, {1, 1, 1.0}});
   EXPECT_THROW(Solver{a}, CheckError);
+}
+
+// Plants `value` at the first stored entry of column 7 that is (`diag`)
+// or is not the diagonal, and expects prepare() to name that entry by its
+// original (row, col) before the pivot search can misreport it.
+void expect_rejects_non_finite(double value, bool diag) {
+  auto a = testing::random_sparse(40, 4, 19);
+  int row = -1;
+  for (int k = a.col_begin(7); k < a.col_end(7) && row < 0; ++k) {
+    if ((a.row_idx()[k] == 7) != diag) continue;
+    row = a.row_idx()[k];
+    a.values()[k] = value;
+  }
+  ASSERT_GE(row, 0);
+  try {
+    Solver solver(a);
+    FAIL() << "non-finite entry accepted";
+  } catch (const CheckError& e) {
+    const std::string where =
+        "at (row " + std::to_string(row) + ", col 7)";
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Solver, RejectsNaNOnDiagonal) {
+  expect_rejects_non_finite(std::nan(""), /*diag=*/true);
+}
+
+TEST(Solver, RejectsNaNOffDiagonal) {
+  expect_rejects_non_finite(std::nan(""), /*diag=*/false);
+}
+
+TEST(Solver, RejectsInfinity) {
+  expect_rejects_non_finite(std::numeric_limits<double>::infinity(),
+                            /*diag=*/true);
 }
 
 TEST(Solver, OrderingReducesFillOnStencil) {

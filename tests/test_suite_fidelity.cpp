@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "matrix/pattern_ops.hpp"
 #include "matrix/suite.hpp"
@@ -18,6 +19,11 @@ struct Expectation {
   double sym_hi;
   double density_tol;  // relative nnz/row tolerance vs paper at scale 1
 };
+
+// Print a case as its matrix name. The default printout dumps the
+// struct's bytes, name pointer included, and the ctest case names built
+// from it would change with every load address.
+void PrintTo(const Expectation& e, std::ostream* os) { *os << e.name; }
 
 class SuiteFidelity : public ::testing::TestWithParam<Expectation> {};
 

@@ -49,11 +49,11 @@ TEST_P(PipelineTorture, FactorsSolvesAndParallelAgrees) {
   const auto res = refined_solve(solver, a, b, ropt);
   EXPECT_LT(res.backward_error, 1e-12);
 
-  // Multi-RHS consistency: the blocked solve sums in a different order
-  // than the scalar replay, so agreement is to rounding, not bitwise.
+  // Multi-RHS consistency: single-RHS and multi-RHS solves are one
+  // panel path, so they agree bit for bit.
   const auto x2 = solver.solve_multi(b, 1);
   const auto x1 = solver.solve(b);
-  for (int i = 0; i < c.n; ++i) EXPECT_NEAR(x2[i], x1[i], 1e-8);
+  for (int i = 0; i < c.n; ++i) EXPECT_EQ(x2[i], x1[i]);
 
   // One simulated parallel run must reproduce the sequential factors
   // bit-for-bit.
