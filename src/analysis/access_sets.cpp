@@ -12,6 +12,7 @@ const char* access_name(Access a) {
 
 std::string block_name(BlockCoord b) {
   if (b.is_pivot_seq()) return "piv(" + std::to_string(b.i) + ")";
+  if (b.is_solve_rows()) return "rows(" + std::to_string(b.i) + ")";
   if (b.i == b.j) return "diag(" + std::to_string(b.i) + ")";
   const char* kind = b.i > b.j ? "L(" : "U(";
   return kind + std::to_string(b.i) + "," + std::to_string(b.j) + ")";
@@ -83,6 +84,23 @@ std::string task_label(const LuTaskGraph& graph, int t) {
   if (task.type == LuTask::Type::kFactor)
     return "F(" + std::to_string(task.k) + ")";
   return "U(" + std::to_string(task.k) + "," + std::to_string(task.j) + ")";
+}
+
+std::vector<BlockAccess> task_access_set(const sim::ParallelProgram& prog,
+                                         const BlockLayout& lay, int t) {
+  std::vector<BlockAccess> out;
+  for (const sim::KernelCall& call : prog.task(t).kernels) {
+    const auto one = call.kind == sim::KernelCall::Kind::kFactor
+                         ? factor_access_set(lay, call.k)
+                         : update_access_set(lay, call.k, call.j);
+    out.insert(out.end(), one.begin(), one.end());
+  }
+  return out;
+}
+
+std::string task_label(const sim::ParallelProgram& prog, int t) {
+  const std::string& label = prog.task(t).label;
+  return label.empty() ? "task " + std::to_string(t) : label;
 }
 
 }  // namespace sstar::analysis

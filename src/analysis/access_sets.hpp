@@ -31,6 +31,7 @@
 
 #include "analysis/access_types.hpp"
 #include "core/task_graph.hpp"
+#include "sim/event_sim.hpp"
 #include "supernode/block_layout.hpp"
 
 namespace sstar::analysis {
@@ -53,5 +54,13 @@ std::vector<BlockAccess> task_access_set(const LuTaskGraph& graph, int t);
 
 /// Display label of task t: "F(3)" or "U(3,7)".
 std::string task_label(const LuTaskGraph& graph, int t);
+
+/// Declared access set of task t of a built SPMD program: the union of
+/// the sets of its KernelCall descriptors (a resource may repeat).
+std::vector<BlockAccess> task_access_set(const sim::ParallelProgram& prog,
+                                         const BlockLayout& lay, int t);
+
+/// Display label of program task t: its TaskDef label, else "task 7".
+std::string task_label(const sim::ParallelProgram& prog, int t);
 
 }  // namespace sstar::analysis

@@ -10,13 +10,19 @@ namespace sstar::analysis {
 
 namespace {
 
-/// Internal normalized form shared by the graph and program audits.
+/// Internal normalized form every audit reduces to: per-task declared
+/// access sets, display labels, happens-before edges, and the
+/// sequential order violations are reported in.
 struct TaskSystem {
   std::vector<std::vector<BlockAccess>> sets;  ///< per task, deduped
   std::vector<std::string> labels;
   std::vector<std::pair<int, int>> edges;
+  std::vector<int> position;  ///< sequential position; empty = task id
 
   int num_tasks() const { return static_cast<int>(sets.size()); }
+  int pos(int t) const {
+    return position.empty() ? t : position[static_cast<std::size_t>(t)];
+  }
 };
 
 /// Sort by block and collapse duplicates, a write absorbing a read.
@@ -35,49 +41,42 @@ std::vector<BlockAccess> dedupe(std::vector<BlockAccess> set) {
 TaskSystem graph_system(const LuTaskGraph& graph,
                         const std::vector<LuTaskEdge>& edges) {
   TaskSystem sys;
-  const int nt = graph.num_tasks();
-  sys.sets.reserve(static_cast<std::size_t>(nt));
-  sys.labels.reserve(static_cast<std::size_t>(nt));
-  for (int t = 0; t < nt; ++t) {
+  for (int t = 0; t < graph.num_tasks(); ++t) {
     sys.sets.push_back(dedupe(task_access_set(graph, t)));
     sys.labels.push_back(task_label(graph, t));
   }
-  sys.edges.reserve(edges.size());
   for (const LuTaskEdge& e : edges) sys.edges.push_back({e.from, e.to});
   return sys;
-}
-
-std::vector<BlockAccess> kernel_access_set(const BlockLayout& lay,
-                                           const sim::KernelCall& call) {
-  return call.kind == sim::KernelCall::Kind::kFactor
-             ? factor_access_set(lay, call.k)
-             : update_access_set(lay, call.k, call.j);
 }
 
 TaskSystem program_system(const sim::ParallelProgram& prog,
                           const BlockLayout& lay) {
   TaskSystem sys;
-  const int nt = static_cast<int>(prog.num_tasks());
-  sys.sets.reserve(static_cast<std::size_t>(nt));
-  sys.labels.reserve(static_cast<std::size_t>(nt));
-  for (int t = 0; t < nt; ++t) {
-    const sim::TaskDef& def = prog.task(t);
+  for (int t = 0; t < static_cast<int>(prog.num_tasks()); ++t) {
+    sys.sets.push_back(dedupe(task_access_set(prog, lay, t)));
+    sys.labels.push_back(task_label(prog, t));
+  }
+  sys.edges = prog.happens_before_edges();
+  return sys;
+}
+
+TaskSystem solve_system(const SolveGraph& graph,
+                        const std::vector<std::pair<int, int>>& edges) {
+  TaskSystem sys;
+  const int nb = graph.num_blocks();
+  for (int t = 0; t < graph.num_tasks(); ++t) {
     std::vector<BlockAccess> set;
-    for (const sim::KernelCall& call : def.kernels) {
-      const auto one = kernel_access_set(lay, call);
-      set.insert(set.end(), one.begin(), one.end());
-    }
+    for (const SolveGraph::RowAccess& a : graph.access_set(t))
+      set.push_back({{a.row_block, BlockCoord::kSolveRows},
+                     a.write ? Access::kWrite : Access::kRead});
     sys.sets.push_back(dedupe(std::move(set)));
-    sys.labels.push_back(def.label.empty() ? "task " + std::to_string(t)
-                                           : def.label);
+    sys.labels.push_back(graph.task_label(t));
+    // Sequential sweep FS(0..nb-1), BS(nb-1..0).
+    sys.position.push_back(graph.is_forward(t)
+                               ? graph.block_of(t)
+                               : 2 * nb - 1 - graph.block_of(t));
   }
-  for (int p = 0; p < prog.processors(); ++p) {
-    const std::vector<sim::TaskId>& order = prog.proc_order(p);
-    for (std::size_t i = 1; i < order.size(); ++i)
-      sys.edges.push_back({order[i - 1], order[i]});
-  }
-  for (const sim::MessageDef& m : prog.messages())
-    sys.edges.push_back({m.from, m.to});
+  sys.edges = edges;
   return sys;
 }
 
@@ -88,40 +87,33 @@ struct ResourceAccess {
   Access access = Access::kRead;
 };
 
-void flag(AuditReport* report, const TaskSystem& sys,
-          const ResourceAccess& a, const ResourceAccess& b) {
-  ++report->violations_found;
-  AuditViolation v;
-  const bool a_first = a.task < b.task;
-  const ResourceAccess& first = a_first ? a : b;
-  const ResourceAccess& second = a_first ? b : a;
-  v.task_a = first.task;
-  v.task_b = second.task;
-  v.label_a = sys.labels[static_cast<std::size_t>(first.task)];
-  v.label_b = sys.labels[static_cast<std::size_t>(second.task)];
-  v.block = a.block;
-  v.access_a = first.access;
-  v.access_b = second.access;
-  report->violations.push_back(std::move(v));
+/// Sort by (resource, task) and keep one access per pair, a write
+/// absorbing a read.
+void normalize(std::vector<ResourceAccess>* flat) {
+  std::sort(flat->begin(), flat->end(),
+            [](const ResourceAccess& a, const ResourceAccess& b) {
+              if (!(a.block == b.block)) return a.block < b.block;
+              if (a.task != b.task) return a.task < b.task;
+              return a.access == Access::kWrite &&
+                     b.access == Access::kRead;
+            });
+  flat->erase(std::unique(flat->begin(), flat->end(),
+                          [](const ResourceAccess& a,
+                             const ResourceAccess& b) {
+                            return a.block == b.block && a.task == b.task;
+                          }),
+              flat->end());
 }
 
-/// The core check: every W/W or R/W pair on one resource must be
-/// ordered by a dependence path.
-AuditReport audit_system(const TaskSystem& sys) {
+/// The ordered-conflict sweep every audit shares: over a normalized
+/// flat access list, every W/W or R/W pair on one resource must be
+/// ordered by a happens-before path. Unordered pairs are reported with
+/// the sequentially earlier task first.
+AuditReport sweep(const TaskSystem& sys, std::vector<ResourceAccess> flat) {
   AuditReport report;
   report.num_tasks = sys.num_tasks();
   report.num_edges = static_cast<std::int64_t>(sys.edges.size());
-
-  std::vector<ResourceAccess> flat;
-  for (int t = 0; t < sys.num_tasks(); ++t)
-    for (const BlockAccess& a : sys.sets[static_cast<std::size_t>(t)])
-      flat.push_back({a.block, t, a.access});
-  std::sort(flat.begin(), flat.end(),
-            [](const ResourceAccess& a, const ResourceAccess& b) {
-              if (!(a.block == b.block)) return a.block < b.block;
-              return a.task < b.task;
-            });
-
+  normalize(&flat);
   const Reachability reach(sys.num_tasks(), sys.edges);
 
   std::size_t lo = 0;
@@ -135,13 +127,34 @@ AuditReport audit_system(const TaskSystem& sys) {
             flat[q].access == Access::kRead)
           continue;  // R/R never conflicts
         ++report.pairs_checked;
-        if (!reach.ordered(flat[p].task, flat[q].task))
-          flag(&report, sys, flat[p], flat[q]);
+        if (reach.ordered(flat[p].task, flat[q].task)) continue;
+        const bool p_first = sys.pos(flat[p].task) < sys.pos(flat[q].task);
+        const ResourceAccess& first = p_first ? flat[p] : flat[q];
+        const ResourceAccess& second = p_first ? flat[q] : flat[p];
+        AuditViolation v;
+        v.task_a = first.task;
+        v.task_b = second.task;
+        v.label_a = sys.labels[static_cast<std::size_t>(first.task)];
+        v.label_b = sys.labels[static_cast<std::size_t>(second.task)];
+        v.block = first.block;
+        v.access_a = first.access;
+        v.access_b = second.access;
+        report.violations.push_back(std::move(v));
       }
     }
     lo = hi;
   }
+  report.violations_found =
+      static_cast<std::int64_t>(report.violations.size());
   return report;
+}
+
+AuditReport audit_system(const TaskSystem& sys) {
+  std::vector<ResourceAccess> flat;
+  for (int t = 0; t < sys.num_tasks(); ++t)
+    for (const BlockAccess& a : sys.sets[static_cast<std::size_t>(t)])
+      flat.push_back({a.block, t, a.access});
+  return sweep(sys, std::move(flat));
 }
 
 DynamicAuditReport check_recorded(const TaskSystem& sys,
@@ -161,68 +174,22 @@ DynamicAuditReport check_recorded(const TaskSystem& sys,
     return access == Access::kRead || it->access == Access::kWrite;
   };
 
-  // Dedupe (task, block) to the strongest recorded access for the
-  // ordering re-check.
+  // The ordering re-check runs over the accesses that really happened.
   std::vector<ResourceAccess> actual;
   for (const AccessEvent& ev : events) {
-    if (ev.task < 0 || ev.task >= sys.num_tasks()) {
+    const bool known = ev.task >= 0 && ev.task < sys.num_tasks();
+    if (!known || !declared(ev.task, ev.block, ev.access)) {
       UndeclaredAccess u;
       u.task = ev.task;
-      u.label = "task " + std::to_string(ev.task);
-      u.block = ev.block;
-      u.access = ev.access;
-      report.undeclared.push_back(std::move(u));
-      continue;
-    }
-    if (!declared(ev.task, ev.block, ev.access)) {
-      UndeclaredAccess u;
-      u.task = ev.task;
-      u.label = sys.labels[static_cast<std::size_t>(ev.task)];
+      u.label = known ? sys.labels[static_cast<std::size_t>(ev.task)]
+                      : "task " + std::to_string(ev.task);
       u.block = ev.block;
       u.access = ev.access;
       report.undeclared.push_back(std::move(u));
     }
-    actual.push_back({ev.block, ev.task, ev.access});
+    if (known) actual.push_back({ev.block, ev.task, ev.access});
   }
-
-  std::sort(actual.begin(), actual.end(),
-            [](const ResourceAccess& a, const ResourceAccess& b) {
-              if (!(a.block == b.block)) return a.block < b.block;
-              if (a.task != b.task) return a.task < b.task;
-              return a.access == Access::kWrite &&
-                     b.access == Access::kRead;
-            });
-  actual.erase(std::unique(actual.begin(), actual.end(),
-                           [](const ResourceAccess& a,
-                              const ResourceAccess& b) {
-                             return a.block == b.block && a.task == b.task;
-                           }),
-               actual.end());
-
-  const Reachability reach(sys.num_tasks(), sys.edges);
-  std::size_t lo = 0;
-  while (lo < actual.size()) {
-    std::size_t hi = lo + 1;
-    while (hi < actual.size() && actual[hi].block == actual[lo].block) ++hi;
-    for (std::size_t p = lo; p < hi; ++p) {
-      for (std::size_t q = p + 1; q < hi; ++q) {
-        if (actual[p].access == Access::kRead &&
-            actual[q].access == Access::kRead)
-          continue;
-        if (reach.ordered(actual[p].task, actual[q].task)) continue;
-        AuditViolation v;
-        v.task_a = actual[p].task;
-        v.task_b = actual[q].task;
-        v.label_a = sys.labels[static_cast<std::size_t>(v.task_a)];
-        v.label_b = sys.labels[static_cast<std::size_t>(v.task_b)];
-        v.block = actual[p].block;
-        v.access_a = actual[p].access;
-        v.access_b = actual[q].access;
-        report.unordered.push_back(std::move(v));
-      }
-    }
-    lo = hi;
-  }
+  report.unordered = sweep(sys, std::move(actual)).violations;
   return report;
 }
 
@@ -274,6 +241,15 @@ AuditReport audit_task_graph(const LuTaskGraph& graph,
 AuditReport audit_program(const sim::ParallelProgram& prog,
                           const BlockLayout& layout) {
   return audit_system(program_system(prog, layout));
+}
+
+AuditReport audit_solve_graph(const SolveGraph& graph) {
+  return audit_solve_graph(graph, graph.edges());
+}
+
+AuditReport audit_solve_graph(const SolveGraph& graph,
+                              const std::vector<std::pair<int, int>>& edges) {
+  return audit_system(solve_system(graph, edges));
 }
 
 DynamicAuditReport check_recorded_accesses(

@@ -19,24 +19,31 @@
 //    declared sets (under-declaration) and re-runs the ordering check on
 //    the events that really happened (missed edges on real accesses).
 //
-// Both the kernel-level LuTaskGraph and built SPMD programs (the 1D/2D
-// drivers' sim::ParallelProgram, whose tasks carry KernelCall
-// descriptors) are auditable. The CLI wrapper is tools/sstar_audit.
+// One ordered-conflict sweep serves three task models: the kernel-level
+// LuTaskGraph, built SPMD programs (the 1D/2D drivers'
+// sim::ParallelProgram, whose tasks carry KernelCall descriptors), and
+// the serving layer's solve DAG (core/solve_graph, whose tasks declare
+// right-hand-side row-block accesses). The CLI wrappers are
+// tools/sstar_audit and tools/sstar_serve --audit.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/access_log.hpp"
 #include "analysis/access_sets.hpp"
+#include "core/solve_graph.hpp"
 #include "core/task_graph.hpp"
 #include "sim/event_sim.hpp"
 
 namespace sstar::analysis {
 
-/// A conflicting access pair no dependence path orders. task_a was
-/// created before task_b (so the minimal repair is an edge a -> b).
+/// A conflicting access pair no dependence path orders. task_a precedes
+/// task_b in the audited model's sequential order — creation order, or
+/// the sweep order for the solve DAG — so the minimal repair is an edge
+/// a -> b.
 struct AuditViolation {
   int task_a = 0;
   int task_b = 0;
@@ -78,6 +85,18 @@ AuditReport audit_task_graph(const LuTaskGraph& graph,
 /// access sets come from each task's KernelCall descriptors.
 AuditReport audit_program(const sim::ParallelProgram& prog,
                           const BlockLayout& layout);
+
+/// Audit the solve DAG: each task's row-block accesses
+/// (SolveGraph::access_set) become BlockCoord::kSolveRows resources.
+/// Violations are normalized to the sequential sweep order
+/// FS(0..nb-1), BS(nb-1..0), so task_a -> task_b is the edge a
+/// sequential replay would need.
+AuditReport audit_solve_graph(const SolveGraph& graph);
+
+/// Same, with an explicit edge list replacing graph.edges() — the
+/// deleted-edge negative tests' seam.
+AuditReport audit_solve_graph(const SolveGraph& graph,
+                              const std::vector<std::pair<int, int>>& edges);
 
 // --- dynamic mode (offline checker for recorded events) -----------------
 

@@ -128,6 +128,19 @@ std::string CommAuditIssue::message() const {
          << ": declared consumer refcount " << actual << ", but the rank's "
          << "program performs " << expected << " consuming update(s)";
       break;
+    case Kind::kReadAfterRelease:
+      os << "rank " << site.rank << " task " << site.task
+         << " consumes remote panel " << panel
+         << " after its consumer refcount released it";
+      break;
+    case Kind::kForwardAfterRelease:
+      os << site.describe() << " forwards a panel its consumer refcount "
+         << "already released";
+      break;
+    case Kind::kLeak:
+      os << "rank " << site.rank << " ends its program with panel " << panel
+         << " still cached (consumer refcount never reached zero)";
+      break;
   }
   return os.str();
 }
@@ -250,48 +263,81 @@ CommAuditReport audit_comm_plan(
     }
   }
 
-  // --- property 2: coverage ---------------------------------------------
-  // Replay each rank's program with a held-panel set: Factor(k) and
-  // recv(k) add k; every remote-panel consume and every send must find
-  // its panel held. This covers the owner's fan-out (held via Factor)
-  // and the 2D row leader's forwarding hop (held via the recv the
-  // forward rides behind) in one rule.
-  for (const std::vector<FlatOp>& ops : flat.per_rank) {
-    std::vector<char> held(static_cast<std::size_t>(report.panels), 0);
-    const auto holds = [&](int k) {
-      return k >= 0 && k < report.panels && held[static_cast<std::size_t>(k)];
+  // --- properties 2 and 4: coverage and release safety ----------------
+  // Replay each rank's program against the panel residency its store
+  // would have: Factor(k) holds an owned panel for good; recv(k) caches
+  // it with its declared consumer refcount, and the consuming update
+  // that brings the count to zero frees it. Every remote-panel consume
+  // and every send — the owner's fan-out and the 2D row leader's
+  // forwarding hop alike — must find its panel held at that point.
+  // A panel or rank missing from `consumer_counts` counts as a declared
+  // zero — shorter vectors are checked, not rejected, so a truncated
+  // configuration is itself a reportable mismatch.
+  const auto declared = [&](int k, int p) {
+    return k < static_cast<int>(consumer_counts.size()) &&
+                   p < static_cast<int>(
+                           consumer_counts[static_cast<std::size_t>(k)].size())
+               ? consumer_counts[static_cast<std::size_t>(k)]
+                                [static_cast<std::size_t>(p)]
+               : 0;
+  };
+  std::vector<std::vector<int>> real(
+      static_cast<std::size_t>(report.panels),
+      std::vector<int>(static_cast<std::size_t>(prog.processors()), 0));
+  enum class Held : char { kNever, kOwned, kCached, kReleased };
+  for (int p = 0; p < prog.processors(); ++p) {
+    std::vector<Held> held(static_cast<std::size_t>(report.panels),
+                           Held::kNever);
+    std::vector<int> remaining(static_cast<std::size_t>(report.panels), 0);
+    const auto flag = [&](CommAuditIssue::Kind kind, const FlatOp& f) {
+      CommAuditIssue issue;
+      issue.kind = kind;
+      issue.site = f.site;
+      issue.panel = f.panel;
+      report.issues.push_back(issue);
     };
-    for (const FlatOp& f : ops) {
+    for (const FlatOp& f : flat.per_rank[static_cast<std::size_t>(p)]) {
+      // An out-of-layout panel (flagged as kBadPanel above) is never held.
+      const bool in_layout = f.panel >= 0 && f.panel < report.panels;
+      const auto k = static_cast<std::size_t>(in_layout ? f.panel : 0);
+      const Held h = in_layout ? held[k] : Held::kNever;
       switch (f.what) {
         case FlatOp::What::kFactor:
-          if (f.panel >= 0 && f.panel < report.panels)
-            held[static_cast<std::size_t>(f.panel)] = 1;
+          if (in_layout) held[k] = Held::kOwned;
           break;
         case FlatOp::What::kRecv:
-          if (f.panel >= 0 && f.panel < report.panels)
-            held[static_cast<std::size_t>(f.panel)] = 1;
+          if (in_layout) {
+            held[k] = Held::kCached;
+            remaining[k] = declared(f.panel, p);
+          }
           break;
         case FlatOp::What::kSend:
-          if (!holds(f.panel)) {
-            CommAuditIssue issue;
-            issue.kind = CommAuditIssue::Kind::kSendWithoutPanel;
-            issue.site = f.site;
-            issue.panel = f.panel;
-            report.issues.push_back(issue);
-          }
+          if (h == Held::kReleased)
+            flag(CommAuditIssue::Kind::kForwardAfterRelease, f);
+          else if (h == Held::kNever)
+            flag(CommAuditIssue::Kind::kSendWithoutPanel, f);
           break;
         case FlatOp::What::kConsume:
-          if (owner_of(f.panel) == f.site.rank) break;  // owned storage
+          if (owner_of(f.panel) == p) break;  // owned storage
           report.reads_checked++;
-          if (!holds(f.panel)) {
-            CommAuditIssue issue;
-            issue.kind = CommAuditIssue::Kind::kUncoveredRead;
-            issue.site = f.site;
-            issue.panel = f.panel;
-            report.issues.push_back(issue);
-          }
+          if (h == Held::kReleased)
+            flag(CommAuditIssue::Kind::kReadAfterRelease, f);
+          else if (h == Held::kNever)
+            flag(CommAuditIssue::Kind::kUncoveredRead, f);
+          if (!in_layout) break;
+          real[k][static_cast<std::size_t>(p)]++;
+          if (h == Held::kCached && --remaining[k] == 0)
+            held[k] = Held::kReleased;
           break;
       }
+    }
+    for (int k = 0; k < report.panels; ++k) {
+      if (held[static_cast<std::size_t>(k)] != Held::kCached) continue;
+      CommAuditIssue issue;
+      issue.kind = CommAuditIssue::Kind::kLeak;
+      issue.site.rank = p;
+      issue.panel = k;
+      report.issues.push_back(issue);
     }
   }
 
@@ -403,44 +449,23 @@ CommAuditReport audit_comm_plan(
     }
   }
 
-  // --- property 4: release safety ---------------------------------------
+  // --- property 4: the declared counts themselves ----------------------
   // The refcount DistBlockStore frees a cached panel by must equal the
   // number of consuming updates the rank's program declares — an
-  // overcount leaks the panel, an undercount frees it early (and
-  // analysis/panel_lifetime would then see a read-after-release).
-  std::vector<std::vector<int>> real(
-      static_cast<std::size_t>(report.panels),
-      std::vector<int>(static_cast<std::size_t>(prog.processors()), 0));
-  for (int p = 0; p < prog.processors(); ++p) {
-    for (const FlatOp& f : flat.per_rank[static_cast<std::size_t>(p)]) {
-      if (f.what != FlatOp::What::kConsume) continue;
-      if (owner_of(f.panel) == p) continue;
-      if (f.panel >= 0 && f.panel < report.panels)
-        real[static_cast<std::size_t>(f.panel)][static_cast<std::size_t>(p)]++;
-    }
-  }
-  // A panel or rank missing from `consumer_counts` counts as a declared
-  // zero — shorter vectors are checked, not rejected, so a truncated
-  // configuration is itself a reportable mismatch.
+  // overcount leaks the panel, an undercount frees it early (and the
+  // replay above reports the leak or the read-after-release it causes).
   for (int k = 0; k < report.panels; ++k) {
     for (int p = 0; p < prog.processors(); ++p) {
-      const int declared =
-          k < static_cast<int>(consumer_counts.size()) &&
-                  p < static_cast<int>(
-                          consumer_counts[static_cast<std::size_t>(k)].size())
-              ? consumer_counts[static_cast<std::size_t>(k)]
-                               [static_cast<std::size_t>(p)]
-              : 0;
       const int actual =
           real[static_cast<std::size_t>(k)][static_cast<std::size_t>(p)];
       report.counts_checked++;
-      if (declared != actual) {
+      if (declared(k, p) != actual) {
         CommAuditIssue issue;
         issue.kind = CommAuditIssue::Kind::kCountMismatch;
         issue.site.rank = p;
         issue.panel = k;
         issue.expected = actual;
-        issue.actual = declared;
+        issue.actual = declared(k, p);
         report.issues.push_back(issue);
       }
     }

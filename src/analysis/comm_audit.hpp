@@ -25,9 +25,11 @@
 //     carries the counterexample wait cycle, op by op;
 //  4. release safety — the consumer refcounts the DistBlockStore frees
 //     cached panels by (sim::panel_consumer_counts) exactly equal the
-//     consumers each rank's program declares, so no panel is freed
-//     early or leaked. (analysis/panel_lifetime replays the protocol;
-//     this property validates the counts it and the store start from.)
+//     consumers each rank's program declares, and the coverage replay
+//     of 2. runs the store's refcount protocol on them: a cached panel
+//     is freed by the consume that brings its count to zero, so a read
+//     or a forward after that point, and a panel still cached when the
+//     rank's program ends, are flagged at the exact (rank, task, panel).
 //
 // A dynamic twin, check_recorded_traffic(), cross-validates the
 // send/recv events a trace::TraceCollector recorded from the real
@@ -77,10 +79,14 @@ struct CommAuditIssue {
     kUncoveredRead,    ///< remote-panel kernel read with no recv before it
     kSendWithoutPanel, ///< send of a panel the sender does not hold yet
     kCountMismatch,    ///< declared consumer count != program's consumers
+    kReadAfterRelease, ///< remote-panel kernel read after the count freed it
+    kForwardAfterRelease,  ///< send of a cached panel already freed
+    kLeak,             ///< cached panel still held when the program ends
   };
   Kind kind = Kind::kOrphanRecv;
-  CommOpSite site;   ///< the offending op (kUncoveredRead: the task; op
-                     ///< is synthesized from the kernel's panel)
+  CommOpSite site;   ///< the offending op (kUncoveredRead and
+                     ///< kReadAfterRelease: the task, no op; kLeak and
+                     ///< kCountMismatch: the rank only, task -1)
   int panel = -1;
   int expected = 0;  ///< kSizeMismatch: send bytes; kCountMismatch: real count
   int actual = 0;    ///< kSizeMismatch: recv bytes; kCountMismatch: declared
@@ -111,7 +117,9 @@ struct CommAuditReport {
 /// Release safety is checked against `consumer_counts` — the refcounts
 /// a DistBlockStore would actually be configured with (pass the result
 /// of sim::panel_consumer_counts for the self-audit the executor and
-/// CLI run, or a tampered copy to exercise the negative path).
+/// CLI run, or a tampered copy to exercise the negative path: an
+/// entry edited to release early or late is reported both as a count
+/// mismatch and as the read-after-release or leak it causes).
 CommAuditReport audit_comm_plan(
     const sim::ParallelProgram& prog, const BlockLayout& layout,
     const std::vector<std::vector<int>>& consumer_counts);

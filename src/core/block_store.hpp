@@ -190,8 +190,8 @@ class DistBlockStore final : public BlockStore {
 
   /// TEST HOOK: release panel k after `uses` consuming uses instead of
   /// the plan-derived count. Forcing an early release makes the next
-  /// consumer throw an out-of-store error and is flagged by the panel
-  /// lifetime audit (analysis/panel_lifetime.hpp).
+  /// consumer throw an out-of-store error; the static comm audit
+  /// (analysis/comm_audit.hpp) flags the same edited count.
   void set_release_override(int k, int uses);
 
  private:

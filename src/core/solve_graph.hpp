@@ -22,8 +22,8 @@
 //      solved values of column block j.
 //
 // Level sets (longest-path depth) expose the schedule's available
-// parallelism; the static auditor (analysis/solve_audit) proves the
-// edge set orders every conflicting row-block access pair.
+// parallelism; the static auditor (analysis::audit_solve_graph) proves
+// the edge set orders every conflicting row-block access pair.
 #pragma once
 
 #include <string>
@@ -66,7 +66,7 @@ class SolveGraph {
   /// row block k (swaps + diagonal solve) and every L-block row block
   /// (swap targets + eliminations); BS(k) writes row block k and reads
   /// each U block's column block. The declared sets feed the static
-  /// solve-DAG auditor (analysis/solve_audit).
+  /// solve-DAG audit (analysis::audit_solve_graph).
   struct RowAccess {
     int row_block;
     bool write;

@@ -81,13 +81,8 @@ ExecStats execute_program(const sim::ParallelProgram& prog, int threads) {
   }
 
   std::vector<DagEdge> edges;
-  for (int p = 0; p < prog.processors(); ++p) {
-    const std::vector<sim::TaskId>& order = prog.proc_order(p);
-    for (std::size_t i = 1; i < order.size(); ++i)
-      edges.push_back({order[i - 1], order[i]});
-  }
-  for (const sim::MessageDef& m : prog.messages())
-    edges.push_back({m.from, m.to});
+  for (const auto& [from, to] : prog.happens_before_edges())
+    edges.push_back({from, to});
 
   ExecOptions eo;
   eo.threads = threads;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -80,6 +82,12 @@ void read_fields(std::istream& in, const FieldFormat& fmt,
   SSTAR_CHECK(done == count);
 }
 
+// Header counts are untrusted: size an up-front reservation from one at
+// most this large, and let the fields actually read grow the vector.
+std::size_t bounded_reserve(long long count) {
+  return static_cast<std::size_t>(std::min(count, 1LL << 20));
+}
+
 }  // namespace
 
 SparseMatrix read_harwell_boeing(std::istream& in, HbInfo* info) {
@@ -110,6 +118,11 @@ SparseMatrix read_harwell_boeing(std::istream& in, HbInfo* info) {
     ss >> nrow >> ncol >> nnz >> neltvl;
     SSTAR_CHECK_MSG(nrow > 0 && ncol > 0 && nnz > 0,
                     "bad HB dimensions: " << line);
+    const std::pair<const char*, long long> counts[] = {
+        {"NROW", nrow}, {"NCOL", ncol}, {"NNZERO", nnz}};
+    for (const auto& [field, value] : counts)
+      SSTAR_CHECK_MSG(value <= INT_MAX, "HB header " << field << " " << value
+                                                     << " exceeds " << INT_MAX);
   }
   const char vtype = hb.type[0];
   const char sym = hb.type[1];
@@ -135,22 +148,30 @@ SparseMatrix read_harwell_boeing(std::istream& in, HbInfo* info) {
 
   // Column pointers (1-based), row indices, values.
   std::vector<long long> col_ptr;
-  col_ptr.reserve(static_cast<std::size_t>(ncol) + 1);
+  col_ptr.reserve(bounded_reserve(ncol + 1));
   read_fields(in, ptrfmt, ncol + 1, [&](const std::string& f) {
     col_ptr.push_back(std::atoll(f.c_str()));
   });
   SSTAR_CHECK_MSG(col_ptr.front() == 1 && col_ptr.back() == nnz + 1,
                   "inconsistent HB column pointers");
+  for (long long j = 0; j < ncol; ++j) {
+    const long long lo = col_ptr[static_cast<std::size_t>(j)];
+    const long long hi = col_ptr[static_cast<std::size_t>(j) + 1];
+    SSTAR_CHECK_MSG(lo <= hi && hi <= nnz + 1,
+                    "HB column " << j + 1 << " has pointers " << lo << ".."
+                                 << hi << ", outside non-decreasing [1, "
+                                 << nnz + 1 << "]");
+  }
 
   std::vector<int> rows;
-  rows.reserve(static_cast<std::size_t>(nnz));
+  rows.reserve(bounded_reserve(nnz));
   read_fields(in, indfmt, nnz, [&](const std::string& f) {
     rows.push_back(std::atoi(f.c_str()));
   });
 
   std::vector<double> vals;
   if (vtype == 'R') {
-    vals.reserve(static_cast<std::size_t>(nnz));
+    vals.reserve(bounded_reserve(nnz));
     read_fields(in, valfmt, nnz, [&](const std::string& f) {
       vals.push_back(std::strtod(f.c_str(), nullptr));
     });

@@ -1,5 +1,7 @@
 #include "matrix/io.hpp"
 
+#include <algorithm>
+#include <climits>
 #include <fstream>
 #include <sstream>
 
@@ -42,15 +44,22 @@ SparseMatrix read_matrix_market(std::istream& in) {
   dims >> rows >> cols >> entries;
   SSTAR_CHECK_MSG(rows > 0 && cols > 0 && entries >= 0,
                   "bad Matrix Market size line: " << line);
+  SSTAR_CHECK_MSG(rows <= INT_MAX && cols <= INT_MAX,
+                  "Matrix Market size line " << line
+                                             << ": dimensions exceed "
+                                             << INT_MAX);
 
+  // The entry count is untrusted: reserve a bounded amount and let the
+  // entries actually read grow the vector.
   std::vector<Triplet> t;
-  t.reserve(static_cast<std::size_t>(entries));
+  t.reserve(static_cast<std::size_t>(std::min(entries, 1LL << 20)));
   for (long long e = 0; e < entries; ++e) {
     long long i = 0, j = 0;
     double v = 1.0;
-    in >> i >> j;
-    if (field != "pattern") in >> v;
-    SSTAR_CHECK_MSG(in.good() || in.eof(), "truncated entry " << e);
+    const bool read = static_cast<bool>(in >> i >> j) &&
+                      (field == "pattern" || static_cast<bool>(in >> v));
+    SSTAR_CHECK_MSG(read, "Matrix Market data truncated at entry "
+                              << e + 1 << " of " << entries);
     SSTAR_CHECK_MSG(i >= 1 && i <= rows && j >= 1 && j <= cols,
                     "entry out of range: " << i << " " << j);
     t.push_back({static_cast<int>(i - 1), static_cast<int>(j - 1), v});

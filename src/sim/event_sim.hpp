@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -97,6 +98,19 @@ class ParallelProgram {
   const std::vector<TaskId>& proc_order(int p) const { return order_[p]; }
   /// Every message/ordering edge (bytes < 0 marks a pure dependency).
   const std::vector<MessageDef>& messages() const { return messages_; }
+
+  /// The happens-before relation the real executor runs and every
+  /// auditor checks against, as (from, to) edges: consecutive tasks of
+  /// each processor's program order, then every message edge.
+  std::vector<std::pair<TaskId, TaskId>> happens_before_edges() const {
+    std::vector<std::pair<TaskId, TaskId>> edges;
+    edges.reserve(tasks_.size() + messages_.size());
+    for (const std::vector<TaskId>& order : order_)
+      for (std::size_t i = 1; i < order.size(); ++i)
+        edges.emplace_back(order[i - 1], order[i]);
+    for (const MessageDef& m : messages_) edges.emplace_back(m.from, m.to);
+    return edges;
+  }
 
  private:
   friend class SimulationResult;

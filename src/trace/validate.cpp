@@ -13,21 +13,6 @@ namespace sstar::trace {
 
 namespace {
 
-/// Declared access set of a program task: union over its KernelCall
-/// descriptors.
-std::vector<analysis::BlockAccess> program_task_accesses(
-    const sim::TaskDef& def, const BlockLayout& layout) {
-  std::vector<analysis::BlockAccess> out;
-  for (const sim::KernelCall& kc : def.kernels) {
-    std::vector<analysis::BlockAccess> part =
-        kc.kind == sim::KernelCall::Kind::kFactor
-            ? analysis::factor_access_set(layout, kc.k)
-            : analysis::update_access_set(layout, kc.k, kc.j);
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
 bool access_sets_conflict(const std::vector<analysis::BlockAccess>& a,
                           const std::vector<analysis::BlockAccess>& b) {
   for (const analysis::BlockAccess& x : a)
@@ -36,14 +21,6 @@ bool access_sets_conflict(const std::vector<analysis::BlockAccess>& a,
                                  y.access == analysis::Access::kWrite))
         return true;
   return false;
-}
-
-std::string task_name(const sim::ParallelProgram& prog, int t) {
-  const std::string& label = prog.task(t).label;
-  if (!label.empty()) return label;
-  std::ostringstream os;
-  os << "task " << t;
-  return os.str();
 }
 
 }  // namespace
@@ -167,7 +144,7 @@ ValidationReport validate_trace(const sim::ParallelProgram& prog,
     TaskDelta& d = it->second;
     if (fresh) {
       d.task = e.task;
-      d.label = task_name(prog, e.task);
+      d.label = analysis::task_label(prog, e.task);
       d.measured_start = e.t0;
       d.measured_finish = e.t1;
     } else {
@@ -191,15 +168,7 @@ ValidationReport validate_trace(const sim::ParallelProgram& prog,
   // Happens-before relation: program order per processor + every
   // message/dependency edge; transitive so unmeasured relay tasks
   // (e.g. pure comm steps) still propagate the ordering obligation.
-  std::vector<std::pair<int, int>> edges;
-  for (int p = 0; p < prog.processors(); ++p) {
-    const std::vector<sim::TaskId>& order = prog.proc_order(p);
-    for (std::size_t i = 1; i < order.size(); ++i)
-      edges.emplace_back(order[i - 1], order[i]);
-  }
-  for (const sim::MessageDef& m : prog.messages())
-    edges.emplace_back(m.from, m.to);
-  const analysis::Reachability reach(n, edges);
+  const analysis::Reachability reach(n, prog.happens_before_edges());
 
   for (std::size_t ia = 0; ia < report.tasks.size(); ++ia) {
     for (std::size_t ib = 0; ib < report.tasks.size(); ++ib) {
@@ -217,8 +186,8 @@ ValidationReport validate_trace(const sim::ParallelProgram& prog,
       v.finish_a = a.measured_finish;
       v.start_b = b.measured_start;
       v.conflicting = access_sets_conflict(
-          program_task_accesses(prog.task(a.task), layout),
-          program_task_accesses(prog.task(b.task), layout));
+          analysis::task_access_set(prog, layout, a.task),
+          analysis::task_access_set(prog, layout, b.task));
       report.violations.push_back(v);
     }
   }

@@ -1,9 +1,9 @@
 // BlockStore layer: the OOB-hardened element accessors shared by both
 // stores, the owner-only DistBlockStore (owned arena, out-of-store
-// diagnostics, refcounted remote-panel cache), and the panel-lifetime
-// audit that proves the release protocol safe — plus its negative
-// cases, where a forced early release is named down to the exact
-// (rank, task, panel).
+// diagnostics, refcounted remote-panel cache), and the comm audit's
+// panel-lifetime replay that proves the release protocol safe — plus
+// its negative cases, where an edited consumer count is named down to
+// the exact (rank, task, panel).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/panel_lifetime.hpp"
+#include "analysis/comm_audit.hpp"
 #include "core/block_store.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
@@ -333,7 +333,7 @@ TEST(BlockStore, ClearDropsCacheAndAccounting) {
   EXPECT_NE(store.diag(0), nullptr);
 }
 
-// --- panel-lifetime audit -------------------------------------------------
+// --- panel-lifetime audit (the comm audit's residency replay) ------------
 
 // The plan-derived refcounts must pass the audit on every program
 // variant at every rank count — the release-safety proof.
@@ -350,12 +350,12 @@ TEST(PanelLifetimeAudit, CleanOnAllProgramVariants) {
     progs.push_back(build_2d_program(*f.layout, m, /*async=*/true, nullptr));
     progs.push_back(build_2d_program(*f.layout, m, /*async=*/false, nullptr));
     for (std::size_t v = 0; v < progs.size(); ++v) {
-      const analysis::PanelLifetimeReport rep =
-          analysis::audit_panel_lifetimes(progs[v]);
+      const analysis::CommAuditReport rep = analysis::audit_comm_plan(
+          progs[v], *f.layout, sim::panel_consumer_counts(progs[v]));
       EXPECT_TRUE(rep.ok()) << ranks << " ranks, variant " << v << ": "
                             << rep.summary();
       EXPECT_EQ(rep.ranks, ranks);
-      EXPECT_GT(rep.accesses_checked, 0) << ranks << " ranks, variant " << v;
+      EXPECT_GT(rep.reads_checked, 0) << ranks << " ranks, variant " << v;
     }
   }
 }
@@ -377,6 +377,33 @@ bool find_consumer(const sim::ParallelProgram& prog, int min_uses, int* k_out,
   return false;
 }
 
+// The tasks of `rank` consuming panel k, in program order.
+std::vector<sim::TaskId> consuming_tasks(const sim::ParallelProgram& prog,
+                                         int rank, int k) {
+  std::vector<sim::TaskId> out;
+  for (const sim::TaskId t : prog.proc_order(rank))
+    for (const sim::KernelCall& kc : prog.task(t).kernels)
+      if (kc.kind == sim::KernelCall::Kind::kUpdate && kc.k == k)
+        out.push_back(t);
+  return out;
+}
+
+// The tampered entry's count mismatch must be reported exactly once.
+void expect_count_mismatch(const analysis::CommAuditReport& rep, int rank,
+                           int k, int real, int declared) {
+  int mismatches = 0;
+  for (const analysis::CommAuditIssue& issue : rep.issues) {
+    if (issue.kind != analysis::CommAuditIssue::Kind::kCountMismatch)
+      continue;
+    ++mismatches;
+    EXPECT_EQ(issue.site.rank, rank);
+    EXPECT_EQ(issue.panel, k);
+    EXPECT_EQ(issue.expected, real);
+    EXPECT_EQ(issue.actual, declared);
+  }
+  EXPECT_EQ(mismatches, 1) << rep.summary();
+}
+
 TEST(PanelLifetimeAudit, ForcedEarlyReleaseNamesRankTaskPanel) {
   const auto f = Fixture::make(120, 4, 13, 10, 4);
   const LuTaskGraph graph(*f.layout);
@@ -388,26 +415,32 @@ TEST(PanelLifetimeAudit, ForcedEarlyReleaseNamesRankTaskPanel) {
   ASSERT_TRUE(find_consumer(prog, 2, &k, &rank, &uses))
       << "fixture has no panel with >= 2 consuming tasks on one rank";
 
-  const analysis::PanelLifetimeReport rep = analysis::audit_panel_lifetimes(
-      prog, {analysis::ReleaseOverride{rank, k, /*uses=*/1}});
+  auto counts = sim::panel_consumer_counts(prog);
+  counts[static_cast<std::size_t>(k)][static_cast<std::size_t>(rank)] = 1;
+  const analysis::CommAuditReport rep =
+      analysis::audit_comm_plan(prog, *f.layout, counts);
   ASSERT_FALSE(rep.ok());
-  bool named = false;
-  for (const analysis::PanelLifetimeIssue& issue : rep.issues) {
-    if (issue.kind != analysis::PanelLifetimeIssue::Kind::kReadAfterRelease)
+  expect_count_mismatch(rep, rank, k, uses, 1);
+
+  // The early release loses exactly uses - 1 consuming accesses: every
+  // consuming task after the first, named by (rank, task, panel).
+  const std::vector<sim::TaskId> consumers = consuming_tasks(prog, rank, k);
+  ASSERT_EQ(static_cast<int>(consumers.size()), uses);
+  std::vector<sim::TaskId> starved;
+  for (const analysis::CommAuditIssue& issue : rep.issues) {
+    if (issue.kind != analysis::CommAuditIssue::Kind::kReadAfterRelease)
       continue;
-    EXPECT_EQ(issue.rank, rank);
-    EXPECT_EQ(issue.k, k);
-    EXPECT_GE(issue.task, 0);
+    EXPECT_EQ(issue.site.rank, rank);
+    EXPECT_EQ(issue.panel, k);
+    EXPECT_GE(issue.site.task, 0);
     EXPECT_FALSE(issue.message().empty());
-    named = true;
+    starved.push_back(issue.site.task);
   }
-  EXPECT_TRUE(named) << rep.summary();
-  // The early release loses exactly uses - 1 consuming accesses.
-  int read_after_release = 0;
-  for (const analysis::PanelLifetimeIssue& issue : rep.issues)
-    if (issue.kind == analysis::PanelLifetimeIssue::Kind::kReadAfterRelease)
-      ++read_after_release;
-  EXPECT_EQ(read_after_release, uses - 1);
+  EXPECT_EQ(starved, std::vector<sim::TaskId>(consumers.begin() + 1,
+                                              consumers.end()))
+      << rep.summary();
+  // Nothing else: one mismatch plus uses - 1 reads after release.
+  EXPECT_EQ(static_cast<int>(rep.issues.size()), uses) << rep.summary();
 }
 
 TEST(PanelLifetimeAudit, OverheldPanelFlaggedAsLeak) {
@@ -422,14 +455,22 @@ TEST(PanelLifetimeAudit, OverheldPanelFlaggedAsLeak) {
 
   // A refcount larger than the real consumer count never reaches zero:
   // the panel is still resident when the rank's program ends.
-  const analysis::PanelLifetimeReport rep = analysis::audit_panel_lifetimes(
-      prog, {analysis::ReleaseOverride{rank, k, uses + 5}});
+  auto counts = sim::panel_consumer_counts(prog);
+  counts[static_cast<std::size_t>(k)][static_cast<std::size_t>(rank)] =
+      uses + 5;
+  const analysis::CommAuditReport rep =
+      analysis::audit_comm_plan(prog, *f.layout, counts);
   ASSERT_FALSE(rep.ok());
-  ASSERT_EQ(rep.issues.size(), 1u);
-  EXPECT_EQ(rep.issues[0].kind, analysis::PanelLifetimeIssue::Kind::kLeak);
-  EXPECT_EQ(rep.issues[0].rank, rank);
-  EXPECT_EQ(rep.issues[0].k, k);
-  EXPECT_EQ(rep.issues[0].task, -1);
+  ASSERT_EQ(rep.issues.size(), 2u) << rep.summary();
+  expect_count_mismatch(rep, rank, k, uses, uses + 5);
+  const analysis::CommAuditIssue& leak =
+      rep.issues[0].kind == analysis::CommAuditIssue::Kind::kLeak
+          ? rep.issues[0]
+          : rep.issues[1];
+  EXPECT_EQ(leak.kind, analysis::CommAuditIssue::Kind::kLeak);
+  EXPECT_EQ(leak.site.rank, rank);
+  EXPECT_EQ(leak.panel, k);
+  EXPECT_EQ(leak.site.task, -1);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "analysis/comm_audit.hpp"
-#include "analysis/panel_lifetime.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
 #include "core/task_graph.hpp"
@@ -290,19 +289,113 @@ TEST(CommAudit, SelfMessageAndBadPanelFlagged) {
 }
 
 // Release safety and the panel-lifetime replay must agree: a count the
-// comm audit rejects is exactly one the lifetime audit sees leak (over)
-// or free early (under).
+// comm audit rejects is exactly one the replay sees free early (under)
+// or leak (over), at the same rank and panel.
 TEST(CommAudit, AgreesWithPanelLifetimeOnMiscounts) {
   const auto f = Fixture::make(140, 5, 13, 10, 4);
   const sim::ParallelProgram prog = build_1d(f, 4, Schedule1DKind::kGraph);
-  auto counts = sim::panel_consumer_counts(prog);
-  const analysis::CommMutation m =
-      analysis::mutate_miscount_consumer(prog, counts, 1);  // undercount
-  ASSERT_TRUE(m.found);
-  EXPECT_FALSE(analysis::audit_comm_plan(prog, *f.layout, counts).ok());
-  const analysis::PanelLifetimeReport lifetime = analysis::
-      audit_panel_lifetimes(prog, {{m.rank, m.panel, counts[m.panel][m.rank]}});
-  EXPECT_FALSE(lifetime.ok());
+  const auto real_counts = sim::panel_consumer_counts(prog);
+  for (const std::uint64_t seed : {1u, 0u}) {  // undercount, overcount
+    auto counts = real_counts;
+    const analysis::CommMutation m =
+        analysis::mutate_miscount_consumer(prog, counts, seed);
+    ASSERT_TRUE(m.found);
+    const int real = real_counts[static_cast<std::size_t>(m.panel)]
+                                [static_cast<std::size_t>(m.rank)];
+    const int declared = counts[static_cast<std::size_t>(m.panel)]
+                               [static_cast<std::size_t>(m.rank)];
+    const analysis::CommAuditReport report =
+        analysis::audit_comm_plan(prog, *f.layout, counts);
+    EXPECT_FALSE(report.ok()) << m.what;
+    EXPECT_TRUE(m.pinpointed_by(report)) << m.what;
+
+    // A count released after `declared` of `real` consumes starves the
+    // remaining ones; a count that never reaches zero leaks the panel.
+    const bool early = declared >= 1 && declared < real;
+    const auto lifetime_kind =
+        early ? analysis::CommAuditIssue::Kind::kReadAfterRelease
+              : analysis::CommAuditIssue::Kind::kLeak;
+    const int lifetime_issues = early ? real - declared : 1;
+    int mismatches = 0, lifetime = 0;
+    for (const analysis::CommAuditIssue& issue : report.issues) {
+      EXPECT_EQ(issue.site.rank, m.rank) << issue.message();
+      EXPECT_EQ(issue.panel, m.panel) << issue.message();
+      if (issue.kind == analysis::CommAuditIssue::Kind::kCountMismatch) {
+        ++mismatches;
+        EXPECT_EQ(issue.expected, real);
+        EXPECT_EQ(issue.actual, declared);
+      } else {
+        EXPECT_EQ(issue.kind, lifetime_kind) << issue.message();
+        ++lifetime;
+      }
+    }
+    EXPECT_EQ(mismatches, 1) << m.what << ": " << report.summary();
+    EXPECT_EQ(lifetime, lifetime_issues) << m.what << ": "
+                                         << report.summary();
+  }
+}
+
+// A 2D row leader forwards a panel from the pre_comms of its first
+// consuming task, while the panel is surely cached. Moved behind its
+// last consuming task, the forward reads a panel the refcount already
+// released; the audit must name that exact (rank, task, panel).
+// Update(k, j) runs on grid position (j mod p_r, j mod p_c), so no
+// 4-rank grid puts two consumers in one remote row; 2x4 is the
+// smallest shape with forwarding hops.
+TEST(CommAudit, ForwardAfterReleaseNamesRankTaskPanel) {
+  const auto f = Fixture::make(140, 5, 13, 10, 4);
+  sim::ParallelProgram prog =
+      build_2d_shape(f, sim::Grid{2, 4}, /*async=*/true);
+  ASSERT_TRUE(analysis::audit_comm_plan(prog, *f.layout).ok());
+  const std::vector<int> owner = sim::panel_owners(prog);
+
+  // A forwarding send: a pre_comms send of a panel the rank does not own.
+  int rank = -1, panel = -1, index = -1;
+  sim::TaskId first = -1;
+  for (int p = 0; p < prog.processors() && first < 0; ++p) {
+    for (const sim::TaskId t : prog.proc_order(p)) {
+      const auto& pre = prog.task(t).pre_comms;
+      for (std::size_t i = 0; i < pre.size(); ++i) {
+        if (pre[i].kind != sim::CommOp::Kind::kSend ||
+            owner[static_cast<std::size_t>(pre[i].k)] == p)
+          continue;
+        rank = p;
+        panel = pre[i].k;
+        index = static_cast<int>(i);
+        first = t;
+        break;
+      }
+      if (first >= 0) break;
+    }
+  }
+  ASSERT_GE(first, 0) << "2x4 program has no forwarding send";
+
+  sim::TaskId last = -1;
+  for (const sim::TaskId t : prog.proc_order(rank))
+    for (const sim::KernelCall& kc : prog.task(t).kernels)
+      if (kc.kind == sim::KernelCall::Kind::kUpdate && kc.k == panel) last = t;
+  ASSERT_GE(last, 0);
+
+  auto& pre = prog.mutable_task(first).pre_comms;
+  const sim::CommOp forward = pre[static_cast<std::size_t>(index)];
+  pre.erase(pre.begin() + index);
+  prog.mutable_task(last).post_comms.push_back(forward);
+
+  const analysis::CommAuditReport report =
+      analysis::audit_comm_plan(prog, *f.layout);
+  EXPECT_FALSE(report.ok());
+  int named = 0;
+  for (const analysis::CommAuditIssue& issue : report.issues) {
+    if (issue.kind != analysis::CommAuditIssue::Kind::kForwardAfterRelease)
+      continue;
+    ++named;
+    EXPECT_EQ(issue.site.rank, rank);
+    EXPECT_EQ(issue.site.task, last);
+    EXPECT_EQ(issue.panel, panel);
+    EXPECT_FALSE(issue.site.pre);
+    EXPECT_EQ(issue.site.op.peer, forward.peer);
+  }
+  EXPECT_EQ(named, 1) << report.summary();
 }
 
 // --- dynamic cross-validation against recorded transport traffic --------

@@ -134,5 +134,43 @@ TEST(HarwellBoeing, RejectsTruncatedData) {
   EXPECT_THROW(read_harwell_boeing(in), CheckError);
 }
 
+// rua_example() with its `line`-th line (0-based) replaced.
+std::string rua_with_line(int line, const std::string& text) {
+  std::istringstream in(rua_example());
+  std::ostringstream out;
+  std::string cur;
+  for (int i = 0; std::getline(in, cur); ++i)
+    out << (i == line ? text : cur) << "\n";
+  return out.str();
+}
+
+// Reading `hb` must throw CheckError whose message names `cause`.
+void expect_rejected(const std::string& hb, const std::string& cause) {
+  std::istringstream in(hb);
+  try {
+    read_harwell_boeing(in);
+    ADD_FAILURE() << "accepted input; expected a CheckError naming "
+                  << cause;
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(cause), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(HarwellBoeing, RejectsCorruptColumnPointers) {
+  // An interior pointer beyond NNZERO + 1, and a decreasing one: both
+  // would index the row/value arrays out of bounds.
+  expect_rejected(rua_with_line(4, "   1  60   5   7   8"), "column 1 ");
+  expect_rejected(rua_with_line(4, "   1   5   3   7   8"), "column 2 ");
+  // Header counts too large for the int-indexed matrix (and for any
+  // up-front allocation sized from them).
+  const std::string type = "RUA" + std::string(11, ' ');
+  expect_rejected(rua_with_line(2, type + "4 1000000000000000000 7 0"),
+                  "NCOL");
+  expect_rejected(rua_with_line(2, type + "3000000000 4 7 0"), "NROW");
+  expect_rejected(rua_with_line(2, type + "4 4 1000000000000000000 0"),
+                  "NNZERO");
+}
+
 }  // namespace
 }  // namespace sstar::io

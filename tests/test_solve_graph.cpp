@@ -1,8 +1,8 @@
 // Tests for the solve DAG (core/solve_graph) and its static dependence
-// auditor (analysis/solve_audit): the level-set schedule respects every
-// edge, the declared access sets are fully ordered by the edge set, and
-// a deleted edge is pinpointed by the auditor (the negative self-test
-// the serving layer's bitwise claim rests on).
+// audit (analysis/audit, audit_solve_graph): the level-set schedule
+// respects every edge, the declared access sets are fully ordered by
+// the edge set, and a deleted edge is pinpointed by the auditor (the
+// negative self-test the serving layer's bitwise claim rests on).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/audit.hpp"
 #include "analysis/reachability.hpp"
-#include "analysis/solve_audit.hpp"
 #include "core/solve_graph.hpp"
 #include "ordering/transversal.hpp"
 #include "supernode/partition.hpp"

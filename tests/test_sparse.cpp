@@ -124,6 +124,30 @@ TEST(MatrixMarket, RejectsGarbage) {
   std::stringstream c(
       "%%MatrixMarket matrix coordinate real general\n2 2 1\n5 1 3.0\n");
   EXPECT_THROW(io::read_matrix_market(c), CheckError);
+
+  // Hostile inputs must fail with a CheckError naming the cause.
+  const auto expect_rejected = [](const std::string& body,
+                                  const std::string& cause) {
+    std::stringstream in("%%MatrixMarket matrix coordinate real general\n" +
+                         body);
+    try {
+      io::read_matrix_market(in);
+      ADD_FAILURE() << "accepted: " << body;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(cause), std::string::npos)
+          << e.what();
+    }
+  };
+  // The final entry's value is missing.
+  expect_rejected("2 2 2\n1 1 1.0\n2 2\n", "truncated at entry 2 of 2");
+  // Fewer entries than the header promises.
+  expect_rejected("3 3 3\n1 1 1.0\n2 2 2.0\n", "truncated at entry 3 of 3");
+  // An entry count no reservation could honour.
+  expect_rejected("2 2 1000000000000000000\n1 1 1.0\n",
+                  "truncated at entry 2 of 1000000000000000000");
+  // A dimension beyond the int-indexed matrix.
+  expect_rejected("3000000000 2 1\n1 1 1.0\n",
+                  "size line 3000000000 2 1");
 }
 
 TEST(FactorizationResidual, ZeroForExactFactors) {

@@ -21,11 +21,10 @@
 //     kernel block access during the distributed run and cross-validates
 //     against the program's declared access sets and ordering; the
 //     static communication audit (analysis/comm_audit: match soundness,
-//     coverage, deadlock-freedom, release safety — run BEFORE any
-//     message is sent), the recorded-traffic cross-validation (every
-//     send/recv the transport performed vs the plan, in order, with
-//     peer/tag/bytes), and the static panel-lifetime audit
-//     (release-safety of the panel cache) all run unconditionally.
+//     coverage, deadlock-freedom, release safety of the panel cache —
+//     run BEFORE any message is sent) and the recorded-traffic
+//     cross-validation (every send/recv the transport performed vs the
+//     plan, in order, with peer/tag/bytes) run unconditionally.
 //
 // Flags: --suite=NAME --scale=S --grid=N --seed=S --ordering=... and
 //        --max-block=N --amalg=N as in sstar_solve_cli;
@@ -57,7 +56,6 @@
 
 #include "analysis/audit.hpp"
 #include "analysis/comm_audit.hpp"
-#include "analysis/panel_lifetime.hpp"
 #include "blas/kernel_backend.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
@@ -350,14 +348,6 @@ int main(int argc, char** argv) {
                       st.memory[r].resident_panels);
       ++failures;
     }
-
-    // Static release-safety audit: replay the plan's refcounts against
-    // each rank's program order.
-    const analysis::PanelLifetimeReport lifetimes =
-        analysis::audit_panel_lifetimes(prog);
-    std::printf("panel lifetime audit:        %s\n",
-                lifetimes.summary().c_str());
-    failures += lifetimes.ok() ? 0 : 1;
 
     // Dynamic cross-validation: what the transport actually did must be
     // exactly the statically verified plan, rank by rank, in order.

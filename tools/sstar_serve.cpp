@@ -33,8 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/audit.hpp"
 #include "analysis/reachability.hpp"
-#include "analysis/solve_audit.hpp"
 #include "matrix/generators.hpp"
 #include "matrix/suite.hpp"
 #include "serve/factorization.hpp"
@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
                                      : std::min<std::size_t>(
                                            report.violations.size(), 5);
     for (std::size_t v = 0; v < show; ++v)
-      std::printf("  !! %s\n", report.violations[v].message(graph).c_str());
+      std::printf("  !! %s\n", report.violations[v].message().c_str());
     if (!report.ok()) rc = 1;
   }
   if (do_self_test && rc == 0) rc = self_test(graph, seed);
