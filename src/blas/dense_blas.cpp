@@ -11,12 +11,15 @@ namespace sstar::blas {
 int idamax(int n, const double* x, int incx) {
   if (n <= 0) return 0;
   int best = 0;
-  double bestval = std::fabs(x[0]);
-  for (int i = 1; i < n; ++i) {
+  double bestval = -1.0;
+  for (int i = 0; i < n; ++i) {
     const double v = std::fabs(x[static_cast<std::ptrdiff_t>(i) * incx]);
     if (v > bestval) {
       bestval = v;
       best = i;
+    } else if (std::isnan(v)) {
+      best = i;  // the first NaN wins, so a pivot search cannot skip it
+      break;
     }
   }
   flop_counter().blas1 += static_cast<std::uint64_t>(n);

@@ -18,7 +18,8 @@
 namespace sstar::blas {
 
 /// Index of the element of x (stride incx, n elements) with the largest
-/// absolute value; first such index on ties. Returns 0 for n <= 0.
+/// absolute value; first such index on ties. A NaN outranks every
+/// number: the index of the first NaN is returned. Returns 0 for n <= 0.
 int idamax(int n, const double* x, int incx = 1);
 
 /// x *= alpha.

@@ -2,8 +2,7 @@
 //
 // This backend is always available and is the ORACLE: the conformance
 // fuzzer bounds every SIMD backend against these exact loops, and
-// pinning SSTAR_KERNEL_BACKEND=scalar reproduces the historical
-// bitwise behaviour of the library on any host.
+// pinning SSTAR_KERNEL_BACKEND=scalar gives the same bits on any host.
 #include <cstring>
 
 #include "blas/kernels/kernels.hpp"
@@ -120,8 +119,8 @@ void scalar_dgemm(int m, int n, int k, double alpha, const double* a, int lda,
       }
     }
   } else {
-    // General alpha path (rare in this codebase: updates use alpha = -1
-    // via the fused scatter fast path or explicit subtraction).
+    // General alpha path (unused by the factorization, whose updates
+    // take alpha = 1 into scratch and subtract explicitly).
     for (int j = 0; j < n; ++j) {
       double* cc = c + static_cast<std::ptrdiff_t>(j) * ldc;
       const double* bc = b + static_cast<std::ptrdiff_t>(j) * ldb;

@@ -99,11 +99,16 @@ void SStarNumeric::factor_block(int k) {
     int best_panel = -1;
     if (nr > 0) {
       const int bp = blas::idamax(nr, cp);
-      if (std::fabs(cp[bp]) > best) {
-        best = std::fabs(cp[bp]);
+      const double panel_best = std::fabs(cp[bp]);
+      if (panel_best > best || std::isnan(panel_best)) {
+        best = panel_best;
         best_panel = bp;
       }
     }
+    // idamax lets a NaN win, so a non-finite candidate anywhere in the
+    // column surfaces here rather than as garbage downstream.
+    SSTAR_CHECK_MSG(std::isfinite(best), "non-finite pivot " << best
+                                             << " at column " << base + ml);
     SSTAR_CHECK_MSG(best > 0.0, "matrix is numerically singular at column "
                                     << base + ml);
 
@@ -201,9 +206,9 @@ void SStarNumeric::adopt_pivot_monitor(int k, const double* magnitudes,
     const double mag = magnitudes[i];
     const double cm = colmaxes[i];
     // The invariants every honest Factor(k) maintains: a positive chosen
-    // magnitude no larger than the column max it was measured against.
-    // (Finite-ness rides on the comparisons: NaN fails both.)
-    SSTAR_CHECK_MSG(mag > 0.0 && cm >= mag,
+    // magnitude no larger than the finite column max it was measured
+    // against. (NaN fails the comparisons; Inf fails isfinite.)
+    SSTAR_CHECK_MSG(mag > 0.0 && cm >= mag && std::isfinite(cm),
                     "adopt_pivot_monitor(" << k << "): column " << base + i
                                            << " claims |pivot| = " << mag
                                            << ", colmax = " << cm);
@@ -271,7 +276,7 @@ void SStarNumeric::swap_rows_in_block(int m, int t, int j) {
 #endif
   // Walk the two sorted column lists; swap where both rows have storage.
   // Where only one side has storage the other side's content is
-  // structurally zero (see Update scatter invariants), so the stored
+  // structurally zero (see subtract_tile in Update), so the stored
   // value must itself be zero and nothing needs to move.
   int ia = 0, ib = 0;
   while (ia < a.n && ib < b.n) {
@@ -304,6 +309,56 @@ void SStarNumeric::scale_swap(int k, int j) {
   }
 }
 
+namespace {
+
+// Where each entry of the sorted list want[0, n) sits in the sorted list
+// have[0, m): one merge walk writes map[x] = base + position, or -1 when
+// want[x] is absent. Returns true iff every entry is present and the
+// positions are consecutive, i.e. the targets form one unit-stride run.
+bool merge_offsets(const int* want, int n, const int* have, int m, int base,
+                   int* map) {
+  bool run = true;
+  int t = 0;
+  for (int x = 0; x < n; ++x) {
+    while (t < m && have[t] < want[x]) ++t;
+    map[x] = t < m && have[t] == want[x] ? base + t : -1;
+    run = run && map[x] >= 0 && map[x] == map[0] + x;
+  }
+  return run;
+}
+
+// dst(rmap[r], cmap[c]) -= src(r, c) over an mrows x ncols tile of the
+// product (ld sld). A -1 in either map is a structurally absent target,
+// whose products are padded-row x padded-column ones and must be zero.
+// `rows_run` says rmap is one consecutive run: those columns subtract
+// unit-stride.
+void subtract_tile(const double* src, int sld, int mrows, int ncols,
+                   const int* rmap, bool rows_run, const int* cmap,
+                   double* dst, int dld) {
+  for (int c = 0; c < ncols; ++c) {
+    const double* s = src + static_cast<std::ptrdiff_t>(c) * sld;
+    if (cmap[c] < 0) {
+      for (int r = 0; r < mrows; ++r) SSTAR_DCHECK(s[r] == 0.0);
+      continue;
+    }
+    double* d = dst + static_cast<std::ptrdiff_t>(cmap[c]) * dld;
+    if (rows_run) {
+      d += rmap[0];
+      for (int r = 0; r < mrows; ++r) d[r] -= s[r];
+      continue;
+    }
+    for (int r = 0; r < mrows; ++r) {
+      if (rmap[r] < 0) {
+        SSTAR_DCHECK(s[r] == 0.0);
+        continue;
+      }
+      d[rmap[r]] -= s[r];
+    }
+  }
+}
+
+}  // namespace
+
 void SStarNumeric::update_block(int k, int j) {
   const trace::KernelSpan trace_span(trace::EventKind::kUpdate, k, j);
   const BlockLayout& lay = *layout_;
@@ -316,11 +371,12 @@ void SStarNumeric::update_block(int k, int j) {
   const int uld = store_->u_ld(k);
   double* ukj = store_->u_block(k, uref->offset);
   const int* ucols = lay.panel_cols(k).data() + uref->offset;
+  const int lld = store_->l_ld(k);
   blas::FlopRegion region;
   // Scratch is thread-local, not a member: concurrent Update tasks on
   // exec:: workers each get their own buffers.
-  thread_local std::vector<double> work_;
-  thread_local std::vector<int> row_map_;
+  thread_local std::vector<double> work;
+  thread_local std::vector<int> maps;
 
   SSTAR_AUDIT_RECORD(k, k, analysis::Access::kRead);
   SSTAR_AUDIT_RECORD(k, j, analysis::Access::kWrite);
@@ -328,160 +384,73 @@ void SStarNumeric::update_block(int k, int j) {
   // U_kj = L_kk^{-1} U_kj.
   blas::dtrsm_lower_unit(wk, ncols, store_->diag(k), wk, ukj, uld);
 
+  // work = L_k * U_kj for the whole L panel of k in ONE GEMM: the L
+  // blocks are consecutive rows of one column-major panel. Each element
+  // is summed from zero in k order whatever row strip it falls in, so
+  // the rows of L block i carry the bits a per-block GEMM would give
+  // them (pinned by KernelSimd.StackedRowsMatchPerBlockGemm).
+  work.resize(static_cast<std::size_t>(lld) * static_cast<std::size_t>(ncols));
+  blas::dgemm(lld, ncols, wk, 1.0, store_->l_panel(k), lld, ukj, uld, 0.0,
+              work.data(), lld);
+  // One flop per updated cell for the subtraction below.
+  blas::flop_counter().blas1 +=
+      static_cast<std::uint64_t>(lld) * static_cast<std::uint64_t>(ncols);
+
   // A_ij -= L_ik * U_kj for every nonzero L block below the diagonal.
+  // Maps: [0, ncols) the columns of U_kj inside column block j itself,
+  // [ncols, 2 ncols) inside row block i's U slice, then the rows.
   const int jstart = lay.start(j);
+  const int* prows = lay.panel_rows(k).data();
+  maps.resize(static_cast<std::size_t>(2 * ncols + lld));
+  int* jcols = maps.data();
+  int* icols = jcols + ncols;
+  int* rmap = icols + ncols;
+  for (int c = 0; c < ncols; ++c) jcols[c] = ucols[c] - jstart;
   for (const BlockRef& lref : lay.l_blocks(k)) {
     const int i = lref.block;
     const int mrows = lref.count;
-    const double* lik = store_->l_panel(k) + lref.offset;
-    const int lld = store_->l_ld(k);
-    // The (i, j) U target slice, if any: needed both for the scatter
-    // below (distributed stores only hold per-slice U storage, so the
-    // destination must be addressed as u_block(i, tref->offset)) and
-    // for the audit's write-set record.
-    const BlockRef* tref = i < j ? lay.find_u_block(i, j) : nullptr;
-#ifdef SSTAR_AUDIT_ENABLED
+    const int* grows = prows + lref.offset;
+    const double* src = work.data() + lref.offset;
+    // The target (i, j): the diagonal block of j, a slice of row block
+    // i's U panel, or a run of j's L panel. A structurally zero target
+    // (tref == nullptr off the diagonal) maps every entry to -1.
+    const BlockRef* tref = i == j  ? nullptr
+                           : i < j ? lay.find_u_block(i, j)
+                                   : lay.find_l_block(i, j);
+    const int toff = tref != nullptr ? tref->offset : 0;
+    const int tcount = tref != nullptr ? tref->count : 0;
     SSTAR_AUDIT_RECORD(i, k, analysis::Access::kRead);
-    const bool target_present =
-        i == j || (i < j ? tref != nullptr
-                         : lay.find_l_block(i, j) != nullptr);
-    if (target_present) SSTAR_AUDIT_RECORD(i, j, analysis::Access::kWrite);
-#endif
-
-    const int* grows = lay.panel_rows(k).data() + lref.offset;
-
-    // Packed-tile fast path: when the target row AND column maps are
-    // contiguous, the whole product accumulates with ONE fused
-    // dgemm(alpha = -1, beta = 1) straight into the target — no scratch
-    // buffer, no indexed scatter, and the kernel backend's blocked
-    // microkernel runs at full speed. Eligibility depends only on the
-    // layout (never on values), so every executor makes the same choice
-    // for the same task; and since (-a)*b is the exact negation of a*b
-    // (rounding is sign-symmetric), the fused path subtracts bitwise
-    // the same column sums the scatter path would, preserving the
-    // per-backend determinism contract. Ragged slices (split columns /
-    // padded rows) take the original scatter path below.
-    // contiguous() is valid for the strictly increasing panel index
-    // lists: the span equals the count exactly when nothing is skipped.
-    const auto contiguous = [](const int* v, int n) {
-      return v[n - 1] - v[0] == n - 1;
-    };
-    double* fused_dst = nullptr;  // non-null => fast path
-    int fused_ld = 0;
+    if (i == j || tref != nullptr)
+      SSTAR_AUDIT_RECORD(i, j, analysis::Access::kWrite);
+    if (i > j) {
+      // Rows are found in the (i, j) run of panel_rows(j); columns are
+      // direct.
+      const bool rows_run =
+          merge_offsets(grows, mrows, lay.panel_rows(j).data() + toff,
+                        tcount, toff, rmap);
+      subtract_tile(src, lld, mrows, ncols, rmap, rows_run, jcols,
+                    store_->l_panel(j), store_->l_ld(j));
+      continue;
+    }
+    // Rows are direct: block i's rows of the diagonal block or U panel.
+    // Panel rows strictly increase, so they are one run exactly when
+    // their span equals their count.
+    const int istart = lay.start(i);
+    for (int r = 0; r < mrows; ++r) rmap[r] = grows[r] - istart;
+    const bool rows_run = grows[mrows - 1] - grows[0] == mrows - 1;
     if (i == j) {
-      // Dense diagonal block: every row/column lands, so endpoint
-      // contiguity alone decides.
-      if (contiguous(grows, mrows) && contiguous(ucols, ncols)) {
-        fused_ld = store_->diag_ld(j);
-        fused_dst = store_->diag(j) +
-                    static_cast<std::ptrdiff_t>(ucols[0] - jstart) * fused_ld +
-                    (grows[0] - jstart);
-      }
-    } else if (i < j) {
-      // Columns go through the panel map of i (entries may be absent);
-      // the map itself must be the identity-contiguous run starting at
-      // tref->offset... any absent column breaks it. Rows are direct.
-      row_map_.resize(static_cast<std::size_t>(ncols));
-      bool cols_ok = tref != nullptr;
-      for (int c = 0; c < ncols; ++c) {
-        row_map_[c] = lay.panel_col_index(i, ucols[c]);
-        cols_ok = cols_ok && row_map_[c] == row_map_[0] + c;
-      }
-      if (cols_ok && row_map_[0] >= 0 && contiguous(grows, mrows)) {
-        fused_ld = store_->u_ld(i);
-        fused_dst =
-            store_->u_block(i, tref->offset) +
-            static_cast<std::ptrdiff_t>(row_map_[0] - tref->offset) *
-                fused_ld +
-            (grows[0] - lay.start(i));
-      }
+      subtract_tile(src, lld, mrows, ncols, rmap, rows_run, jcols,
+                    store_->diag(j), store_->diag_ld(j));
     } else {
-      // Rows go through the panel map of j; columns are direct.
-      row_map_.resize(static_cast<std::size_t>(mrows));
-      bool rows_ok = true;
-      for (int r = 0; r < mrows; ++r) {
-        row_map_[r] = lay.panel_row_index(j, grows[r]);
-        rows_ok = rows_ok && row_map_[r] == row_map_[0] + r;
-      }
-      if (rows_ok && row_map_[0] >= 0 && contiguous(ucols, ncols)) {
-        fused_ld = store_->l_ld(j);
-        fused_dst = store_->l_panel(j) +
-                    static_cast<std::ptrdiff_t>(ucols[0] - jstart) * fused_ld +
-                    row_map_[0];
-      }
+      // Columns are found in the slice's run of panel_cols(i). A
+      // distributed store holds U per slice, so the slice is addressed
+      // as u_block(i, toff).
+      merge_offsets(ucols, ncols, lay.panel_cols(i).data() + toff, tcount,
+                    0, icols);
+      subtract_tile(src, lld, mrows, ncols, rmap, rows_run, icols,
+                    tref != nullptr ? store_->u_block(i, toff) : nullptr,
+                    store_->u_ld(i));
     }
-
-    if (fused_dst != nullptr) {
-      blas::dgemm(mrows, ncols, wk, -1.0, lik, lld, ukj, uld, 1.0, fused_dst,
-                  fused_ld);
-    } else {
-      work_.resize(static_cast<std::size_t>(mrows) *
-                   static_cast<std::size_t>(ncols));
-      blas::dgemm(mrows, ncols, wk, 1.0, lik, lld, ukj, uld, 0.0,
-                  work_.data(), mrows);
-
-      if (i == j) {
-        // Target: dense diagonal block of j.
-        double* dj = store_->diag(j);
-        const int dld = store_->diag_ld(j);
-        for (int c = 0; c < ncols; ++c) {
-          const int tc = ucols[c] - jstart;
-          double* dst = dj + static_cast<std::ptrdiff_t>(tc) * dld;
-          const double* src = work_.data() + static_cast<std::ptrdiff_t>(c) *
-                                                 mrows;
-          for (int r = 0; r < mrows; ++r) dst[grows[r] - jstart] -= src[r];
-        }
-      } else if (i < j) {
-        // Target: the (i, j) slice of block i's U storage. Columns were
-        // mapped above; rows are direct. Every structurally present
-        // column of the product lands inside tref's range, so the slice
-        // base pointer from u_block() covers all writes (true for both
-        // the packed and the per-slice distributed store).
-        double* up = tref ? store_->u_block(i, tref->offset) : nullptr;
-        const int upld = store_->u_ld(i);
-        const int istart = lay.start(i);
-        for (int c = 0; c < ncols; ++c) {
-          const int tc = row_map_[c];
-          const double* src = work_.data() + static_cast<std::ptrdiff_t>(c) *
-                                                 mrows;
-          if (tc < 0) {
-            // Structurally zero column: all contributions must be zero
-            // (padded-row x padded-col products only).
-            for (int r = 0; r < mrows; ++r) SSTAR_DCHECK(src[r] == 0.0);
-            continue;
-          }
-          SSTAR_DCHECK(tref != nullptr && tc >= tref->offset &&
-                       tc < tref->offset + tref->count);
-          double* dst =
-              up + static_cast<std::ptrdiff_t>(tc - tref->offset) * upld;
-          for (int r = 0; r < mrows; ++r) dst[grows[r] - istart] -= src[r];
-        }
-      } else {
-        // Target: L panel of block j. Rows were mapped above; columns
-        // are direct.
-        double* lp = store_->l_panel(j);
-        const int lpld = store_->l_ld(j);
-        for (int c = 0; c < ncols; ++c) {
-          const int tc = ucols[c] - jstart;
-          double* dst = lp + static_cast<std::ptrdiff_t>(tc) * lpld;
-          const double* src = work_.data() + static_cast<std::ptrdiff_t>(c) *
-                                                 mrows;
-          for (int r = 0; r < mrows; ++r) {
-            if (row_map_[r] < 0) {
-              SSTAR_DCHECK(src[r] == 0.0);
-              continue;
-            }
-            dst[row_map_[r]] -= src[r];
-          }
-        }
-      }
-    }
-    // Per-cell subtraction cost: the scatter's indexed subtract, or the
-    // fused GEMM's beta = 1 accumulate epilogue — one flop per updated
-    // cell either way, and counting it identically in both paths keeps
-    // the machine model's predicted-vs-measured validation path-blind.
-    blas::flop_counter().blas1 += static_cast<std::uint64_t>(mrows) *
-                                  static_cast<std::uint64_t>(ncols);
   }
   const std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.flops += region.delta();

@@ -17,8 +17,11 @@
 //                    holds for every policy;
 //   ScaleSwap(k,j) — delayed pivoting: apply block k's pivot sequence to
 //                    column block j;
-//   Update(k,j)    — U_kj = L_kk^{-1} U_kj (DTRSM), then
-//                    A_ij -= L_ik * U_kj for all i (DGEMM + scatter).
+//   Update(k,j)    — U_kj = L_kk^{-1} U_kj (DTRSM), then one DGEMM of
+//                    k's whole L panel by U_kj into scratch, then
+//                    A_ij -= L_ik * U_kj for each L block i: a subtract
+//                    epilogue whose target offsets come from one merge
+//                    walk of the sorted panel lists per block.
 //
 // Pivoting is physical in the active region only: computed L multipliers
 // stay with their storage row (the sparse-LU convention; SuperLU does the
@@ -138,7 +141,7 @@ class SStarNumeric {
   void adopt_pivot_monitor(int k, const double* magnitudes,
                            const double* colmaxes);
 
-  /// Per column: |chosen pivot| at selection time (NaN-free, > 0) and
+  /// Per column: |chosen pivot| at selection time (finite, > 0) and
   /// the column max over the full candidate set it was measured
   /// against. Under exact partial pivoting the two are equal; under a
   /// threshold policy magnitude >= threshold * colmax holds for every

@@ -28,12 +28,10 @@ blas::FlopCount update_task_flops(const BlockLayout& lay, int k, int j) {
   if (uref == nullptr) return f;
   const std::int64_t w = lay.width(k);
   const std::int64_t nc = uref->count;
-  f.blas3 += static_cast<std::uint64_t>(w * w * nc);  // DTRSM
-  for (const BlockRef& lref : lay.l_blocks(k)) {
-    const std::int64_t mr = lref.count;
-    f.blas3 += static_cast<std::uint64_t>(2 * mr * nc * w);  // DGEMM
-    f.blas1 += static_cast<std::uint64_t>(mr * nc);          // scatter
-  }
+  const std::int64_t nr = static_cast<std::int64_t>(lay.panel_rows(k).size());
+  f.blas3 += static_cast<std::uint64_t>(w * w * nc);       // DTRSM
+  f.blas3 += static_cast<std::uint64_t>(2 * nr * nc * w);  // DGEMM
+  f.blas1 += static_cast<std::uint64_t>(nr * nc);          // subtract
   return f;
 }
 

@@ -19,8 +19,8 @@ namespace sstar {
 blas::FlopCount factor_task_flops(const BlockLayout& lay, int k);
 
 /// Flop counts of Update(k, j) including the delayed row interchange
-/// bookkeeping (BLAS-1), the DTRSM (BLAS-3), and one DGEMM + scatter per
-/// nonzero L block.
+/// bookkeeping (BLAS-1), the DTRSM (BLAS-3), the DGEMM over the whole L
+/// panel and the subtraction of its product (BLAS-1).
 blas::FlopCount update_task_flops(const BlockLayout& lay, int k, int j);
 
 /// Flop counts of only the (i, j) target-block slice of Update(k, j) —

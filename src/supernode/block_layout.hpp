@@ -13,7 +13,7 @@
 //
 // Individual L blocks are row-ranges of the L panel; individual U blocks
 // are column-ranges of the U panel. This is what lets Update(k, j) run as
-// a single DGEMM per (L block, U block) pair.
+// a single DGEMM of the whole L panel by the U block.
 #pragma once
 
 #include <cstdint>

@@ -26,6 +26,18 @@ TEST(Idamax, FindsFirstLargest) {
   EXPECT_EQ(idamax(1, x.data()), 0);
 }
 
+TEST(Idamax, FirstNanWins) {
+  // A NaN must win the pivot search wherever it sits, so Factor(k)
+  // reports it instead of pivoting past it.
+  const double nan = std::nan("");
+  const std::vector<double> lead = {nan, 5.0, nan};
+  EXPECT_EQ(idamax(3, lead.data()), 0);
+  const std::vector<double> later = {1.0, -7.0, nan, 9.0, nan};
+  EXPECT_EQ(idamax(5, later.data()), 2);
+  const std::vector<double> strided = {1.0, nan, 3.0, 0.0, nan};
+  EXPECT_EQ(idamax(3, strided.data(), 2), 2);  // elements 1, 3, NaN
+}
+
 TEST(Idamax, HonorsStride) {
   const std::vector<double> x = {1.0, 100.0, 3.0, 100.0, -9.0, 100.0};
   EXPECT_EQ(idamax(3, x.data(), 2), 2);  // elements 1, 3, -9

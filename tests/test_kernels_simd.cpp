@@ -429,6 +429,58 @@ TEST(KernelSimd, EmptyShapesAreNoOps) {
   }
 }
 
+// Update(k, j) makes ONE dgemm over a supernode's whole L panel and reads
+// each L block's rows out of it, so it gives every L block the bits of a
+// dgemm over that block alone only if no row's result depends on the
+// other rows of the call. Pin that: at alpha = 1, beta = 0, rows
+// [r0, r0 + m) of a stacked product equal, bit for bit, the product of
+// those m rows alone, on every backend, for random row splits and for a
+// k that crosses the KC = 256 tile.
+TEST(KernelSimd, StackedRowsMatchPerBlockGemm) {
+  struct Shape {
+    int m_total, n, k;
+  };
+  Rng rng(4242);
+  std::vector<Shape> shapes;
+  for (int s = 0; s < 24; ++s)
+    shapes.push_back({rng.uniform_int(1, 700), rng.uniform_int(1, 25),
+                      rng.uniform_int(1, 25)});
+  shapes.push_back({700, 25, 25});
+  shapes.push_back({333, 7, 300});
+  for (const blas::KernelBackend kb : blas::supported_kernel_backends()) {
+    const blas::KernelOps& ops = *blas::kernel_ops_for(kb);
+    for (const Shape& sh : shapes) {
+      const int lda = sh.m_total + 3;
+      const int ldb = sh.k + 1;
+      const auto a = random_values(static_cast<std::size_t>(lda) * sh.k, rng);
+      const auto b = random_values(static_cast<std::size_t>(ldb) * sh.n, rng);
+      std::vector<double> stacked(static_cast<std::size_t>(sh.m_total) * sh.n);
+      ops.dgemm(sh.m_total, sh.n, sh.k, 1.0, a.data(), lda, b.data(), ldb,
+                0.0, stacked.data(), sh.m_total);
+      // Mostly L-block-sized pieces, some past a register strip or MC.
+      for (int r0 = 0; r0 < sh.m_total;) {
+        const int want = rng.bernoulli(0.8) ? rng.uniform_int(1, 32)
+                                            : rng.uniform_int(33, 260);
+        const int m = std::min(want, sh.m_total - r0);
+        std::vector<double> block(static_cast<std::size_t>(m) * sh.n);
+        ops.dgemm(m, sh.n, sh.k, 1.0, a.data() + r0, lda, b.data(), ldb, 0.0,
+                  block.data(), m);
+        for (int j = 0; j < sh.n; ++j)
+          ASSERT_EQ(std::memcmp(stacked.data() +
+                                    static_cast<std::size_t>(j) * sh.m_total +
+                                    r0,
+                                block.data() + static_cast<std::size_t>(j) * m,
+                                sizeof(double) * static_cast<std::size_t>(m)),
+                    0)
+              << blas::kernel_backend_name(kb) << " m_total=" << sh.m_total
+              << " n=" << sh.n << " k=" << sh.k << " rows [" << r0 << ", "
+              << r0 + m << ") column " << j;
+        r0 += m;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Per-backend bitwise determinism across executors
 // ---------------------------------------------------------------------

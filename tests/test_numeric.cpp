@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "baseline/dense_lu.hpp"
 #include "core/numeric.hpp"
@@ -131,6 +132,38 @@ TEST(Numeric, SingularMatrixThrows) {
   SStarNumeric num(layout);
   num.assemble(a);
   EXPECT_THROW(num.factorize(), CheckError);
+}
+
+TEST(Numeric, NaNBelowDiagonalFailsAsNonFinitePivot) {
+  // A NaN planted below the diagonal of column 0 of a directly assembled
+  // numeric (prepare()'s input check never sees it) must fail Factor(0)
+  // as a non-finite pivot at column 0, whether it sits in the diagonal
+  // block (max_block 3) or in the first or a later L panel slot
+  // (max_block 1).
+  std::vector<Triplet> t;
+  for (int j = 0; j < 3; ++j)
+    for (int i = 0; i < 3; ++i) t.push_back({i, j, i == j ? 4.0 : 1.0});
+  const auto a = SparseMatrix::from_triplets(3, 3, std::move(t));
+  const auto s = static_symbolic_factorization(a);
+  for (const int max_block : {1, 3}) {
+    BlockLayout layout(s, find_supernodes(s, max_block));
+    for (const int row : {1, 2}) {
+      SStarNumeric num(layout);
+      num.assemble(a);
+      double* cell = num.data().entry_ptr(row, 0);
+      ASSERT_NE(cell, nullptr);
+      *cell = std::nan("");
+      try {
+        num.factorize();
+        FAIL() << "NaN pivot accepted; max_block " << max_block << " row "
+               << row;
+      } catch (const CheckError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("non-finite pivot"), std::string::npos) << what;
+        EXPECT_NE(what.find("at column 0"), std::string::npos) << what;
+      }
+    }
+  }
 }
 
 TEST(Numeric, DiagonallyDominantNeedsNoPivoting) {

@@ -94,6 +94,23 @@ TEST(Solver, RejectsNaNOffDiagonal) {
   expect_rejects_non_finite(std::nan(""), /*diag=*/false);
 }
 
+TEST(Solver, OverflowingPivotFailsNamingItsColumn) {
+  // Every entry is finite, so prepare() accepts the matrix, but without
+  // equilibration the update of column 1 overflows: its pivot magnitude
+  // is Inf. Factorization must refuse it, not return x = (0, -1e-308).
+  const auto a = SparseMatrix::from_triplets(
+      2, 2, {{0, 0, 1e308}, {1, 0, 1e308}, {0, 1, 1e308}, {1, 1, -1e308}});
+  Solver solver(a);
+  try {
+    solver.factorize();
+    FAIL() << "overflowed pivot accepted";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("non-finite pivot"), std::string::npos) << what;
+    EXPECT_NE(what.find("at column 1"), std::string::npos) << what;
+  }
+}
+
 TEST(Solver, RejectsInfinity) {
   expect_rejects_non_finite(std::numeric_limits<double>::infinity(),
                             /*diag=*/true);
