@@ -27,9 +27,7 @@
 #include "common.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
-#include "core/task_graph.hpp"
 #include "exec/lu_mp.hpp"
-#include "sched/list_schedule.hpp"
 #include "sim/memory_model.hpp"
 
 using namespace sstar;
@@ -145,13 +143,9 @@ int main(int argc, char** argv) {
       };
       for (const Variant v : {Variant{"1d-graph", false},
                               Variant{"2d-async", true}}) {
-        const sim::ParallelProgram prog = [&] {
-          if (v.two_d) return build_2d_program(lay, m, /*async=*/true,
-                                               nullptr);
-          const LuTaskGraph graph(lay);
-          return build_1d_program(graph, sched::graph_schedule(graph, m), m,
-                                  nullptr);
-        }();
+        const sim::ParallelProgram prog =
+            v.two_d ? build_2d_program(lay, m, /*async=*/true)
+                    : build_1d_program(lay, m, Schedule1DKind::kGraph);
         const sim::MpMemoryPrediction pred =
             sim::predict_mp_memory(lay, prog);
         SStarNumeric mp(lay);

@@ -39,10 +39,8 @@
 #include "common.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
-#include "core/task_graph.hpp"
 #include "exec/lu_mp.hpp"
 #include "exec/lu_real.hpp"
-#include "sched/list_schedule.hpp"
 #include "sim/machine_spec.hpp"
 #include "sim/memory_model.hpp"
 #include "trace/trace.hpp"
@@ -197,13 +195,9 @@ int main(int argc, char** argv) {
         // Build the program explicitly (same construction as
         // run_{1d,2d}_mp) so the memory prediction replays the exact
         // comm plan the run executes.
-        const sim::ParallelProgram prog = [&] {
-          if (v.two_d) return build_2d_program(lay, m, /*async=*/true,
-                                               nullptr);
-          const LuTaskGraph graph(lay);
-          return build_1d_program(graph, sched::graph_schedule(graph, m), m,
-                                  nullptr);
-        }();
+        const sim::ParallelProgram prog =
+            v.two_d ? build_2d_program(lay, m, /*async=*/true)
+                    : build_1d_program(lay, m, Schedule1DKind::kGraph);
         const sim::MpMemoryPrediction pred = sim::predict_mp_memory(lay, prog);
 
         SStarNumeric mp(lay);

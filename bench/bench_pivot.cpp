@@ -345,7 +345,7 @@ int main(int argc, char** argv) {
         const std::vector<int> offdiag =
             offdiag_interchanges_per_block(lay, ref);
         const sim::ParallelProgram prog = build_2d_program(
-            lay, machine2d, /*async=*/true, nullptr, &offdiag);
+            lay, machine2d, /*async=*/true, &offdiag);
         const sim::SimulationResult res = simulate(prog, machine2d);
         const trace::Trace tr = analysis::simulated_trace(prog, res);
         ar.sim_cp = trace::realized_critical_path(tr).makespan;

@@ -110,7 +110,7 @@ void write_json(const std::string& path, const std::string& machine_spec,
 std::pair<double, double> simulated_cp(const BlockLayout& lay,
                                        const sim::MachineModel& m) {
   const sim::ParallelProgram prog =
-      build_2d_program(lay, m, /*async=*/true, nullptr);
+      build_2d_program(lay, m, /*async=*/true);
   const sim::SimulationResult res = simulate(prog, m);
   const trace::Trace tr = analysis::simulated_trace(prog, res);
   const trace::CriticalPath cp = trace::realized_critical_path(tr);

@@ -108,7 +108,7 @@ int main() {
   const auto m = sim::MachineModel::cray_t3d(2).with_grid({1, 2});
   for (const auto kind :
        {Schedule1DKind::kComputeAhead, Schedule1DKind::kGraph}) {
-    const auto res = run_1d(layout, m, kind, nullptr, /*gantt=*/true);
+    const auto res = run_1d(layout, m, kind, /*capture_gantt=*/true);
     std::printf("%s schedule, parallel time %.2e s:\n%s\n",
                 kind == Schedule1DKind::kComputeAhead ? "compute-ahead"
                                                       : "graph",

@@ -72,11 +72,15 @@ std::vector<BlockAccess> update_access_set(const BlockLayout& lay, int k,
   return out;
 }
 
-std::vector<BlockAccess> task_access_set(const LuTaskGraph& graph, int t) {
-  const LuTask& task = graph.task(t);
+std::vector<BlockAccess> kernel_access_set(const BlockLayout& lay,
+                                           const LuTask& task) {
   return task.type == LuTask::Type::kFactor
-             ? factor_access_set(graph.layout(), task.k)
-             : update_access_set(graph.layout(), task.k, task.j);
+             ? factor_access_set(lay, task.k)
+             : update_access_set(lay, task.k, task.j);
+}
+
+std::vector<BlockAccess> task_access_set(const LuTaskGraph& graph, int t) {
+  return kernel_access_set(graph.layout(), graph.task(t));
 }
 
 std::string task_label(const LuTaskGraph& graph, int t) {
@@ -89,10 +93,8 @@ std::string task_label(const LuTaskGraph& graph, int t) {
 std::vector<BlockAccess> task_access_set(const sim::ParallelProgram& prog,
                                          const BlockLayout& lay, int t) {
   std::vector<BlockAccess> out;
-  for (const sim::KernelCall& call : prog.task(t).kernels) {
-    const auto one = call.kind == sim::KernelCall::Kind::kFactor
-                         ? factor_access_set(lay, call.k)
-                         : update_access_set(lay, call.k, call.j);
+  for (const LuTask& task : prog.task(t).kernels) {
+    const auto one = kernel_access_set(lay, task);
     out.insert(out.end(), one.begin(), one.end());
   }
   return out;

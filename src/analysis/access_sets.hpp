@@ -48,15 +48,19 @@ std::vector<BlockAccess> factor_access_set(const BlockLayout& lay, int k);
 std::vector<BlockAccess> update_access_set(const BlockLayout& lay, int k,
                                            int j);
 
-/// Declared access set of task t of the kernel-level DAG (dispatches on
-/// the task's type to the two derivations above).
+/// Declared access set of one kernel (dispatches on the task's type to
+/// the two derivations above).
+std::vector<BlockAccess> kernel_access_set(const BlockLayout& lay,
+                                           const LuTask& task);
+
+/// Declared access set of task t of the kernel-level DAG.
 std::vector<BlockAccess> task_access_set(const LuTaskGraph& graph, int t);
 
 /// Display label of task t: "F(3)" or "U(3,7)".
 std::string task_label(const LuTaskGraph& graph, int t);
 
 /// Declared access set of task t of a built SPMD program: the union of
-/// the sets of its KernelCall descriptors (a resource may repeat).
+/// the sets of its kernels (a resource may repeat).
 std::vector<BlockAccess> task_access_set(const sim::ParallelProgram& prog,
                                          const BlockLayout& lay, int t);
 

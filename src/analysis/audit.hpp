@@ -21,7 +21,7 @@
 //
 // One ordered-conflict sweep serves three task models: the kernel-level
 // LuTaskGraph, built SPMD programs (the 1D/2D drivers'
-// sim::ParallelProgram, whose tasks carry KernelCall descriptors), and
+// sim::ParallelProgram, whose tasks carry LuTask kernel descriptors), and
 // the serving layer's solve DAG (core/solve_graph, whose tasks declare
 // right-hand-side row-block accesses). The CLI wrappers are
 // tools/sstar_audit and tools/sstar_serve --audit.
@@ -82,7 +82,7 @@ AuditReport audit_task_graph(const LuTaskGraph& graph,
 
 /// Audit a built SPMD program: the happens-before relation is program
 /// order per virtual processor plus every message/dependency edge;
-/// access sets come from each task's KernelCall descriptors.
+/// access sets come from each task's LuTask kernels.
 AuditReport audit_program(const sim::ParallelProgram& prog,
                           const BlockLayout& layout);
 
@@ -124,7 +124,7 @@ struct DynamicAuditReport {
 DynamicAuditReport check_recorded_accesses(
     const LuTaskGraph& graph, const std::vector<AccessEvent>& events);
 
-/// Same for an execute_program()/simulate() run (event task ids are the
+/// Same for an execute_program() or MP run (event task ids are the
 /// program's task ids).
 DynamicAuditReport check_recorded_accesses(
     const sim::ParallelProgram& prog, const BlockLayout& layout,

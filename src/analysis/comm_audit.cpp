@@ -49,9 +49,9 @@ FlatProgram flatten(const sim::ParallelProgram& prog) {
       };
       for (int i = 0; i < static_cast<int>(def.pre_comms.size()); ++i)
         push_comm(def.pre_comms[static_cast<std::size_t>(i)], true, i);
-      for (const sim::KernelCall& kc : def.kernels) {
+      for (const LuTask& kc : def.kernels) {
         FlatOp f;
-        f.what = kc.kind == sim::KernelCall::Kind::kFactor
+        f.what = kc.type == LuTask::Type::kFactor
                      ? FlatOp::What::kFactor
                      : FlatOp::What::kConsume;
         f.site.rank = p;
@@ -727,8 +727,8 @@ CommMutation mutate_miscount_consumer(const sim::ParallelProgram& prog,
   m.panel = k;
   // Name the rank's first task consuming the panel, for the message.
   for (const sim::TaskId t : prog.proc_order(p)) {
-    for (const sim::KernelCall& kc : prog.task(t).kernels) {
-      if (kc.kind == sim::KernelCall::Kind::kUpdate && kc.k == k) {
+    for (const LuTask& kc : prog.task(t).kernels) {
+      if (kc.type == LuTask::Type::kUpdate && kc.k == k) {
         m.task = t;
         break;
       }

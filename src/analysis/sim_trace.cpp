@@ -26,9 +26,9 @@ trace::Trace simulated_trace(const sim::ParallelProgram& prog,
       const double slice =
           (t1 - t0) / static_cast<double>(def.kernels.size());
       for (std::size_t i = 0; i < def.kernels.size(); ++i) {
-        const sim::KernelCall& call = def.kernels[i];
+        const LuTask& call = def.kernels[i];
         trace::TraceEvent e = base;
-        e.kind = call.kind == sim::KernelCall::Kind::kFactor
+        e.kind = call.type == LuTask::Type::kFactor
                      ? trace::EventKind::kFactor
                      : trace::EventKind::kUpdate;
         e.k = call.k;

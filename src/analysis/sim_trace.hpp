@@ -13,7 +13,7 @@
 // machine's communication physics, which a 1-core host wall clock
 // cannot express.
 //
-// Span kinds: tasks that carry KernelCall descriptors export one span
+// Span kinds: tasks that carry kernel descriptors export one span
 // per call (kFactor / kUpdate), splitting the task interval evenly.
 // Kernel-less tasks are classified by the SPMD builders' documented
 // label vocabulary (core/lu_1d, core/lu_2d): F* (F1/FP/F2) -> kFactor,

@@ -9,8 +9,7 @@ namespace sstar {
 
 sim::ParallelProgram build_1d_program(const LuTaskGraph& graph,
                                       const sched::Schedule1D& schedule,
-                                      const sim::MachineModel& machine,
-                                      SStarNumeric* numeric) {
+                                      const sim::MachineModel& machine) {
   const sched::TaskCosts costs = sched::model_costs(graph, machine);
   sim::ParallelProgram prog(machine.processors);
 
@@ -25,27 +24,12 @@ sim::ParallelProgram build_1d_program(const LuTaskGraph& graph,
       if (task.type == LuTask::Type::kFactor) {
         def.kind = kKindFactor;
         def.label = "F(" + std::to_string(task.k) + ")";
-        def.kernels.push_back(
-            {sim::KernelCall::Kind::kFactor, task.k, task.k});
-        if (numeric) {
-          const int k = task.k;
-          def.run = [numeric, k] { numeric->factor_block(k); };
-        }
       } else {
         def.kind = kKindUpdate;
         def.label =
             "U(" + std::to_string(task.k) + "," + std::to_string(task.j) + ")";
-        def.kernels.push_back(
-            {sim::KernelCall::Kind::kUpdate, task.k, task.j});
-        if (numeric) {
-          const int k = task.k;
-          const int j = task.j;
-          def.run = [numeric, k, j] {
-            numeric->scale_swap(k, j);
-            numeric->update_block(k, j);
-          };
-        }
       }
+      def.kernels.push_back(task);
       sim_id[t] = prog.add_task(std::move(def));
     }
   }
@@ -72,60 +56,39 @@ sim::ParallelProgram build_1d_program(const LuTaskGraph& graph,
   return prog;
 }
 
-ParallelRunResult run_1d(const BlockLayout& layout,
-                         const sim::MachineModel& machine,
-                         Schedule1DKind kind, SStarNumeric* numeric,
-                         bool capture_gantt) {
+sim::ParallelProgram build_1d_program(const BlockLayout& layout,
+                                      const sim::MachineModel& machine,
+                                      Schedule1DKind kind) {
   const LuTaskGraph graph(layout);
-  const sched::Schedule1D schedule =
+  return build_1d_program(
+      graph,
       kind == Schedule1DKind::kComputeAhead
           ? sched::compute_ahead_schedule(graph, machine.processors)
-          : sched::graph_schedule(graph, machine);
-  const sim::ParallelProgram prog =
-      build_1d_program(graph, schedule, machine, numeric);
-  const sim::SimulationResult res = simulate(prog, machine);
+          : sched::graph_schedule(graph, machine),
+      machine);
+}
 
-  ParallelRunResult out;
-  out.seconds = res.makespan;
-  out.load_balance = res.load_balance();
-  out.comm_bytes = res.comm_volume_bytes;
-  out.messages = res.message_count;
-  out.total_task_seconds = res.total_work;
-  out.overlap_all = res.stage_overlap(prog, kKindUpdate);
-  out.overlap_column = out.overlap_all;  // 1D: one proc per "column"
-  out.buffer_high_water = res.buffer_high_water(prog);
-  if (capture_gantt) out.gantt = res.gantt(prog);
-  return out;
+ParallelRunResult run_1d(const BlockLayout& layout,
+                         const sim::MachineModel& machine,
+                         Schedule1DKind kind, bool capture_gantt) {
+  return simulate_run(build_1d_program(layout, machine, kind), machine,
+                      /*grid_columns=*/false, capture_gantt);
 }
 
 exec::ExecStats run_1d_real(const BlockLayout& layout,
                             const sim::MachineModel& machine,
                             Schedule1DKind kind, SStarNumeric& numeric,
                             int threads) {
-  const LuTaskGraph graph(layout);
-  const sched::Schedule1D schedule =
-      kind == Schedule1DKind::kComputeAhead
-          ? sched::compute_ahead_schedule(graph, machine.processors)
-          : sched::graph_schedule(graph, machine);
-  const sim::ParallelProgram prog =
-      build_1d_program(graph, schedule, machine, &numeric);
-  return exec::execute_program(prog, threads);
+  return exec::execute_program(build_1d_program(layout, machine, kind),
+                               numeric, threads);
 }
 
 exec::MpStats run_1d_mp(const BlockLayout& layout,
                         const sim::MachineModel& machine, Schedule1DKind kind,
                         const SparseMatrix& a, SStarNumeric& result,
                         const exec::MpOptions& opt) {
-  const LuTaskGraph graph(layout);
-  const sched::Schedule1D schedule =
-      kind == Schedule1DKind::kComputeAhead
-          ? sched::compute_ahead_schedule(graph, machine.processors)
-          : sched::graph_schedule(graph, machine);
-  // No numeric closures: the MP executor interprets the KernelCall
-  // descriptors against each rank's private replica.
-  const sim::ParallelProgram prog =
-      build_1d_program(graph, schedule, machine, nullptr);
-  return exec::execute_program_mp(prog, a, result, opt);
+  return exec::execute_program_mp(build_1d_program(layout, machine, kind), a,
+                                  result, opt);
 }
 
 }  // namespace sstar

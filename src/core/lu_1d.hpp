@@ -5,9 +5,10 @@
 // column block k. Two schedules: block-cyclic compute-ahead (Fig. 10)
 // and graph scheduling (the RAPID substitute of sched/list_schedule).
 //
-// When a SStarNumeric is supplied, the virtual processors execute the
-// real kernels in simulated order, so the run both produces the paper's
-// parallel-time metrics and a verifiable factorization.
+// The built program is pure data (sim/event_sim.hpp): run_1d simulates
+// it for the paper's parallel-time metrics, run_1d_real executes the
+// same program's kernels on threads and run_1d_mp on message-passing
+// ranks, both producing factors bitwise-identical to factorize().
 #pragma once
 
 #include "core/numeric.hpp"
@@ -28,15 +29,18 @@ enum class Schedule1DKind {
 /// tests and the paper-walkthrough example).
 sim::ParallelProgram build_1d_program(const LuTaskGraph& graph,
                                       const sched::Schedule1D& schedule,
-                                      const sim::MachineModel& machine,
-                                      SStarNumeric* numeric);
+                                      const sim::MachineModel& machine);
 
-/// Schedule, simulate, and summarize. `numeric` may be null (timing
-/// only) or an assembled SStarNumeric (kernels execute for real).
+/// Same, after scheduling the layout's task graph with `kind` on
+/// machine.processors processors.
+sim::ParallelProgram build_1d_program(const BlockLayout& layout,
+                                      const sim::MachineModel& machine,
+                                      Schedule1DKind kind);
+
+/// Schedule, simulate, and summarize (timing only).
 ParallelRunResult run_1d(const BlockLayout& layout,
                          const sim::MachineModel& machine,
-                         Schedule1DKind kind, SStarNumeric* numeric = nullptr,
-                         bool capture_gantt = false);
+                         Schedule1DKind kind, bool capture_gantt = false);
 
 /// Real-execution path (DESIGN.md "Simulated vs. real execution"): build
 /// the SAME 1D program, then run its kernels on `threads` hardware

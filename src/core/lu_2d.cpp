@@ -15,7 +15,6 @@ struct Builder {
   const BlockLayout& lay;
   const sim::MachineModel& m;
   bool async;
-  SStarNumeric* numeric;
   const std::vector<int>* offd;  // realized off-diagonal interchanges
   int pr, pc;
   sim::ParallelProgram prog;
@@ -34,8 +33,8 @@ struct Builder {
   sim::TaskId prev_barrier = -1;
 
   Builder(const BlockLayout& l, const sim::MachineModel& mm, bool as,
-          SStarNumeric* num, const std::vector<int>* od)
-      : lay(l), m(mm), async(as), numeric(num), offd(od), pr(mm.grid.rows),
+          const std::vector<int>* od)
+      : lay(l), m(mm), async(as), offd(od), pr(mm.grid.rows),
         pc(mm.grid.cols), prog(mm.processors),
         col_lat(static_cast<std::size_t>(mm.grid.cols), mm.latency),
         max_lat(mm.latency) {
@@ -77,15 +76,13 @@ struct Builder {
   }
 
   sim::TaskId add(int p, double seconds, std::string label, int stage,
-                  int kind, std::function<void()> run = nullptr,
-                  std::vector<sim::KernelCall> kernels = {}) {
+                  int kind, std::vector<LuTask> kernels = {}) {
     sim::TaskDef def;
     def.proc = p;
     def.seconds = seconds;
     def.label = std::move(label);
     def.stage = stage;
     def.kind = kind;
-    def.run = std::move(run);
     def.kernels = std::move(kernels);
     const sim::TaskId id = prog.add_task(std::move(def));
     step_tasks.push_back(id);
@@ -123,11 +120,6 @@ struct Builder {
     // holds, so with realized interchange counts that second round is
     // charged per off-diagonal pivot (count == w reproduces the
     // historic 2w rounds exactly).
-    std::function<void()> run;
-    if (numeric) {
-      SStarNumeric* num = numeric;
-      run = [num, k] { num->factor_block(k); };
-    }
     const double log_pr = std::ceil(std::log2(std::max(2, pr)));
     const double piv_seconds =
         m.compute_seconds(static_cast<double>(w) * pr, 0.0, 0.0) +
@@ -135,8 +127,7 @@ struct Builder {
                       col_lat[static_cast<std::size_t>(kc)]
                 : 0.0);
     ids.fp = add(proc(kr, kc), piv_seconds, "FP(" + std::to_string(k) + ")",
-                 k, kKindFactor, std::move(run),
-                 {{sim::KernelCall::Kind::kFactor, k, k}});
+                 k, kKindFactor, {{LuTask::Type::kFactor, k, k}});
     const double sync_bytes = 8.0 * w * w / pr;
     for (int r = 0; r < pr; ++r) {
       if (r != kr) prog.add_message(ids.f1[r], ids.fp, sync_bytes);
@@ -158,7 +149,6 @@ struct Builder {
                                           const std::vector<sim::TaskId>& f2) {
     const int kc = k % pc;
     const int kr = k % pr;
-    const int w = lay.width(k);
     const double ncols_total =
         static_cast<double>(lay.panel_cols(k).size());
 
@@ -246,10 +236,8 @@ struct Builder {
                                         const std::vector<sim::TaskId>& sw) {
     const int kr = k % pr;
     std::vector<double> cost(static_cast<std::size_t>(pr) * pc, 0.0);
-    // Per designated proc, the (k, j) kernels: numeric closures ride on
-    // them when a SStarNumeric is present; the KernelCall descriptors
-    // always do (the dependence auditor derives access sets from them).
-    std::vector<std::vector<int>> kernels(
+    // Per designated proc, the Update(k, j) kernels its task performs.
+    std::vector<std::vector<LuTask>> kernels(
         static_cast<std::size_t>(pr) * pc);
 
     for (const BlockRef& uref : lay.u_blocks(k)) {
@@ -266,7 +254,8 @@ struct Builder {
       // Diagonal-block target (i == j) slice.
       cost[static_cast<std::size_t>(proc(j % pr, jc))] +=
           secs(update2d_task_flops(lay, k, j, j));
-      kernels[static_cast<std::size_t>(proc(j % pr, jc))].push_back(j);
+      kernels[static_cast<std::size_t>(proc(j % pr, jc))].push_back(
+          {LuTask::Type::kUpdate, k, j});
     }
 
     std::vector<sim::TaskId> ids(static_cast<std::size_t>(pr) * pc, -1);
@@ -274,24 +263,8 @@ struct Builder {
     for (int r = 0; r < pr; ++r) {
       for (int c = 0; c < pc; ++c) {
         const int p = proc(r, c);
-        std::function<void()> run;
-        if (numeric && !kernels[p].empty()) {
-          SStarNumeric* num = numeric;
-          std::vector<int> js = kernels[p];
-          const int kk = k;
-          run = [num, kk, js] {
-            for (const int j : js) {
-              num->scale_swap(kk, j);
-              num->update_block(kk, j);
-            }
-          };
-        }
-        std::vector<sim::KernelCall> calls;
-        calls.reserve(kernels[p].size());
-        for (const int j : kernels[p])
-          calls.push_back({sim::KernelCall::Kind::kUpdate, k, j});
         ids[p] = add(p, cost[p], tag + std::to_string(k) + ")", k,
-                     kKindUpdate, std::move(run), std::move(calls));
+                     kKindUpdate, std::move(kernels[p]));
         prog.add_dependency(sw[p], ids[p]);
         // U-panel multicast from the diagonal processor row.
         if (r != kr && cost[p] > 0.0)
@@ -347,7 +320,7 @@ struct Builder {
 
 sim::ParallelProgram build_2d_program(const BlockLayout& layout,
                                       const sim::MachineModel& machine,
-                                      bool async, SStarNumeric* numeric,
+                                      bool async,
                                       const std::vector<int>* offdiag) {
   SSTAR_CHECK(machine.grid.size() == machine.processors);
   if (offdiag) {
@@ -356,7 +329,7 @@ sim::ParallelProgram build_2d_program(const BlockLayout& layout,
       SSTAR_CHECK((*offdiag)[static_cast<std::size_t>(k)] >= 0 &&
                   (*offdiag)[static_cast<std::size_t>(k)] <= layout.width(k));
   }
-  Builder b(layout, machine, async, numeric, offdiag);
+  Builder b(layout, machine, async, offdiag);
   sim::ParallelProgram prog = b.build();
   // Message-passing execution (exec/lu_mp) interprets explicit send/recv
   // descriptors; on a grid the factor-panel multicast is row-grouped
@@ -379,42 +352,24 @@ std::vector<int> offdiag_interchanges_per_block(const BlockLayout& layout,
 
 ParallelRunResult run_2d(const BlockLayout& layout,
                          const sim::MachineModel& machine, bool async,
-                         SStarNumeric* numeric, bool capture_gantt) {
-  const sim::ParallelProgram prog =
-      build_2d_program(layout, machine, async, numeric);
-  const sim::SimulationResult res = simulate(prog, machine);
-
-  ParallelRunResult out;
-  out.seconds = res.makespan;
-  out.load_balance = res.load_balance();
-  out.comm_bytes = res.comm_volume_bytes;
-  out.messages = res.message_count;
-  out.total_task_seconds = res.total_work;
-  out.overlap_all = res.stage_overlap(prog, kKindUpdate);
-  out.overlap_column = res.stage_overlap_within_column(prog, kKindUpdate,
-                                                       machine.grid);
-  out.buffer_high_water = res.buffer_high_water(prog);
-  if (capture_gantt) out.gantt = res.gantt(prog);
-  return out;
+                         bool capture_gantt) {
+  return simulate_run(build_2d_program(layout, machine, async), machine,
+                      /*grid_columns=*/true, capture_gantt);
 }
 
 exec::ExecStats run_2d_real(const BlockLayout& layout,
                             const sim::MachineModel& machine, bool async,
                             SStarNumeric& numeric, int threads) {
-  const sim::ParallelProgram prog =
-      build_2d_program(layout, machine, async, &numeric);
-  return exec::execute_program(prog, threads);
+  return exec::execute_program(build_2d_program(layout, machine, async),
+                               numeric, threads);
 }
 
 exec::MpStats run_2d_mp(const BlockLayout& layout,
                         const sim::MachineModel& machine, bool async,
                         const SparseMatrix& a, SStarNumeric& result,
                         const exec::MpOptions& opt) {
-  // No numeric closures: the MP executor interprets the KernelCall
-  // descriptors against each rank's private replica.
-  const sim::ParallelProgram prog =
-      build_2d_program(layout, machine, async, nullptr);
-  return exec::execute_program_mp(prog, a, result, opt);
+  return exec::execute_program_mp(build_2d_program(layout, machine, async), a,
+                                  result, opt);
 }
 
 }  // namespace sstar

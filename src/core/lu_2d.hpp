@@ -19,9 +19,10 @@
 //
 // The asynchronous variant is exactly this program; the synchronous
 // variant adds a barrier between elimination steps (§6.3.1's
-// comparison). Real kernels ride on FP (Factor) and on the block-owner
-// processor's UF/UR tasks (ScaleSwap+Update), so a simulated run
-// produces a verifiable factorization.
+// comparison). The LuTask kernels ride on FP (Factor) and on the
+// block-owner processor's UF/UR tasks (ScaleSwap+Update); the other
+// tasks only model time. run_2d simulates the program, run_2d_real and
+// run_2d_mp execute the same program's kernels on threads or ranks.
 #pragma once
 
 #include <vector>
@@ -52,7 +53,6 @@ namespace sstar {
 /// the realized interchange count.
 sim::ParallelProgram build_2d_program(
     const BlockLayout& layout, const sim::MachineModel& machine, bool async,
-    SStarNumeric* numeric,
     const std::vector<int>* offdiag_interchanges = nullptr);
 
 /// Per-block realized off-diagonal interchange counts of a FACTORED
@@ -61,10 +61,9 @@ sim::ParallelProgram build_2d_program(
 std::vector<int> offdiag_interchanges_per_block(const BlockLayout& layout,
                                                 const SStarNumeric& numeric);
 
-/// Simulate the 2D code and summarize.
+/// Simulate the 2D code and summarize (timing only).
 ParallelRunResult run_2d(const BlockLayout& layout,
                          const sim::MachineModel& machine, bool async = true,
-                         SStarNumeric* numeric = nullptr,
                          bool capture_gantt = false);
 
 /// Real-execution path (DESIGN.md "Simulated vs. real execution"): build

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "analysis/access_log.hpp"
 #include "blas/dense_blas.hpp"
@@ -9,6 +10,24 @@
 #include "util/check.hpp"
 
 namespace sstar {
+
+namespace {
+
+std::string pivot_message(double pivot, int column) {
+  std::ostringstream os;
+  if (std::isfinite(pivot))
+    os << "matrix is numerically singular at column " << column;
+  else
+    os << "non-finite pivot " << pivot << " at column " << column;
+  return os.str();
+}
+
+}  // namespace
+
+PivotError::PivotError(double pivot, int column)
+    : CheckError(pivot_message(pivot, column)),
+      pivot_(pivot),
+      column_(column) {}
 
 SStarNumeric::SStarNumeric(const BlockLayout& layout)
     : SStarNumeric(layout, std::make_unique<PackedBlockStore>(layout)) {}
@@ -107,10 +126,7 @@ void SStarNumeric::factor_block(int k) {
     }
     // idamax lets a NaN win, so a non-finite candidate anywhere in the
     // column surfaces here rather than as garbage downstream.
-    SSTAR_CHECK_MSG(std::isfinite(best), "non-finite pivot " << best
-                                             << " at column " << base + ml);
-    SSTAR_CHECK_MSG(best > 0.0, "matrix is numerically singular at column "
-                                    << base + ml);
+    if (!std::isfinite(best) || best == 0.0) throw PivotError(best, base + ml);
 
     const int m = base + ml;
     int t = best_panel >= 0 ? prows[best_panel]

@@ -46,8 +46,25 @@
 #include "core/block_matrix.hpp"
 #include "core/block_store.hpp"
 #include "core/pivot.hpp"
+#include "util/check.hpp"
 
 namespace sstar {
+
+/// Factor(k) found no usable pivot: the largest candidate of a column is
+/// zero (the matrix is numerically singular) or not finite. column() is
+/// the failing column in the thrower's numbering: factor_block reports
+/// the permuted column, Solver::factorize()/refactorize() rethrow it
+/// naming the caller's column.
+class PivotError : public CheckError {
+ public:
+  PivotError(double pivot, int column);
+  double pivot() const { return pivot_; }
+  int column() const { return column_; }
+
+ private:
+  double pivot_;
+  int column_;
+};
 
 /// Statistics of one numeric factorization run.
 struct FactorStats {

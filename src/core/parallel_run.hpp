@@ -1,8 +1,11 @@
-// Shared result type for the simulated parallel factorization drivers.
+// Shared result type for the simulated parallel drivers, and the one
+// place a simulation of a built program becomes that result.
 #pragma once
 
 #include <cstdint>
 #include <string>
+
+#include "sim/event_sim.hpp"
 
 namespace sstar {
 
@@ -28,5 +31,13 @@ struct ParallelRunResult {
     return seconds > 0.0 ? baseline_ops / seconds / 1e6 : 0.0;
   }
 };
+
+/// Simulate `prog` on `machine` and summarize the run. With
+/// `grid_columns` (2D mappings) the within-column overlap is measured
+/// over machine.grid's processor columns; without it every processor is
+/// its own column (1D) and overlap_column == overlap_all.
+ParallelRunResult simulate_run(const sim::ParallelProgram& prog,
+                               const sim::MachineModel& machine,
+                               bool grid_columns, bool capture_gantt = false);
 
 }  // namespace sstar

@@ -6,12 +6,10 @@
 namespace sstar {
 
 ParallelRunResult run_solve_1d(const SStarNumeric& numeric,
-                               const sim::MachineModel& machine,
-                               std::vector<double>* b) {
+                               const sim::MachineModel& machine) {
   const BlockLayout& lay = numeric.layout();
   const int nb = lay.num_blocks();
   const int p = machine.processors;
-  SSTAR_CHECK(b == nullptr || b->size() == static_cast<std::size_t>(lay.n()));
   sim::ParallelProgram prog(p);
 
   // Forward tasks in block order, backward tasks in reverse, all cyclic.
@@ -26,11 +24,6 @@ ParallelRunResult run_solve_1d(const SStarNumeric& numeric,
     def.label = "FS(" + std::to_string(k) + ")";
     def.stage = k;
     def.kind = kKindUpdate;
-    if (b) {
-      const SStarNumeric* num = &numeric;
-      double* x = b->data();
-      def.run = [num, x, k] { num->forward_block_panel(k, x, 1, 1); };
-    }
     fs[k] = prog.add_task(std::move(def));
   }
   for (int k = nb - 1; k >= 0; --k) {
@@ -42,11 +35,6 @@ ParallelRunResult run_solve_1d(const SStarNumeric& numeric,
     def.label = "BS(" + std::to_string(k) + ")";
     def.stage = nb - 1 - k;
     def.kind = kKindUpdate;
-    if (b) {
-      const SStarNumeric* num = &numeric;
-      double* x = b->data();
-      def.run = [num, x, k] { num->backward_block_panel(k, x, 1, 1); };
-    }
     bs[k] = prog.add_task(std::move(def));
   }
 
@@ -54,10 +42,8 @@ ParallelRunResult run_solve_1d(const SStarNumeric& numeric,
   // per-row-block forward writer chains (which subsume the old explicit
   // pivot edges — a pivot target always lies in a panel row, i.e. a row
   // block both FS tasks write), FS(k) -> BS(k), and BS(j) -> BS(k) per
-  // nonzero U block (k, j). The chains serialize conflicting writers in
-  // sequential order, so the executed solve is bitwise equal to
-  // numeric.solve() at every processor count. Messages carry the
-  // accumulated partial sums for the destination block's rows.
+  // nonzero U block (k, j). Messages carry the accumulated partial sums
+  // for the destination block's rows.
   SSTAR_CHECK_MSG(numeric.pivot_of_col().empty() ||
                       numeric.pivot_of_col()[0] >= 0,
                   "run_solve_1d before factorize");
@@ -73,16 +59,7 @@ ParallelRunResult run_solve_1d(const SStarNumeric& numeric,
       prog.add_message(u, v, 8.0 * lay.width(bv));
   }
 
-  const sim::SimulationResult res = simulate(prog, machine);
-  ParallelRunResult out;
-  out.seconds = res.makespan;
-  out.load_balance = res.load_balance();
-  out.comm_bytes = res.comm_volume_bytes;
-  out.messages = res.message_count;
-  out.total_task_seconds = res.total_work;
-  out.overlap_all = res.stage_overlap(prog, kKindUpdate);
-  out.buffer_high_water = res.buffer_high_water(prog);
-  return out;
+  return simulate_run(prog, machine, /*grid_columns=*/false);
 }
 
 }  // namespace sstar

@@ -2,15 +2,15 @@
 //
 // The paper factors in parallel and notes (§2) that the two triangular
 // solves are far cheaper than the elimination; a production solver still
-// has to run them where the factors live. This driver executes
+// has to run them where the factors live. This driver prices
 // Ly = Pb / Ux = y as per-supernode tasks under the 1D cyclic mapping,
 // with dependences taken from the shared solve DAG (core/solve_graph):
 // per-row-block forward writer chains, FS(k) -> BS(k), and BS(k) on
 // BS(j) for every nonzero U block (k, j). Messages carry the
-// accumulated partial sums for the target block's rows.
+// accumulated partial sums for the target block's rows. It is timing
+// only: the serving layer (serve::SolveSession) executes the same
+// SolveGraph on real threads, bitwise equal to numeric.solve().
 #pragma once
-
-#include <vector>
 
 #include "core/numeric.hpp"
 #include "core/parallel_run.hpp"
@@ -18,14 +18,8 @@
 
 namespace sstar {
 
-/// Simulate the distributed solve (and, when `b` is non-null, execute it
-/// for real: on return *b holds the solution, BITWISE equal to
-/// numeric.solve() — the solve DAG's writer chains serialize every pair
-/// of conflicting tasks in sequential order, pivot-swap conflicts
-/// included, so any dependency-respecting execution reproduces the
-/// sequential accumulation exactly). `numeric` must be factorized.
+/// Simulate the distributed solve of a factorized `numeric`.
 ParallelRunResult run_solve_1d(const SStarNumeric& numeric,
-                               const sim::MachineModel& machine,
-                               std::vector<double>* b = nullptr);
+                               const sim::MachineModel& machine);
 
 }  // namespace sstar

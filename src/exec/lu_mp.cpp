@@ -9,6 +9,7 @@
 #include "analysis/access_log.hpp"
 #include "comm/proc_transport.hpp"
 #include "comm/serialize.hpp"
+#include "exec/lu_real.hpp"
 #include "sim/comm_plan.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
@@ -69,18 +70,7 @@ void run_rank(const sim::ParallelProgram& prog, int rank, SStarNumeric& num,
         tp.send(rank, op.peer, op.k, comm::serialize_factor_panel(num, op.k));
       }
     }
-    for (const sim::KernelCall& kc : def.kernels) {
-      if (kc.kind == sim::KernelCall::Kind::kFactor) {
-        num.factor_block(kc.k);
-      } else {
-        num.scale_swap(kc.k, kc.j);
-        num.update_block(kc.k, kc.j);
-        // One consuming use of panel k done; after the rank's last
-        // declared consumer the cached panel is freed (no-op for
-        // owned panels or packed stores).
-        num.data().on_panel_consumed(kc.k);
-      }
-    }
+    for (const LuTask& task : def.kernels) run_lu_task(num, task);
     for (const sim::CommOp& op : def.post_comms) {
       if (op.kind == sim::CommOp::Kind::kSend) {
         tp.send(rank, op.peer, op.k, comm::serialize_factor_panel(num, op.k));
@@ -177,8 +167,8 @@ std::size_t trace_capacity(const sim::ParallelProgram& prog, int r) {
   for (const sim::TaskId t : prog.proc_order(r)) {
     const sim::TaskDef& def = prog.task(t);
     cap += 3 * (def.pre_comms.size() + def.post_comms.size());
-    for (const sim::KernelCall& kc : def.kernels)
-      cap += kc.kind == sim::KernelCall::Kind::kFactor ? 1 : 2;
+    for (const LuTask& task : def.kernels)
+      cap += task.type == LuTask::Type::kFactor ? 1 : 2;
   }
   return cap;
 }

@@ -21,6 +21,10 @@
 //                  last Update that consumes it (sim::panel_consumer_counts
 //                  supplies the refcount).
 //
+// The kernels themselves run through exec::run_lu_task, the one dispatch
+// the threaded executors (exec/lu_real) share; the program is the same
+// data the simulator prices and the auditors check.
+//
 // Because every rank executes its program order and the per-column
 // kernel sequence equals the sequential one, the merged factors are
 // bitwise-identical to SStarNumeric::factorize() at ANY rank count —
@@ -105,13 +109,14 @@ struct MpStats {
   int panels_leaked() const;
 };
 
-/// Execute `prog` (built WITHOUT numeric closures; the kernels are
-/// interpreted from their KernelCall descriptors, and the comm plan
-/// must have been attached — both 1D and 2D builders do this) on one
-/// thread per rank. `a` is assembled per rank; `result` (constructed on
-/// the same layout) receives the merged factors: for each supernode the
-/// owner's diagonal/L panel/pivots and, per U block, the column-owner's
-/// slice. Throws on rank failure or deadlock; never hangs.
+/// Execute `prog` on one thread per rank: each rank runs its tasks'
+/// LuTask kernels through exec::run_lu_task, the dispatch the threaded
+/// executors share, and its comm ops through the transport (the comm
+/// plan must have been attached — both 1D and 2D builders do this).
+/// `a` is assembled per rank; `result` (constructed on the same layout)
+/// receives the merged factors: for each supernode the owner's
+/// diagonal/L panel/pivots and, per U block, the column-owner's slice.
+/// Throws on rank failure or deadlock; never hangs.
 MpStats execute_program_mp(const sim::ParallelProgram& prog,
                            const SparseMatrix& a, SStarNumeric& result,
                            const MpOptions& opt = {});

@@ -16,6 +16,19 @@ int owner_worker(const sim::Grid& g, int i, int j) {
 
 }  // namespace
 
+void run_lu_task(SStarNumeric& numeric, const LuTask& task) {
+  if (task.type == LuTask::Type::kFactor) {
+    numeric.factor_block(task.k);
+    return;
+  }
+  numeric.scale_swap(task.k, task.j);
+  numeric.update_block(task.k, task.j);
+  // One consuming use of panel k done: a rank's DistBlockStore frees its
+  // cached copy after the last declared consumer (no-op for owned panels
+  // and for the packed store).
+  numeric.data().on_panel_consumed(task.k);
+}
+
 ExecStats factorize_parallel(const LuTaskGraph& graph, SStarNumeric& numeric,
                              const LuRealOptions& opt) {
   const int nt = opt.threads > 0 ? opt.threads : default_thread_count();
@@ -27,25 +40,13 @@ ExecStats factorize_parallel(const LuTaskGraph& graph, SStarNumeric& numeric,
   for (int t = 0; t < graph.num_tasks(); ++t) {
     const LuTask& lt = graph.task(t);
     DagTask& dt = tasks[static_cast<std::size_t>(t)];
-    if (lt.type == LuTask::Type::kFactor) {
-      const int k = lt.k;
-      dt.run = [&numeric, k, t] {
-        SSTAR_AUDIT_TASK(t);
-        numeric.factor_block(k);
-      };
-      dt.affinity = owner_worker(grid, k, k);
-    } else {
-      const int k = lt.k;
-      const int j = lt.j;
-      dt.run = [&numeric, k, j, t] {
-        SSTAR_AUDIT_TASK(t);
-        numeric.scale_swap(k, j);
-        numeric.update_block(k, j);
-      };
-      // Updates of column block j land on j's owner — the same worker
-      // for every stage k, which also preserves property-3 locality.
-      dt.affinity = owner_worker(grid, j, j);
-    }
+    dt.run = [&numeric, lt, t] {
+      SSTAR_AUDIT_TASK(t);
+      run_lu_task(numeric, lt);
+    };
+    // Updates of column block j land on j's owner — the same worker for
+    // every stage k, which also preserves property-3 locality.
+    dt.affinity = owner_worker(grid, lt.j, lt.j);
   }
 
   std::vector<DagEdge> edges;
@@ -62,22 +63,20 @@ ExecStats factorize_parallel(SStarNumeric& numeric, const LuRealOptions& opt) {
   return factorize_parallel(graph, numeric, opt);
 }
 
-ExecStats execute_program(const sim::ParallelProgram& prog, int threads) {
+ExecStats execute_program(const sim::ParallelProgram& prog,
+                          SStarNumeric& numeric, int threads) {
   const int n = static_cast<int>(prog.num_tasks());
   std::vector<DagTask> tasks(static_cast<std::size_t>(n));
   for (int t = 0; t < n; ++t) {
     const sim::TaskDef& def = prog.task(t);
-#ifdef SSTAR_AUDIT_ENABLED
-    if (def.run) {
-      tasks[static_cast<std::size_t>(t)].run = [t, inner = def.run] {
+    DagTask& dt = tasks[static_cast<std::size_t>(t)];
+    if (!def.kernels.empty()) {
+      dt.run = [&numeric, &def, t] {
         SSTAR_AUDIT_TASK(t);
-        inner();
+        for (const LuTask& task : def.kernels) run_lu_task(numeric, task);
       };
     }
-#else
-    tasks[static_cast<std::size_t>(t)].run = def.run;
-#endif
-    tasks[static_cast<std::size_t>(t)].affinity = def.proc;
+    dt.affinity = def.proc;
   }
 
   std::vector<DagEdge> edges;

@@ -13,6 +13,11 @@
 // Affinity hints follow the paper's 2D mapping: the tasks of column
 // block j prefer the worker standing in for processor
 // (j mod p_r, j mod p_c) of the p_r x p_c grid.
+//
+// execute_program() runs a built 1D/2D program (core/lu_1d, core/lu_2d)
+// the same way: its tasks' LuTask kernels, ordered by the program's
+// happens-before edges. Both paths, and the message-passing ranks of
+// exec/lu_mp, run kernels through the one dispatch run_lu_task().
 #pragma once
 
 #include "core/numeric.hpp"
@@ -22,6 +27,13 @@
 #include "sim/machine.hpp"
 
 namespace sstar::exec {
+
+/// The one kernel dispatch every executor shares: Factor(k) runs
+/// factor_block(k); Update(k, j) runs scale_swap(k, j), update_block(k,
+/// j) and then tells the store one use of panel k is done
+/// (BlockStore::on_panel_consumed). SStarNumeric::factorize() keeps its
+/// own sequential loop as the bitwise reference.
+void run_lu_task(SStarNumeric& numeric, const LuTask& task);
 
 struct LuRealOptions {
   int threads = 0;        ///< 0 = default_thread_count()
@@ -38,12 +50,14 @@ ExecStats factorize_parallel(SStarNumeric& numeric,
 ExecStats factorize_parallel(const LuTaskGraph& graph, SStarNumeric& numeric,
                              const LuRealOptions& opt = {});
 
-/// Execute a built simulated program's numeric closures on real threads.
-/// Dependencies are the program's own: per-processor program order plus
-/// every message edge; each task's virtual processor becomes its worker
-/// affinity hint. This is how the 1D/2D drivers (core/lu_1d, core/lu_2d)
-/// share one program build between simulation and real execution.
-ExecStats execute_program(const sim::ParallelProgram& prog, int threads = 0);
+/// Execute a built program's kernels against `numeric` (assembled) on
+/// real threads. Dependencies are the program's own: per-processor
+/// program order plus every message edge; each task's virtual processor
+/// becomes its worker affinity hint. The same program can also be
+/// simulated, run on ranks, audited and trace-validated: programs are
+/// pure data.
+ExecStats execute_program(const sim::ParallelProgram& prog,
+                          SStarNumeric& numeric, int threads = 0);
 
 /// True iff the two factorizations hold bit-for-bit identical values:
 /// same pivot sequence, same diagonal blocks, same L and U panels. The

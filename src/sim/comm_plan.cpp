@@ -12,7 +12,7 @@ namespace {
 int num_panels(const ParallelProgram& prog) {
   int nb = 0;
   for (TaskId t = 0; t < static_cast<TaskId>(prog.num_tasks()); ++t) {
-    for (const KernelCall& kc : prog.task(t).kernels)
+    for (const LuTask& kc : prog.task(t).kernels)
       nb = std::max(nb, std::max(kc.k, kc.j) + 1);
   }
   return nb;
@@ -24,8 +24,8 @@ std::vector<int> panel_owners(const ParallelProgram& prog) {
   std::vector<int> owner(static_cast<std::size_t>(num_panels(prog)), -1);
   for (int p = 0; p < prog.processors(); ++p) {
     for (const TaskId t : prog.proc_order(p)) {
-      for (const KernelCall& kc : prog.task(t).kernels) {
-        if (kc.kind != KernelCall::Kind::kFactor) continue;
+      for (const LuTask& kc : prog.task(t).kernels) {
+        if (kc.type != LuTask::Type::kFactor) continue;
         SSTAR_CHECK_MSG(owner[kc.k] == -1 || owner[kc.k] == p,
                         "Factor(" << kc.k << ") appears on ranks "
                                   << owner[kc.k] << " and " << p);
@@ -44,8 +44,8 @@ std::vector<std::vector<int>> panel_consumer_counts(
       std::vector<int>(static_cast<std::size_t>(prog.processors()), 0));
   for (int p = 0; p < prog.processors(); ++p) {
     for (const TaskId t : prog.proc_order(p)) {
-      for (const KernelCall& kc : prog.task(t).kernels) {
-        if (kc.kind != KernelCall::Kind::kUpdate) continue;
+      for (const LuTask& kc : prog.task(t).kernels) {
+        if (kc.type != LuTask::Type::kUpdate) continue;
         if (owner[static_cast<std::size_t>(kc.k)] == p) continue;
         counts[static_cast<std::size_t>(kc.k)][static_cast<std::size_t>(p)]++;
       }
@@ -79,8 +79,8 @@ void attach_panel_comms(ParallelProgram& prog, const Grid& grid) {
   for (int p = 0; p < prog.processors(); ++p) {
     std::fill(have.begin(), have.end(), 0);
     for (const TaskId t : prog.proc_order(p)) {
-      for (const KernelCall& kc : prog.task(t).kernels) {
-        if (kc.kind == KernelCall::Kind::kFactor) {
+      for (const LuTask& kc : prog.task(t).kernels) {
+        if (kc.type == LuTask::Type::kFactor) {
           factor_task[static_cast<std::size_t>(kc.k)] = t;
           have[static_cast<std::size_t>(kc.k)] = 1;
           continue;

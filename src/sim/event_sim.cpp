@@ -1,11 +1,11 @@
 #include "sim/event_sim.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 #include <set>
 #include <sstream>
 
-#include "analysis/access_log.hpp"
 #include "util/check.hpp"
 
 namespace sstar::sim {
@@ -54,8 +54,8 @@ SimulationResult simulate(const ParallelProgram& prog,
   }
 
   // Kahn traversal with a deterministic (smallest-id-first) ready queue.
-  // Any topological order yields the same numeric results; the id order
-  // makes reruns bit-identical.
+  // Start times depend only on predecessors, so any topological order
+  // yields the same schedule; the id order keeps the traversal fixed.
   std::priority_queue<TaskId, std::vector<TaskId>, std::greater<TaskId>>
       ready;
   for (TaskId t = 0; t < n; ++t)
@@ -89,10 +89,6 @@ SimulationResult simulate(const ParallelProgram& prog,
     res.busy[def.proc] += dur;
     res.total_work += dur;
     res.makespan = std::max(res.makespan, res.finish[t]);
-    if (def.run) {
-      SSTAR_AUDIT_TASK(t);
-      def.run();
-    }
     ++done;
 
     for (const int mi : in_msgs[t]) {

@@ -6,39 +6,29 @@
 // predecessor on the same processor has finished AND all its incoming
 // messages have arrived (arrival = sender finish + latency + bytes /
 // bandwidth, the RMA put model); it finishes after its modeled compute
-// time. Tasks may carry a real numeric closure, executed exactly once in
-// a dependency-respecting order, so the simulated algorithms compute
-// real factors while the clocks compute the paper's parallel times.
+// time. A program is pure data: each task names the LU kernels it
+// stands for (LuTask descriptors) and simulate() only keeps time, so
+// one built program can be simulated, executed on threads
+// (exec::execute_program) or on ranks (exec::execute_program_mp),
+// audited and trace-validated without being rebuilt.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/task_graph.hpp"
 #include "sim/machine.hpp"
 
 namespace sstar::sim {
 
 using TaskId = int;
 
-/// One LU kernel a task stands for: Factor(k) or the combined
-/// ScaleSwap(k, j) + Update(k, j). Program builders attach these
-/// descriptors alongside the numeric closures so the dependence auditor
-/// (analysis/audit.hpp) can derive the task's block access set without
-/// executing anything.
-struct KernelCall {
-  enum class Kind { kFactor, kUpdate };
-  Kind kind = Kind::kFactor;
-  int k = 0;  ///< source supernode (elimination stage)
-  int j = 0;  ///< target column block (== k for Factor)
-};
-
 /// One point-to-point transfer in the message-passing execution of a
 /// task (exec/lu_mp): kSend posts block k's factor-panel payload to
 /// `peer`, kRecv blocks until that payload arrives from `peer`. The
-/// comm planner (sim/comm_plan) attaches these next to the KernelCall
+/// comm planner (sim/comm_plan) attaches these next to the kernel
 /// descriptors; the simulator ignores them (it has its own message
 /// edges), the MP executor interprets them against a real Transport.
 struct CommOp {
@@ -54,8 +44,10 @@ struct TaskDef {
   std::string label;        ///< e.g. "F(3)", "U(3,7)" (Gantt output)
   int stage = -1;           ///< elimination step k (metrics); -1 = none
   int kind = 0;             ///< caller-defined tag (metrics filtering)
-  std::function<void()> run;///< optional numeric payload
-  std::vector<KernelCall> kernels = {};  ///< LU kernels this task performs
+  /// LU kernels this task performs, in order: Factor(k) or the combined
+  /// ScaleSwap(k, j) + Update(k, j). Executors run them, the auditors
+  /// derive access sets from them; modeling-only tasks carry none.
+  std::vector<LuTask> kernels = {};
   std::vector<CommOp> pre_comms = {};    ///< transfers before the kernels
   std::vector<CommOp> post_comms = {};   ///< transfers after the kernels
 };
@@ -161,9 +153,9 @@ class SimulationResult {
   std::vector<double> msg_bytes_;
 };
 
-/// Run the program on the machine. Executes numeric closures in a
-/// deterministic dependency-respecting order. Throws CheckError if the
-/// program deadlocks (inconsistent program order vs. messages).
+/// Run the program on the machine's clocks (no kernel executes). Throws
+/// CheckError if the program deadlocks (inconsistent program order vs.
+/// messages).
 SimulationResult simulate(const ParallelProgram& prog,
                           const MachineModel& machine);
 

@@ -116,8 +116,8 @@ MpMemoryPrediction predict_mp_memory(const BlockLayout& layout,
       const TaskDef& def = prog.task(t);
       for (const CommOp& op : def.pre_comms)
         if (op.kind == CommOp::Kind::kRecv) on_recv(op.k);
-      for (const KernelCall& kc : def.kernels) {
-        if (kc.kind != KernelCall::Kind::kUpdate) continue;
+      for (const LuTask& kc : def.kernels) {
+        if (kc.type != LuTask::Type::kUpdate) continue;
         if (owner[static_cast<std::size_t>(kc.k)] == p) continue;
         if (--remaining[static_cast<std::size_t>(kc.k)] == 0) {
           cache -= panel_bytes(kc.k);

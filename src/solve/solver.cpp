@@ -118,12 +118,7 @@ SolverSetup prepare(const SparseMatrix& a, const SolverOptions& opt) {
   setup.structure = static_symbolic_factorization(setup.permuted);
   SupernodePartition part = find_supernodes(setup.structure, opt.max_block);
   setup.presplit_avg_width = part.average_width();
-  part = opt.amalgamation_style ==
-                 SolverOptions::AmalgamationStyle::kTreeGuided
-             ? amalgamate_tree(setup.structure, part, opt.amalgamation,
-                               opt.max_block)
-             : amalgamate(setup.structure, part, opt.amalgamation,
-                          opt.max_block);
+  part = amalgamate(setup.structure, part, opt.amalgamation, opt.max_block);
   setup.layout = std::make_unique<BlockLayout>(setup.structure,
                                                std::move(part));
   return setup;
@@ -136,7 +131,12 @@ Solver::Solver(const SparseMatrix& a, SolverOptions opt)
 }
 
 void Solver::factorize() {
-  numeric_.factorize();
+  try {
+    numeric_.factorize();
+  } catch (const PivotError& e) {
+    // factor_block names the permuted column; the caller's is col_perm's.
+    throw PivotError(e.pivot(), setup_.col_perm[e.column()]);
+  }
   factorized_ = true;
 }
 
@@ -144,8 +144,7 @@ void Solver::refactorize(const PivotPolicy& policy) {
   opt_.pivot = policy;
   numeric_.set_pivot_policy(policy);
   numeric_.assemble(setup_.permuted);  // re-load values, reset pivots
-  numeric_.factorize();
-  factorized_ = true;
+  factorize();
 }
 
 std::vector<double> solve_in_panels(const SolverSetup& setup,

@@ -35,10 +35,6 @@ struct SolverOptions {
   int max_block = 25;
   /// Supernode amalgamation factor r (§3.3; 4-6 reported best, 0 = off).
   int amalgamation = 4;
-  /// Which §3.3 amalgamation variant: the paper's simple consecutive
-  /// merge (their choice) or the tree-guided merge they describe first.
-  enum class AmalgamationStyle { kConsecutive, kTreeGuided };
-  AmalgamationStyle amalgamation_style = AmalgamationStyle::kConsecutive;
   /// Fill-reducing column ordering.
   enum class Ordering { kMinDegreeAtA, kNestedDissection, kRcm, kNatural };
   Ordering ordering = Ordering::kMinDegreeAtA;
@@ -98,7 +94,8 @@ class Solver {
  public:
   Solver(const SparseMatrix& a, SolverOptions opt = {});
 
-  /// Numeric factorization (sequential S*).
+  /// Numeric factorization (sequential S*). A zero or non-finite pivot
+  /// throws PivotError naming the failing column in A's numbering.
   void factorize();
   bool factorized() const { return factorized_; }
 

@@ -152,131 +152,4 @@ SupernodePartition amalgamate(const StaticStructure& s,
   return out;
 }
 
-
-namespace {
-
-// Sorted-union into `out` of values >= lo from two sorted ranges.
-void union_tail(const std::vector<int>& a, const std::vector<int>& b, int lo,
-                std::vector<int>& out) {
-  out.clear();
-  auto ia = std::lower_bound(a.begin(), a.end(), lo);
-  auto ib = std::lower_bound(b.begin(), b.end(), lo);
-  while (ia != a.end() || ib != b.end()) {
-    int v;
-    if (ib == b.end() || (ia != a.end() && *ia <= *ib)) {
-      v = *ia;
-      if (ib != b.end() && *ib == v) ++ib;
-      ++ia;
-    } else {
-      v = *ib;
-      ++ib;
-    }
-    out.push_back(v);
-  }
-}
-
-}  // namespace
-
-SupernodePartition amalgamate_tree(const StaticStructure& s,
-                                   const SupernodePartition& p, int r,
-                                   int max_block) {
-  if (r <= 0) return p;
-  const int nb = p.count();
-  const int n = p.n();
-
-  // Per-column entry counts (prefix-summed) for exact padding math.
-  std::vector<std::int64_t> prefix(static_cast<std::size_t>(n) + 1, 0);
-  for (int c = 0; c < n; ++c) {
-    prefix[c + 1] = prefix[c] + (s.l_col_ptr[c + 1] - s.l_col_ptr[c]) +
-                    (s.u_row_ptr[c + 1] - s.u_row_ptr[c]);
-  }
-
-  // Supernodal etree parent of each base supernode: the block holding
-  // the first below-block L row (minimum over the supernode's columns).
-  const std::vector<int> blk_of = p.block_of_column();
-  std::vector<int> parent(nb, -1);
-  for (int b = 0; b < nb; ++b) {
-    int minrow = n;
-    for (int c = p.start[b]; c < p.start[b + 1]; ++c) {
-      const auto lo = std::lower_bound(s.l_rows.begin() + s.l_col_ptr[c],
-                                       s.l_rows.begin() + s.l_col_ptr[c + 1],
-                                       p.start[b + 1]);
-      if (lo != s.l_rows.begin() + s.l_col_ptr[c + 1])
-        minrow = std::min(minrow, *lo);
-    }
-    if (minrow < n) parent[b] = blk_of[minrow];
-  }
-
-  SupernodePartition out;
-  out.start.push_back(0);
-
-  auto lrows_tail = [&](int col, int lo) {
-    return std::pair(std::lower_bound(s.l_rows.begin() + s.l_col_ptr[col],
-                                      s.l_rows.begin() + s.l_col_ptr[col + 1],
-                                      lo),
-                     s.l_rows.begin() + s.l_col_ptr[col + 1]);
-  };
-  auto ucols_tail = [&](int row, int lo) {
-    return std::pair(std::lower_bound(s.u_cols.begin() + s.u_row_ptr[row],
-                                      s.u_cols.begin() + s.u_row_ptr[row + 1],
-                                      lo),
-                     s.u_cols.begin() + s.u_row_ptr[row + 1]);
-  };
-
-  int b = 0;
-  std::vector<int> lu, uu, lu2, uu2, scratch;
-  while (b < nb) {
-    int group_first_col = p.start[b];
-    int group_end_col = p.start[b + 1];
-    int last_block = b;
-    // Seed unions from the group's first column (base supernodes have
-    // identical per-column structures).
-    {
-      auto [lb, le] = lrows_tail(group_first_col, group_end_col);
-      lu.assign(lb, le);
-      auto [ub, ue] = ucols_tail(group_first_col, group_end_col);
-      uu.assign(ub, ue);
-    }
-
-    int next = b + 1;
-    while (next < nb) {
-      // Tree rule: only absorb the immediate successor if it is the
-      // parent of the group's last block.
-      if (parent[last_block] != next) break;
-      const int cand_end = p.start[next + 1];
-      const int merged_w = cand_end - group_first_col;
-      if (merged_w > max_block) break;
-
-      // Candidate structures (identical across its columns).
-      scratch.assign(lrows_tail(p.start[next], cand_end).first,
-                     lrows_tail(p.start[next], cand_end).second);
-      // Re-trim the group's unions to >= cand_end and merge.
-      union_tail(lu, scratch, cand_end, lu2);
-      scratch.assign(ucols_tail(p.start[next], cand_end).first,
-                     ucols_tail(p.start[next], cand_end).second);
-      union_tail(uu, scratch, cand_end, uu2);
-
-      const std::int64_t stored =
-          static_cast<std::int64_t>(merged_w) * merged_w +
-          static_cast<std::int64_t>(merged_w) *
-              (static_cast<std::int64_t>(lu2.size()) +
-               static_cast<std::int64_t>(uu2.size()));
-      const std::int64_t actual =
-          prefix[cand_end] - prefix[group_first_col];
-      const std::int64_t extra = stored - actual;
-      if (extra > static_cast<std::int64_t>(r) * merged_w) break;
-
-      group_end_col = cand_end;
-      last_block = next;
-      lu.swap(lu2);
-      uu.swap(uu2);
-      ++next;
-    }
-    out.start.push_back(group_end_col);
-    b = next;
-  }
-  SSTAR_CHECK(out.start.back() == n);
-  return out;
-}
-
 }  // namespace sstar

@@ -46,14 +46,4 @@ SupernodePartition amalgamate(const StaticStructure& s,
                               const SupernodePartition& p, int r,
                               int max_block);
 
-/// Tree-guided amalgamation — the variant §3.3 describes first: a parent
-/// supernode absorbs a child when the child is its immediate predecessor
-/// in the ordering (postordering makes parents follow their children, so
-/// no permutation is needed) and the merge introduces at most
-/// r * (merged width) explicit zeros, counted EXACTLY from the static
-/// structure. r <= 0 returns the input unchanged.
-SupernodePartition amalgamate_tree(const StaticStructure& s,
-                                   const SupernodePartition& p, int r,
-                                   int max_block);
-
 }  // namespace sstar

@@ -121,12 +121,6 @@ ValidationReport validate_trace(const sim::ParallelProgram& prog,
                                 const sim::MachineModel& machine,
                                 const Trace& trace) {
   const int n = static_cast<int>(prog.num_tasks());
-  for (int t = 0; t < n; ++t)
-    SSTAR_CHECK_MSG(!prog.task(t).run,
-                    "validate_trace needs a closure-free program (task "
-                        << t << " carries a numeric closure; rebuild the "
-                        << "program with a null numeric backend)");
-
   ValidationReport report;
   report.program_tasks = static_cast<std::size_t>(n);
   for (int t = 0; t < n; ++t)

@@ -20,9 +20,9 @@
 //     a CONFLICTING one means an executor raced on shared blocks and
 //     fails the validation.
 //
-// The program handed in must be CLOSURE-FREE (built with a null numeric
-// backend): simulate() executes task closures, and re-running kernels
-// here would corrupt the already-computed factors.
+// The program is the one the measured run executed: programs are pure
+// data and simulate() only keeps time, so validating never reruns a
+// kernel or rebuilds the program.
 #pragma once
 
 #include <cstdint>
@@ -91,8 +91,7 @@ struct ValidationReport {
 /// Validate `trace` against `prog` under `machine`. The trace's kernel
 /// spans must be tagged with `prog`'s task ids (the MP runtime and
 /// execute_program do this); untagged spans are ignored. Throws
-/// CheckError if the program carries numeric closures or a span's task
-/// id is out of range.
+/// CheckError if a span's task id is out of range.
 ValidationReport validate_trace(const sim::ParallelProgram& prog,
                                 const BlockLayout& layout,
                                 const sim::MachineModel& machine,

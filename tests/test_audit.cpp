@@ -172,7 +172,7 @@ TEST(Audit, BuiltProgramsPass) {
                 ? sched::compute_ahead_schedule(graph, procs)
                 : sched::graph_schedule(graph, m);
         const sim::ParallelProgram prog =
-            build_1d_program(graph, schedule, m, nullptr);
+            build_1d_program(graph, schedule, m);
         const analysis::AuditReport report =
             analysis::audit_program(prog, *layout);
         EXPECT_TRUE(report.ok())
@@ -181,7 +181,7 @@ TEST(Audit, BuiltProgramsPass) {
       }
       for (const bool async : {true, false}) {
         const sim::ParallelProgram prog =
-            build_2d_program(*layout, m, async, nullptr);
+            build_2d_program(*layout, m, async);
         const analysis::AuditReport report =
             analysis::audit_program(prog, *layout);
         EXPECT_TRUE(report.ok())
@@ -289,7 +289,7 @@ TEST(Audit, DynamicEndToEndMessagePassing) {
     const sched::Schedule1D schedule =
         sched::compute_ahead_schedule(graph, ranks);
     const sim::ParallelProgram prog =
-        build_1d_program(graph, schedule, m, nullptr);
+        build_1d_program(graph, schedule, m);
 
     analysis::AccessLog log;
     log.install();
@@ -313,7 +313,7 @@ TEST(Audit, DynamicEndToEndMessagePassing) {
   // 2D program, same property.
   const sim::MachineModel m = sim::MachineModel::cray_t3e(4);
   const sim::ParallelProgram prog2d =
-      build_2d_program(*layout, m, /*async=*/true, nullptr);
+      build_2d_program(*layout, m, /*async=*/true);
   analysis::AccessLog log;
   log.install();
   SStarNumeric result(*layout);

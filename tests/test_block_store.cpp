@@ -344,11 +344,11 @@ TEST(PanelLifetimeAudit, CleanOnAllProgramVariants) {
     const sim::MachineModel m = sim::MachineModel::cray_t3e(ranks);
     std::vector<sim::ParallelProgram> progs;
     progs.push_back(build_1d_program(
-        graph, sched::compute_ahead_schedule(graph, ranks), m, nullptr));
+        graph, sched::compute_ahead_schedule(graph, ranks), m));
     progs.push_back(build_1d_program(graph, sched::graph_schedule(graph, m),
-                                     m, nullptr));
-    progs.push_back(build_2d_program(*f.layout, m, /*async=*/true, nullptr));
-    progs.push_back(build_2d_program(*f.layout, m, /*async=*/false, nullptr));
+                                     m));
+    progs.push_back(build_2d_program(*f.layout, m, /*async=*/true));
+    progs.push_back(build_2d_program(*f.layout, m, /*async=*/false));
     for (std::size_t v = 0; v < progs.size(); ++v) {
       const analysis::CommAuditReport rep = analysis::audit_comm_plan(
           progs[v], *f.layout, sim::panel_consumer_counts(progs[v]));
@@ -382,8 +382,8 @@ std::vector<sim::TaskId> consuming_tasks(const sim::ParallelProgram& prog,
                                          int rank, int k) {
   std::vector<sim::TaskId> out;
   for (const sim::TaskId t : prog.proc_order(rank))
-    for (const sim::KernelCall& kc : prog.task(t).kernels)
-      if (kc.kind == sim::KernelCall::Kind::kUpdate && kc.k == k)
+    for (const LuTask& kc : prog.task(t).kernels)
+      if (kc.type == LuTask::Type::kUpdate && kc.k == k)
         out.push_back(t);
   return out;
 }
@@ -409,7 +409,7 @@ TEST(PanelLifetimeAudit, ForcedEarlyReleaseNamesRankTaskPanel) {
   const LuTaskGraph graph(*f.layout);
   const sim::MachineModel m = sim::MachineModel::cray_t3e(4);
   const sim::ParallelProgram prog =
-      build_1d_program(graph, sched::graph_schedule(graph, m), m, nullptr);
+      build_1d_program(graph, sched::graph_schedule(graph, m), m);
 
   int k = -1, rank = -1, uses = 0;
   ASSERT_TRUE(find_consumer(prog, 2, &k, &rank, &uses))
@@ -448,7 +448,7 @@ TEST(PanelLifetimeAudit, OverheldPanelFlaggedAsLeak) {
   const LuTaskGraph graph(*f.layout);
   const sim::MachineModel m = sim::MachineModel::cray_t3e(4);
   const sim::ParallelProgram prog =
-      build_1d_program(graph, sched::graph_schedule(graph, m), m, nullptr);
+      build_1d_program(graph, sched::graph_schedule(graph, m), m);
 
   int k = -1, rank = -1, uses = 0;
   ASSERT_TRUE(find_consumer(prog, 1, &k, &rank, &uses));

@@ -24,7 +24,6 @@
 #include "exec/lu_mp.hpp"
 #include "exec/lu_real.hpp"
 #include "ordering/transversal.hpp"
-#include "sched/list_schedule.hpp"
 #include "sim/comm_plan.hpp"
 #include "supernode/partition.hpp"
 #include "symbolic/static_symbolic.hpp"
@@ -52,25 +51,19 @@ struct Fixture {
 
 sim::ParallelProgram build_1d(const Fixture& f, int ranks,
                               Schedule1DKind kind) {
-  const sim::MachineModel m = sim::MachineModel::cray_t3e(ranks);
-  const LuTaskGraph graph(*f.layout);
-  const sched::Schedule1D schedule =
-      kind == Schedule1DKind::kComputeAhead
-          ? sched::compute_ahead_schedule(graph, ranks)
-          : sched::graph_schedule(graph, m);
-  return build_1d_program(graph, schedule, m, nullptr);
+  return build_1d_program(*f.layout, sim::MachineModel::cray_t3e(ranks), kind);
 }
 
 sim::ParallelProgram build_2d(const Fixture& f, int ranks, bool async) {
   const sim::MachineModel m = sim::MachineModel::cray_t3e(ranks);
-  return build_2d_program(*f.layout, m, async, nullptr);
+  return build_2d_program(*f.layout, m, async);
 }
 
 sim::ParallelProgram build_2d_shape(const Fixture& f, sim::Grid grid,
                                     bool async) {
   const sim::MachineModel m =
       sim::MachineModel::cray_t3e(grid.size()).with_grid(grid);
-  return build_2d_program(*f.layout, m, async, nullptr);
+  return build_2d_program(*f.layout, m, async);
 }
 
 // All four variants at one rank count, labelled for diagnostics.
@@ -372,8 +365,8 @@ TEST(CommAudit, ForwardAfterReleaseNamesRankTaskPanel) {
 
   sim::TaskId last = -1;
   for (const sim::TaskId t : prog.proc_order(rank))
-    for (const sim::KernelCall& kc : prog.task(t).kernels)
-      if (kc.kind == sim::KernelCall::Kind::kUpdate && kc.k == panel) last = t;
+    for (const LuTask& kc : prog.task(t).kernels)
+      if (kc.type == LuTask::Type::kUpdate && kc.k == panel) last = t;
   ASSERT_GE(last, 0);
 
   auto& pre = prog.mutable_task(first).pre_comms;

@@ -69,13 +69,13 @@ TEST_P(SuiteIntegration, ParallelRunsMatchSequentialBitwise) {
     SStarNumeric num(*setup.layout);
     num.assemble(setup.permuted);
     if (mode == 0)
-      run_1d(*setup.layout, m.with_grid({1, 8}),
-             Schedule1DKind::kComputeAhead, &num);
+      run_1d_real(*setup.layout, m.with_grid({1, 8}),
+                  Schedule1DKind::kComputeAhead, num, 1);
     else if (mode == 1)
-      run_1d(*setup.layout, m.with_grid({1, 8}), Schedule1DKind::kGraph,
-             &num);
+      run_1d_real(*setup.layout, m.with_grid({1, 8}), Schedule1DKind::kGraph,
+                  num, 1);
     else
-      run_2d(*setup.layout, m, /*async=*/true, &num);
+      run_2d_real(*setup.layout, m, /*async=*/true, num, 1);
     const auto got = num.solve(b);
     for (int i = 0; i < a.rows(); ++i)
       ASSERT_EQ(got[i], want[i]) << GetParam() << " mode " << mode;

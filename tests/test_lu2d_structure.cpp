@@ -30,7 +30,7 @@ TEST(Lu2dStructure, TaskCountFollowsFormula) {
   const auto f = Fixture::make(80, 1);
   const int nb = f.layout->num_blocks();
   const auto m = sim::MachineModel::cray_t3e(8);  // 2 x 4 grid
-  const auto prog = build_2d_program(*f.layout, m, true, nullptr);
+  const auto prog = build_2d_program(*f.layout, m, true);
   // Per step k < nb-1: SX + SW + UF + UR on every proc (4 * P) plus the
   // next step's factor tasks (2 * p_r + 1). Step 0 adds its own factor
   // tasks.
@@ -45,8 +45,8 @@ TEST(Lu2dStructure, TaskCountFollowsFormula) {
 TEST(Lu2dStructure, SyncAddsOneBarrierPerStep) {
   const auto f = Fixture::make(60, 2);
   const auto m = sim::MachineModel::cray_t3e(8);
-  const auto async_prog = build_2d_program(*f.layout, m, true, nullptr);
-  const auto sync_prog = build_2d_program(*f.layout, m, false, nullptr);
+  const auto async_prog = build_2d_program(*f.layout, m, true);
+  const auto sync_prog = build_2d_program(*f.layout, m, false);
   const int nb = f.layout->num_blocks();
   EXPECT_EQ(sync_prog.num_tasks(),
             async_prog.num_tasks() + static_cast<std::size_t>(nb - 1));
@@ -67,7 +67,7 @@ TEST(Lu2dStructure, PathologicalGridsStillCorrect) {
         sim::MachineModel::cray_t3e(g.size()).with_grid(g);
     SStarNumeric num(*f.layout);
     num.assemble(f.a);
-    const auto res = run_2d(*f.layout, m, true, &num);
+    const auto res = run_2d_real(*f.layout, m, true, num, 1);
     EXPECT_GT(res.seconds, 0.0);
     const auto got = num.solve(b);
     for (int i = 0; i < 70; ++i)

@@ -140,8 +140,8 @@ TEST(MachineTopology, FlatParitySimulatedScheduleBitwise) {
   for (const bool async : {true, false}) {
     const auto flat = sim::MachineModel::cray_t3e(8);
     const auto hier = uniform_hier(flat);
-    auto prog_flat = build_2d_program(*f.layout, flat, async, nullptr);
-    auto prog_hier = build_2d_program(*f.layout, hier, async, nullptr);
+    auto prog_flat = build_2d_program(*f.layout, flat, async);
+    auto prog_hier = build_2d_program(*f.layout, hier, async);
     const auto res_flat = sim::simulate(prog_flat, flat);
     const auto res_hier = sim::simulate(prog_hier, hier);
     ASSERT_EQ(res_flat.start.size(), res_hier.start.size());
@@ -159,8 +159,8 @@ TEST(MachineTopology, TopologyAwareMappingBeatsRoundRobinSimulated) {
       sim::MachineModel::hier_cluster(16).with_grid(sim::Grid{8, 2});
   const auto aware = base.with_mapping(sim::GridMapping::kTopologyAware);
   const auto rr = base.with_mapping(sim::GridMapping::kRoundRobin);
-  auto prog_aware = build_2d_program(*f.layout, aware, true, nullptr);
-  auto prog_rr = build_2d_program(*f.layout, rr, true, nullptr);
+  auto prog_aware = build_2d_program(*f.layout, aware, true);
+  auto prog_rr = build_2d_program(*f.layout, rr, true);
   const double t_aware = sim::simulate(prog_aware, aware).makespan;
   const double t_rr = sim::simulate(prog_rr, rr).makespan;
   EXPECT_LT(t_aware, t_rr);

@@ -71,13 +71,8 @@ const Variant kVariants[] = {
 sim::ParallelProgram build_variant(const BlockLayout& lay,
                                    const sim::MachineModel& m,
                                    const Variant& v) {
-  if (v.two_d) return build_2d_program(lay, m, v.async_2d, nullptr);
-  const LuTaskGraph graph(lay);
-  const sched::Schedule1D sched =
-      v.kind_1d == Schedule1DKind::kComputeAhead
-          ? sched::compute_ahead_schedule(graph, m.processors)
-          : sched::graph_schedule(graph, m);
-  return build_1d_program(graph, sched, m, nullptr);
+  return v.two_d ? build_2d_program(lay, m, v.async_2d)
+                 : build_1d_program(lay, m, v.kind_1d);
 }
 
 // (1) Rank-count / program-variant matrix: footprint invariants plus
@@ -206,7 +201,7 @@ TEST(MpMemory, ForcedEarlyReleaseFailsLoudly) {
   const sim::MachineModel m = sim::MachineModel::cray_t3e(4);
   const LuTaskGraph graph(*f.layout);
   const sim::ParallelProgram prog =
-      build_1d_program(graph, sched::graph_schedule(graph, m), m, nullptr);
+      build_1d_program(graph, sched::graph_schedule(graph, m), m);
 
   // Find a (panel, rank) with >= 2 consuming tasks so releasing after
   // one starves a later consumer.

@@ -17,11 +17,9 @@
 
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
-#include "core/task_graph.hpp"
 #include "exec/lu_mp.hpp"
 #include "exec/lu_real.hpp"
 #include "ordering/transversal.hpp"
-#include "sched/list_schedule.hpp"
 #include "supernode/partition.hpp"
 #include "symbolic/static_symbolic.hpp"
 #include "test_helpers.hpp"
@@ -70,13 +68,8 @@ constexpr Variant kVariants[] = {
 
 sim::ParallelProgram build_variant(const Variant& v, const BlockLayout& lay,
                                    const sim::MachineModel& m) {
-  if (v.two_d) return build_2d_program(lay, m, v.async, nullptr);
-  const LuTaskGraph graph(lay);
-  const sched::Schedule1D s =
-      v.kind == Schedule1DKind::kComputeAhead
-          ? sched::compute_ahead_schedule(graph, m.processors)
-          : sched::graph_schedule(graph, m);
-  return build_1d_program(graph, s, m, nullptr);
+  return v.two_d ? build_2d_program(lay, m, v.async)
+                 : build_1d_program(lay, m, v.kind);
 }
 
 #if defined(__linux__)
@@ -154,7 +147,7 @@ TEST(MpTransportMatrix, TracedProcRunPassesValidatorUnderHierarchicalModel) {
   const sim::MachineModel m = sim::MachineModel::hier_cluster(4);
   ASSERT_TRUE(m.hierarchical());
   const sim::ParallelProgram prog =
-      build_2d_program(*f.layout, m, /*async=*/true, nullptr);
+      build_2d_program(*f.layout, m, /*async=*/true);
 
   trace::TraceCollector collector;
   collector.install();
@@ -176,7 +169,9 @@ TEST(MpTransportMatrix, TracedProcRunPassesValidatorUnderHierarchicalModel) {
     for (std::size_t i = 0; i < evs.size(); ++i) {
       EXPECT_GE(evs[i]->t0, 0.0);
       EXPECT_GE(evs[i]->t1, evs[i]->t0);
-      if (i > 0) EXPECT_GE(evs[i]->t0, evs[i - 1]->t1);
+      if (i > 0) {
+        EXPECT_GE(evs[i]->t0, evs[i - 1]->t1);
+      }
     }
   }
 

@@ -106,19 +106,19 @@ TEST_P(ParallelDrivers, NumericsIdenticalToSequential) {
   auto m = sim::MachineModel::cray_t3e(cfg.procs);
   SStarNumeric num(*f.layout);
   num.assemble(f.a);
-  ParallelRunResult res;
+  exec::ExecStats res;
   switch (cfg.kind) {
     case 0:
-      res = run_1d(*f.layout, m, Schedule1DKind::kComputeAhead, &num);
+      res = run_1d_real(*f.layout, m, Schedule1DKind::kComputeAhead, num, 1);
       break;
     case 1:
-      res = run_1d(*f.layout, m, Schedule1DKind::kGraph, &num);
+      res = run_1d_real(*f.layout, m, Schedule1DKind::kGraph, num, 1);
       break;
     case 2:
-      res = run_2d(*f.layout, m, /*async=*/true, &num);
+      res = run_2d_real(*f.layout, m, /*async=*/true, num, 1);
       break;
     default:
-      res = run_2d(*f.layout, m, /*async=*/false, &num);
+      res = run_2d_real(*f.layout, m, /*async=*/false, num, 1);
       break;
   }
   EXPECT_GT(res.seconds, 0.0);
@@ -179,9 +179,7 @@ TEST(Parallel2D, Theorem2OverlapBounds) {
   const auto f = Fixture::make(200, 5, 29, 8, 4);
   for (const int p : {8, 16, 32}) {
     const auto m = sim::MachineModel::cray_t3e(p);
-    SStarNumeric num(*f.layout);
-    num.assemble(f.a);
-    const auto res = run_2d(*f.layout, m, true, &num);
+    const auto res = run_2d(*f.layout, m, true);
     EXPECT_LE(res.overlap_all, m.grid.cols + 1)
         << "p=" << p << " grid " << m.grid.rows << "x" << m.grid.cols;
     EXPECT_LE(res.overlap_column,
@@ -235,7 +233,7 @@ TEST(Parallel, CommVolumeGrowsWithProcs) {
 TEST(Parallel, GanttCaptured) {
   const auto f = Fixture::make(40, 3, 53, 6, 0);
   const auto m = sim::MachineModel::cray_t3e(4);
-  const auto res = run_1d(*f.layout, m, Schedule1DKind::kGraph, nullptr,
+  const auto res = run_1d(*f.layout, m, Schedule1DKind::kGraph,
                           /*capture_gantt=*/true);
   EXPECT_NE(res.gantt.find("P0"), std::string::npos);
   EXPECT_NE(res.gantt.find("P3"), std::string::npos);

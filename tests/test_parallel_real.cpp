@@ -17,6 +17,7 @@
 #include "symbolic/static_symbolic.hpp"
 #include "test_helpers.hpp"
 #include "trace/trace.hpp"
+#include "trace/validate.hpp"
 
 namespace sstar {
 namespace {
@@ -173,6 +174,68 @@ TEST(LuRealExec, TracingOnBitwiseIdentical) {
   }
   EXPECT_EQ(factor_spans, f.layout->num_blocks());
   EXPECT_GT(tr.events.size(), 0u);
+}
+
+// One built program serves every consumer without a rebuild: the
+// simulator prices it, the thread executor runs its kernels at 1 and 4
+// threads, the message-passing ranks run them too (all bitwise equal to
+// factorize()), and the validator accepts a traced thread run of it.
+void expect_one_program_every_consumer(const Fixture& f,
+                                       const sim::ParallelProgram& prog,
+                                       const sim::MachineModel& m) {
+  const auto ref = f.sequential();
+  EXPECT_GT(sim::simulate(prog, m).makespan, 0.0);
+  for (const int threads : {1, 4}) {
+    SStarNumeric num(*f.layout);
+    num.assemble(f.a);
+    const exec::ExecStats st = exec::execute_program(prog, num, threads);
+    EXPECT_GT(st.tasks_run, 0);
+    EXPECT_TRUE(exec::factors_bitwise_equal(*ref, num))
+        << threads << " thread(s)";
+  }
+  SStarNumeric mp(*f.layout);
+  exec::execute_program_mp(prog, f.a, mp);
+  EXPECT_TRUE(exec::factors_bitwise_equal(*ref, mp)) << "MP ranks";
+
+  SStarNumeric traced(*f.layout);
+  traced.assemble(f.a);
+  trace::TraceCollector collector;
+  collector.install();
+  exec::execute_program(prog, traced, 4);
+  collector.uninstall();
+  const trace::ValidationReport report =
+      trace::validate_trace(prog, *f.layout, m, collector.take());
+  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_EQ(report.measured_tasks, report.kernel_tasks);
+  EXPECT_TRUE(exec::factors_bitwise_equal(*ref, traced)) << "traced run";
+}
+
+TEST(LuRealExec, OneProgramEveryConsumer1dComputeAhead) {
+  const auto f = Fixture::make(110, 4, 67, 8, 4);
+  const auto m = sim::MachineModel::cray_t3e(4);
+  expect_one_program_every_consumer(
+      f, build_1d_program(*f.layout, m, Schedule1DKind::kComputeAhead), m);
+}
+
+TEST(LuRealExec, OneProgramEveryConsumer1dGraph) {
+  const auto f = Fixture::make(110, 4, 71, 8, 4);
+  const auto m = sim::MachineModel::cray_t3e(4);
+  expect_one_program_every_consumer(
+      f, build_1d_program(*f.layout, m, Schedule1DKind::kGraph), m);
+}
+
+TEST(LuRealExec, OneProgramEveryConsumer2dAsync) {
+  const auto f = Fixture::make(110, 4, 73, 8, 4);
+  const auto m = sim::MachineModel::cray_t3e(8);
+  expect_one_program_every_consumer(
+      f, build_2d_program(*f.layout, m, /*async=*/true), m);
+}
+
+TEST(LuRealExec, OneProgramEveryConsumer2dSync) {
+  const auto f = Fixture::make(110, 4, 79, 8, 4);
+  const auto m = sim::MachineModel::cray_t3e(8);
+  expect_one_program_every_consumer(
+      f, build_2d_program(*f.layout, m, /*async=*/false), m);
 }
 
 TEST(LuRealExec, FactorsBitwiseEqualDetectsDifferences) {

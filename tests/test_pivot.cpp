@@ -468,7 +468,7 @@ TEST(PivotAudit, CommAuditCoversThresholdPivotedPrograms) {
   const sched::Schedule1D sched =
       sched::compute_ahead_schedule(graph, m.processors);
   const sim::ParallelProgram prog =
-      build_1d_program(graph, sched, m, nullptr);
+      build_1d_program(graph, sched, m);
 
   // Static audits: both hold for the program regardless of the policy
   // its kernels will run under.

@@ -75,10 +75,10 @@ TEST(PivotSim, WorstCaseCountsReproduceTheHistoricProgram) {
   const sim::MachineModel m = machine_4x2();
 
   const sim::ParallelProgram historic =
-      build_2d_program(*f.layout, m, /*async=*/true, nullptr);
+      build_2d_program(*f.layout, m, /*async=*/true);
   const std::vector<int> full = width_counts(*f.layout);
   const sim::ParallelProgram charged =
-      build_2d_program(*f.layout, m, /*async=*/true, nullptr, &full);
+      build_2d_program(*f.layout, m, /*async=*/true, &full);
 
   ASSERT_EQ(historic.num_tasks(), charged.num_tasks());
   for (std::size_t t = 0; t < historic.num_tasks(); ++t) {
@@ -102,9 +102,9 @@ TEST(PivotSim, InterchangeFreeCountsShortenTheSimulatedSchedule) {
   const std::vector<int> none(
       static_cast<std::size_t>(f.layout->num_blocks()), 0);
   const sim::ParallelProgram worst =
-      build_2d_program(*f.layout, m, /*async=*/true, nullptr);
+      build_2d_program(*f.layout, m, /*async=*/true);
   const sim::ParallelProgram free =
-      build_2d_program(*f.layout, m, /*async=*/true, nullptr, &none);
+      build_2d_program(*f.layout, m, /*async=*/true, &none);
 
   const sim::SimulationResult rw = simulate(worst, m);
   const sim::SimulationResult rf = simulate(free, m);
@@ -120,13 +120,13 @@ TEST(PivotSim, CountsOutOfRangeAreRejected) {
 
   std::vector<int> bad(static_cast<std::size_t>(f.layout->num_blocks()), 0);
   bad.front() = f.layout->width(0) + 1;
-  EXPECT_THROW(build_2d_program(*f.layout, m, true, nullptr, &bad),
+  EXPECT_THROW(build_2d_program(*f.layout, m, true, &bad),
                CheckError);
   bad.front() = -1;
-  EXPECT_THROW(build_2d_program(*f.layout, m, true, nullptr, &bad),
+  EXPECT_THROW(build_2d_program(*f.layout, m, true, &bad),
                CheckError);
   bad.pop_back();
-  EXPECT_THROW(build_2d_program(*f.layout, m, true, nullptr, &bad),
+  EXPECT_THROW(build_2d_program(*f.layout, m, true, &bad),
                CheckError);
 }
 
@@ -157,7 +157,7 @@ TEST(PivotSim, SimulatedTraceCarriesTheScheduleToTheTraceLayer) {
   const sim::MachineModel m = machine_4x2();
 
   const sim::ParallelProgram prog =
-      build_2d_program(*f.layout, m, /*async=*/true, nullptr);
+      build_2d_program(*f.layout, m, /*async=*/true);
   const sim::SimulationResult res = simulate(prog, m);
   const trace::Trace tr = analysis::simulated_trace(prog, res);
 

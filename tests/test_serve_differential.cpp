@@ -4,8 +4,7 @@
 // matrix suite x block sizes x RHS widths {1, 3, 8, 32} x session
 // thread counts {1, 2, 4, 8} (override with SSTAR_SERVE_THREADS). The
 // randomized fixtures re-roll under SSTAR_TEST_SEED like the rest of
-// the suite. Also pins run_solve_1d's upgraded claim (bitwise at every
-// processor count) and the refine/condest multi-RHS entry points
+// the suite. Also pins the refine/condest multi-RHS entry points
 // against their single-RHS paths.
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/solve_1d.hpp"
 #include "serve/factorization.hpp"
 #include "serve/session.hpp"
 #include "solve/condest.hpp"
@@ -147,28 +145,6 @@ TEST(ServeDifferential, EmptyPanelIsANoop) {
   const auto x = session.solve_multi({}, 0);
   EXPECT_TRUE(x.empty());
   EXPECT_EQ(session.stats().sweeps, 0);
-}
-
-TEST(ServeDifferential, Solve1dBitwiseAtEveryProcessorCount) {
-  // The solve DAG rewiring upgrades run_solve_1d's claim from
-  // to-rounding to bitwise at ANY processor count: the writer chains
-  // serialize every conflicting pair in sequential order.
-  const SparseMatrix a0 = testing::random_sparse(150, 4, 500, 0.3);
-  Solver solver(a0);
-  solver.factorize();
-  const auto& num = solver.numeric();
-  const int n = 150;
-  const auto b0 = testing::random_vector(n, 501);
-  // Feed the PERMUTED-space vector through both paths.
-  std::vector<double> c(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) c[i] = b0[solver.setup().row_perm[i]];
-  const auto want = num.solve(c);
-  for (const int p : {1, 2, 4, 8}) {
-    auto b = c;
-    const auto m = sim::MachineModel::cray_t3e(p).with_grid({1, p});
-    run_solve_1d(num, m, &b);
-    expect_bits_equal(b, want, "run_solve_1d");
-  }
 }
 
 TEST(RefineMulti, ColumnsBitwiseEqualSingleRhsPath) {

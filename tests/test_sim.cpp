@@ -47,8 +47,8 @@ TEST(Machine, CrayPresetsMatchPaperConstants) {
 
 TEST(EventSim, SerialChainOnOneProc) {
   ParallelProgram prog(1);
-  const auto a = prog.add_task({0, 2.0, "a", 0, 0, nullptr});
-  const auto b = prog.add_task({0, 3.0, "b", 0, 0, nullptr});
+  const auto a = prog.add_task({0, 2.0, "a", 0, 0});
+  const auto b = prog.add_task({0, 3.0, "b", 0, 0});
   (void)a;
   (void)b;
   const auto res = simulate(prog, unit_machine(1));
@@ -59,8 +59,8 @@ TEST(EventSim, SerialChainOnOneProc) {
 
 TEST(EventSim, MessageDelaysConsumer) {
   ParallelProgram prog(2);
-  const auto a = prog.add_task({0, 1.0, "a", 0, 0, nullptr});
-  const auto b = prog.add_task({1, 1.0, "b", 0, 0, nullptr});
+  const auto a = prog.add_task({0, 1.0, "a", 0, 0});
+  const auto b = prog.add_task({1, 1.0, "b", 0, 0});
   prog.add_message(a, b, 4.0);  // 0.5 + 4/2 = 2.5 s transfer
   const auto res = simulate(prog, unit_machine(2));
   EXPECT_DOUBLE_EQ(res.start[b], 3.5);
@@ -71,8 +71,8 @@ TEST(EventSim, MessageDelaysConsumer) {
 
 TEST(EventSim, PureDependencyCostsNothing) {
   ParallelProgram prog(2);
-  const auto a = prog.add_task({0, 1.0, "a", 0, 0, nullptr});
-  const auto b = prog.add_task({1, 1.0, "b", 0, 0, nullptr});
+  const auto a = prog.add_task({0, 1.0, "a", 0, 0});
+  const auto b = prog.add_task({1, 1.0, "b", 0, 0});
   prog.add_dependency(a, b);
   const auto res = simulate(prog, unit_machine(2));
   EXPECT_DOUBLE_EQ(res.start[b], 1.0);
@@ -81,30 +81,18 @@ TEST(EventSim, PureDependencyCostsNothing) {
 
 TEST(EventSim, SameProcMessageIsOrderingOnly) {
   ParallelProgram prog(1);
-  const auto a = prog.add_task({0, 1.0, "a", 0, 0, nullptr});
-  const auto b = prog.add_task({0, 1.0, "b", 0, 0, nullptr});
+  const auto a = prog.add_task({0, 1.0, "a", 0, 0});
+  const auto b = prog.add_task({0, 1.0, "b", 0, 0});
   prog.add_message(a, b, 1e9);
   const auto res = simulate(prog, unit_machine(1));
   EXPECT_DOUBLE_EQ(res.makespan, 2.0);
   EXPECT_EQ(res.message_count, 0);
 }
 
-TEST(EventSim, NumericClosuresRunInDependencyOrder) {
-  ParallelProgram prog(2);
-  std::vector<int> log;
-  const auto a = prog.add_task({0, 1.0, "a", 0, 0, [&] { log.push_back(0); }});
-  const auto b = prog.add_task({1, 1.0, "b", 0, 0, [&] { log.push_back(1); }});
-  const auto c = prog.add_task({0, 1.0, "c", 0, 0, [&] { log.push_back(2); }});
-  prog.add_message(a, b, 1.0);
-  prog.add_dependency(b, c);
-  simulate(prog, unit_machine(2));
-  EXPECT_EQ(log, (std::vector<int>{0, 1, 2}));
-}
-
 TEST(EventSim, DeadlockDetected) {
   ParallelProgram prog(2);
-  const auto a = prog.add_task({0, 1.0, "a", 0, 0, nullptr});
-  const auto b = prog.add_task({1, 1.0, "b", 0, 0, nullptr});
+  const auto a = prog.add_task({0, 1.0, "a", 0, 0});
+  const auto b = prog.add_task({1, 1.0, "b", 0, 0});
   prog.add_dependency(a, b);
   prog.add_dependency(b, a);
   EXPECT_THROW(simulate(prog, unit_machine(2)), CheckError);
@@ -112,8 +100,8 @@ TEST(EventSim, DeadlockDetected) {
 
 TEST(EventSim, LoadBalanceReflectsSkew) {
   ParallelProgram prog(2);
-  prog.add_task({0, 3.0, "a", 0, 0, nullptr});
-  prog.add_task({1, 1.0, "b", 0, 0, nullptr});
+  prog.add_task({0, 3.0, "a", 0, 0});
+  prog.add_task({1, 1.0, "b", 0, 0});
   const auto res = simulate(prog, unit_machine(2));
   EXPECT_DOUBLE_EQ(res.load_balance(), 4.0 / (2.0 * 3.0));
 }
@@ -121,9 +109,9 @@ TEST(EventSim, LoadBalanceReflectsSkew) {
 TEST(EventSim, StageOverlapMeasured) {
   // Two procs run update tasks of stages 0 and 2 concurrently.
   ParallelProgram prog(2);
-  prog.add_task({0, 2.0, "u0", 0, 1, nullptr});
-  prog.add_task({1, 2.0, "u2", 2, 1, nullptr});
-  prog.add_task({1, 2.0, "u5", 5, 0, nullptr});  // different kind: excluded
+  prog.add_task({0, 2.0, "u0", 0, 1});
+  prog.add_task({1, 2.0, "u2", 2, 1});
+  prog.add_task({1, 2.0, "u5", 5, 0});  // different kind: excluded
   const auto res = simulate(prog, unit_machine(2));
   EXPECT_EQ(res.stage_overlap(prog, 1), 2);
   EXPECT_EQ(res.stage_overlap(prog, 0), 0);
@@ -133,9 +121,9 @@ TEST(EventSim, BufferHighWaterTracksResidency) {
   // A message arrives early but its consumer is blocked behind a long
   // local task: bytes sit in the buffer meanwhile.
   ParallelProgram prog(2);
-  const auto a = prog.add_task({0, 1.0, "a", 0, 0, nullptr});
-  const auto blocker = prog.add_task({1, 100.0, "w", 0, 0, nullptr});
-  const auto b = prog.add_task({1, 1.0, "b", 0, 0, nullptr});
+  const auto a = prog.add_task({0, 1.0, "a", 0, 0});
+  const auto blocker = prog.add_task({1, 100.0, "w", 0, 0});
+  const auto b = prog.add_task({1, 1.0, "b", 0, 0});
   (void)blocker;
   prog.add_message(a, b, 64.0);
   const auto res = simulate(prog, unit_machine(2));
@@ -144,8 +132,8 @@ TEST(EventSim, BufferHighWaterTracksResidency) {
 
 TEST(EventSim, GanttRendersAllProcs) {
   ParallelProgram prog(2);
-  prog.add_task({0, 1.0, "a", 0, 0, nullptr});
-  prog.add_task({1, 2.0, "b", 0, 0, nullptr});
+  prog.add_task({0, 1.0, "a", 0, 0});
+  prog.add_task({1, 2.0, "b", 0, 0});
   const auto res = simulate(prog, unit_machine(2));
   const std::string g = res.gantt(prog, 40);
   EXPECT_NE(g.find("P0"), std::string::npos);

@@ -6,7 +6,6 @@
 #include "supernode/partition.hpp"
 #include "symbolic/static_symbolic.hpp"
 #include "test_helpers.hpp"
-#include "util/check.hpp"
 
 namespace sstar {
 namespace {
@@ -30,38 +29,6 @@ struct Fixture {
     return f;
   }
 };
-
-TEST(Solve1d, MatchesSequentialSolveToRounding) {
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    const auto f = Fixture::make(100, 9000 + seed, /*weak=*/0.3);
-    const auto b0 = testing::random_vector(100, seed);
-    const auto want = f.num->solve(b0);
-    for (const int p : {1, 2, 4, 8}) {
-      auto b = b0;
-      const auto m = sim::MachineModel::cray_t3e(p).with_grid({1, p});
-      const auto res = run_solve_1d(*f.num, m, &b);
-      EXPECT_GT(res.seconds, 0.0);
-      // The solve DAG orders every conflicting access as the sequential
-      // sweep does, so agreement is bitwise, not just to rounding.
-      for (int i = 0; i < 100; ++i)
-        ASSERT_EQ(b[i], want[i])
-            << "p=" << p << " seed=" << seed << " i=" << i;
-    }
-  }
-}
-
-TEST(Solve1d, SingleProcMatchesBitwise) {
-  // One processor, id-ordered execution == sequential order.
-  const auto f = Fixture::make(80, 77);
-  const auto b0 = testing::random_vector(80, 3);
-  const auto want = f.num->solve(b0);
-  auto b = b0;
-  run_solve_1d(*f.num, sim::MachineModel::cray_t3e(1), &b);
-  for (int i = 0; i < 80; ++i) ASSERT_EQ(b[i], want[i]);
-  std::vector<double> short_b(79, 1.0);
-  EXPECT_THROW(run_solve_1d(*f.num, sim::MachineModel::cray_t3e(1), &short_b),
-               CheckError);
-}
 
 TEST(Solve1d, TimingOnlyModeLeavesNoSideEffects) {
   const auto f = Fixture::make(60, 5);

@@ -107,7 +107,34 @@ TEST(Solver, OverflowingPivotFailsNamingItsColumn) {
   } catch (const CheckError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("non-finite pivot"), std::string::npos) << what;
-    EXPECT_NE(what.find("at column 1"), std::string::npos) << what;
+    // col_perm is [1 0]: the failing permuted column 1 is A's column 0.
+    EXPECT_NE(what.find("at column 0"), std::string::npos) << what;
+  }
+}
+
+TEST(Solver, SingularPivotNamesTheCallersColumn) {
+  // Columns 0 and 3 are equal, so the matrix is singular; the rest is
+  // regular. The ordering permutes A's column 0 to position 5, where
+  // factorization stops: the error must name column 0, not 5, after a
+  // refactorize as well.
+  const auto a = SparseMatrix::from_triplets(
+      6, 6, {{0, 0, 1.0}, {3, 0, 1.0}, {0, 3, 1.0}, {3, 3, 1.0},
+             {1, 1, 2.0}, {2, 2, 2.0}, {4, 4, 2.0}, {5, 5, 2.0},
+             {1, 5, 1.0}, {5, 1, 1.0}, {2, 4, 1.0}, {4, 2, 1.0}});
+  Solver solver(a);
+  ASSERT_EQ(solver.setup().col_perm, (std::vector<int>{5, 1, 4, 2, 3, 0}));
+  for (const bool refactor : {false, true}) {
+    try {
+      if (refactor)
+        solver.refactorize(PivotPolicy{});
+      else
+        solver.factorize();
+      FAIL() << "singular matrix factorized";
+    } catch (const PivotError& e) {
+      EXPECT_EQ(e.column(), 0);
+      EXPECT_EQ(std::string(e.what()),
+                "matrix is numerically singular at column 0");
+    }
   }
 }
 

@@ -55,12 +55,12 @@ TEST_P(PipelineTorture, FactorsSolvesAndParallelAgrees) {
   const auto x1 = solver.solve(b);
   for (int i = 0; i < c.n; ++i) EXPECT_EQ(x2[i], x1[i]);
 
-  // One simulated parallel run must reproduce the sequential factors
-  // bit-for-bit.
+  // One run of the 2D program's kernels must reproduce the sequential
+  // factors bit-for-bit.
   SStarNumeric num(*solver.setup().layout);
   num.assemble(solver.setup().permuted);
   const auto m = sim::MachineModel::cray_t3e(8);
-  run_2d(*solver.setup().layout, m, true, &num);
+  run_2d_real(*solver.setup().layout, m, true, num, 1);
   std::vector<double> bp(static_cast<std::size_t>(c.n));
   for (int i = 0; i < c.n; ++i)
     bp[i] = 0.5 + 0.01 * static_cast<double>(i % 31);

@@ -24,7 +24,6 @@
 #include "exec/lu_mp.hpp"
 #include "exec/lu_real.hpp"
 #include "ordering/transversal.hpp"
-#include "sched/list_schedule.hpp"
 #include "supernode/partition.hpp"
 #include "symbolic/static_symbolic.hpp"
 #include "test_helpers.hpp"
@@ -308,13 +307,8 @@ struct Variant {
 
 sim::ParallelProgram build_variant(const Variant& v, const BlockLayout& lay,
                                    const sim::MachineModel& m) {
-  if (v.two_d) return build_2d_program(lay, m, v.async, nullptr);
-  const LuTaskGraph graph(lay);
-  const sched::Schedule1D s =
-      v.kind == Schedule1DKind::kComputeAhead
-          ? sched::compute_ahead_schedule(graph, m.processors)
-          : sched::graph_schedule(graph, m);
-  return build_1d_program(graph, s, m, nullptr);
+  return v.two_d ? build_2d_program(lay, m, v.async)
+                 : build_1d_program(lay, m, v.kind);
 }
 
 void check_invariants(const Variant& v, int ranks, const Fixture& f,
@@ -364,8 +358,8 @@ void check_invariants(const Variant& v, int ranks, const Fixture& f,
   std::set<int> expected_tasks;
   for (int t = 0; t < static_cast<int>(prog.num_tasks()); ++t) {
     int nf = 0, nu = 0;
-    for (const sim::KernelCall& kc : prog.task(t).kernels)
-      (kc.kind == sim::KernelCall::Kind::kFactor ? nf : nu) += 1;
+    for (const LuTask& kc : prog.task(t).kernels)
+      (kc.type == LuTask::Type::kFactor ? nf : nu) += 1;
     if (nf + nu == 0) continue;
     expected_tasks.insert(t);
     EXPECT_EQ(spans_by_task[t][trace::EventKind::kFactor], nf) << "task " << t;
@@ -413,18 +407,6 @@ TEST(TraceInvariants, AllVariantsAllRankCounts) {
 // ----------------------------------------------------------------------
 // Predicted-vs-measured validator.
 
-TEST(TraceValidate, RejectsProgramWithClosures) {
-  const Fixture f = Fixture::make(60, 4, 7);
-  SStarNumeric num(*f.layout);
-  num.assemble(f.a);
-  const LuTaskGraph graph(*f.layout);
-  const sim::MachineModel m = sim::MachineModel::cray_t3e(2);
-  const sim::ParallelProgram prog = build_1d_program(
-      graph, sched::compute_ahead_schedule(graph, 2), m, &num);
-  EXPECT_THROW(trace::validate_trace(prog, *f.layout, m, trace::Trace{}),
-               CheckError);
-}
-
 TEST(TraceValidate, FlagsConflictingAndBenignReorderings) {
   const Fixture f = Fixture::make(60, 4, 7);
   ASSERT_GE(f.layout->num_blocks(), 2);
@@ -448,15 +430,15 @@ TEST(TraceValidate, FlagsConflictingAndBenignReorderings) {
   d.proc = 0;
   d.seconds = 1e-6;
   d.label = "F(k)";
-  d.kernels = {{sim::KernelCall::Kind::kFactor, kc, kc}};
+  d.kernels = {{LuTask::Type::kFactor, kc, kc}};
   const sim::TaskId t_f0 = prog.add_task(d);
   d.proc = 1;
   d.label = "U(k,j)";
-  d.kernels = {{sim::KernelCall::Kind::kUpdate, kc, jc}};
+  d.kernels = {{LuTask::Type::kUpdate, kc, jc}};
   const sim::TaskId t_u01 = prog.add_task(d);
   d.proc = 1;
   d.label = "F(j)";
-  d.kernels = {{sim::KernelCall::Kind::kFactor, jc, jc}};
+  d.kernels = {{LuTask::Type::kFactor, jc, jc}};
   const sim::TaskId t_f1 = prog.add_task(d);
   prog.add_message(t_f0, t_u01, 100.0);
 
@@ -505,11 +487,11 @@ TEST(TraceValidate, FlagsConflictingAndBenignReorderings) {
   sim::ParallelProgram prog2(2);
   d.proc = 0;
   d.label = "F(0)";
-  d.kernels = {{sim::KernelCall::Kind::kFactor, 0, 0}};
+  d.kernels = {{LuTask::Type::kFactor, 0, 0}};
   const sim::TaskId p2_f0 = prog2.add_task(d);
   d.proc = 1;
   d.label = "F(1)";
-  d.kernels = {{sim::KernelCall::Kind::kFactor, 1, 1}};
+  d.kernels = {{LuTask::Type::kFactor, 1, 1}};
   const sim::TaskId p2_f1 = prog2.add_task(d);
   prog2.add_dependency(p2_f0, p2_f1);
 
@@ -534,7 +516,7 @@ TEST(TraceValidate, TaskIdOutOfRangeThrows) {
   sim::TaskDef d;
   d.label = "F(0)";
   d.seconds = 1e-6;
-  d.kernels = {{sim::KernelCall::Kind::kFactor, 0, 0}};
+  d.kernels = {{LuTask::Type::kFactor, 0, 0}};
   prog.add_task(d);
   trace::Trace tr;
   trace::TraceEvent e = make_event(trace::EventKind::kFactor, 0.0, 1.0, 0, 0);

@@ -129,7 +129,9 @@ TEST(TransportFault, WatchdogTimeoutPinnedOnBothTransports) {
         << what;
     EXPECT_NE(what.find("rank 1: running"), std::string::npos) << what;
   }
-  if (whats.size() == 2) EXPECT_EQ(whats[0], whats[1]);
+  if (whats.size() == 2) {
+    EXPECT_EQ(whats[0], whats[1]);
+  }
 }
 
 #if defined(__linux__)
@@ -137,8 +139,7 @@ TEST(TransportFault, WatchdogTimeoutPinnedOnBothTransports) {
 sim::ParallelProgram program_1d(const Fixture& f, int ranks) {
   const sim::MachineModel m = sim::MachineModel::cray_t3e(ranks);
   const LuTaskGraph graph(*f.layout);
-  return build_1d_program(graph, sched::graph_schedule(graph, m), m,
-                          nullptr);
+  return build_1d_program(graph, sched::graph_schedule(graph, m), m);
 }
 
 // A rank PROCESS that dies mid-run (here: _exit injected through the

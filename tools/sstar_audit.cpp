@@ -48,7 +48,6 @@
 #include "matrix/hb_io.hpp"
 #include "matrix/io.hpp"
 #include "matrix/suite.hpp"
-#include "sched/list_schedule.hpp"
 #include "sim/comm_plan.hpp"
 #include "solve/solver.hpp"
 #include "util/check.hpp"
@@ -114,20 +113,15 @@ int self_test(const BlockLayout& layout, int drop_edge,
 
 // The four SPMD program variants (comm plans attached by the builders),
 // labelled for output.
-std::vector<std::pair<std::string, sim::ParallelProgram>> comm_variants(
+std::vector<std::pair<std::string, sim::ParallelProgram>> program_variants(
     const BlockLayout& layout, const sim::MachineModel& m) {
-  const LuTaskGraph graph(layout);
   std::vector<std::pair<std::string, sim::ParallelProgram>> out;
-  out.emplace_back(
-      "1D compute-ahead",
-      build_1d_program(graph,
-                       sched::compute_ahead_schedule(graph, m.processors), m,
-                       nullptr));
+  out.emplace_back("1D compute-ahead",
+                   build_1d_program(layout, m, Schedule1DKind::kComputeAhead));
   out.emplace_back("1D graph-scheduled",
-                   build_1d_program(graph, sched::graph_schedule(graph, m), m,
-                                    nullptr));
-  out.emplace_back("2D async", build_2d_program(layout, m, true, nullptr));
-  out.emplace_back("2D sync", build_2d_program(layout, m, false, nullptr));
+                   build_1d_program(layout, m, Schedule1DKind::kGraph));
+  out.emplace_back("2D async", build_2d_program(layout, m, true));
+  out.emplace_back("2D sync", build_2d_program(layout, m, false));
   return out;
 }
 
@@ -153,7 +147,7 @@ void print_comm_report(const std::string& what,
 int comm_audit(const BlockLayout& layout, int procs, bool verbose) {
   int failures = 0;
   const sim::MachineModel m = sim::MachineModel::cray_t3e(procs);
-  for (const auto& [name, prog] : comm_variants(layout, m)) {
+  for (const auto& [name, prog] : program_variants(layout, m)) {
     const analysis::CommAuditReport report =
         analysis::audit_comm_plan(prog, layout);
     print_comm_report(name + " comm plan", report, verbose);
@@ -167,7 +161,7 @@ int comm_audit(const BlockLayout& layout, int procs, bool verbose) {
       const sim::MachineModel md = m.with_grid(shape);
       for (const bool async : {true, false}) {
         const sim::ParallelProgram prog =
-            build_2d_program(layout, md, async, nullptr);
+            build_2d_program(layout, md, async);
         const analysis::CommAuditReport report =
             analysis::audit_comm_plan(prog, layout);
         print_comm_report("2D " + std::to_string(shape.rows) + "x" +
@@ -185,7 +179,7 @@ int comm_self_test(const BlockLayout& layout, int procs,
                    std::uint64_t seed) {
   const sim::MachineModel m = sim::MachineModel::cray_t3e(procs);
   int failures = 0;
-  for (const auto& [name, clean] : comm_variants(layout, m)) {
+  for (const auto& [name, clean] : program_variants(layout, m)) {
     // Each mutation gets a fresh copy of the clean program, which must
     // itself audit clean for the self-test to mean anything.
     if (!analysis::audit_comm_plan(clean, layout).ok()) {
@@ -376,30 +370,11 @@ int main(int argc, char** argv) {
     failures += static_report.ok() ? 0 : 1;
 
     if (programs) {
-      const sim::MachineModel m1 = sim::MachineModel::cray_t3e(procs);
-      for (const auto kind :
-           {Schedule1DKind::kComputeAhead, Schedule1DKind::kGraph}) {
-        const sched::Schedule1D schedule =
-            kind == Schedule1DKind::kComputeAhead
-                ? sched::compute_ahead_schedule(graph, m1.processors)
-                : sched::graph_schedule(graph, m1);
-        const sim::ParallelProgram prog =
-            build_1d_program(graph, schedule, m1, nullptr);
+      for (const auto& [name, prog] :
+           program_variants(layout, sim::MachineModel::cray_t3e(procs))) {
         const analysis::AuditReport report =
             analysis::audit_program(prog, layout);
-        print_report(kind == Schedule1DKind::kComputeAhead
-                         ? "1D compute-ahead program:"
-                         : "1D graph-scheduled program:",
-                     report, verbose);
-        failures += report.ok() ? 0 : 1;
-      }
-      for (const bool async : {true, false}) {
-        const sim::ParallelProgram prog =
-            build_2d_program(layout, m1, async, nullptr);
-        const analysis::AuditReport report =
-            analysis::audit_program(prog, layout);
-        print_report(async ? "2D async program:" : "2D sync program:",
-                     report, verbose);
+        print_report((name + " program:").c_str(), report, verbose);
         failures += report.ok() ? 0 : 1;
       }
     }

@@ -59,14 +59,12 @@
 #include "blas/kernel_backend.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
-#include "core/task_graph.hpp"
 #include "exec/lu_mp.hpp"
 #include "exec/lu_real.hpp"
 #include "matrix/generators.hpp"
 #include "matrix/hb_io.hpp"
 #include "matrix/io.hpp"
 #include "matrix/suite.hpp"
-#include "sched/list_schedule.hpp"
 #include "sim/machine_spec.hpp"
 #include "sim/memory_model.hpp"
 #include "solve/solver.hpp"
@@ -236,16 +234,13 @@ int main(int argc, char** argv) {
     }
     std::printf("machine: %s\n", sim::machine_json(m).c_str());
 
-    // Build the SPMD program (no closures: kernels are interpreted
-    // against per-rank replicas) — shared between execution and audit.
-    const sim::ParallelProgram prog = [&] {
-      if (mapping == "2d") return build_2d_program(layout, m, async, nullptr);
-      const LuTaskGraph graph(layout);
-      const sched::Schedule1D sched1d =
-          schedule == "ca" ? sched::compute_ahead_schedule(graph, ranks)
-                           : sched::graph_schedule(graph, m);
-      return build_1d_program(graph, sched1d, m, nullptr);
-    }();
+    // Build the SPMD program once — shared between execution and audit.
+    const sim::ParallelProgram prog =
+        mapping == "2d"
+            ? build_2d_program(layout, m, async)
+            : build_1d_program(layout, m,
+                               schedule == "ca" ? Schedule1DKind::kComputeAhead
+                                                : Schedule1DKind::kGraph);
     if (mapping == "2d")
       std::printf("program: 2D %s, %d ranks (%dx%d grid), %zu tasks\n",
                   async ? "async" : "sync", ranks, m.grid.rows, m.grid.cols,

@@ -14,11 +14,11 @@
 //     span flops vs the process-wide BLAS flop counters, summed send
 //     bytes/messages vs the transport's own traffic stats (exit 1 on
 //     any mismatch);
-//   * validates measured-vs-predicted by replaying the (closure-free)
-//     program through the discrete-event simulator: per-task time
-//     deltas, makespan ratio, and measured-order DAG violations
-//     cross-checked against declared block access sets (exit 1 if any
-//     violation survives);
+//   * validates measured-vs-predicted by simulating the very program the
+//     ranks executed (programs are pure data; the simulator only keeps
+//     time): per-task time deltas, makespan ratio, and measured-order
+//     DAG violations cross-checked against declared block access sets
+//     (exit 1 if any violation survives);
 //   * optionally writes Chrome trace_event JSON (--json=PATH, viewable
 //     in chrome://tracing / ui.perfetto.dev), prints an ASCII Gantt
 //     (--gantt), and the realized critical path (--critical-path).
@@ -41,12 +41,10 @@
 #include "blas/flops.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
-#include "core/task_graph.hpp"
 #include "exec/lu_mp.hpp"
 #include "exec/lu_real.hpp"
 #include "matrix/generators.hpp"
 #include "matrix/suite.hpp"
-#include "sched/list_schedule.hpp"
 #include "solve/solver.hpp"
 #include "trace/analyze.hpp"
 #include "trace/export.hpp"
@@ -175,14 +173,12 @@ int main(int argc, char** argv) {
                                  << " does not match --ranks=" << ranks);
       m = m.with_grid(shape);
     }
-    const sim::ParallelProgram prog = [&] {
-      if (mapping == "2d") return build_2d_program(layout, m, async, nullptr);
-      const LuTaskGraph graph(layout);
-      const sched::Schedule1D sched1d =
-          schedule == "ca" ? sched::compute_ahead_schedule(graph, ranks)
-                           : sched::graph_schedule(graph, m);
-      return build_1d_program(graph, sched1d, m, nullptr);
-    }();
+    const sim::ParallelProgram prog =
+        mapping == "2d"
+            ? build_2d_program(layout, m, async)
+            : build_1d_program(layout, m,
+                               schedule == "ca" ? Schedule1DKind::kComputeAhead
+                                                : Schedule1DKind::kGraph);
     std::printf("program: %s, %d ranks, %zu tasks\n\n", mapping.c_str(),
                 ranks, prog.num_tasks());
 
