@@ -17,9 +17,9 @@ Pattern pattern_of(const SparseMatrix& a) {
 
 Pattern ata_pattern(const SparseMatrix& a) {
   // Column j of AᵀA has a nonzero at row i iff columns i and j of A share
-  // a nonzero row. Build via: for each row r of A, all pairs of columns
-  // containing r are connected. We enumerate with a scatter buffer to
-  // avoid quadratic duplicate work on long columns.
+  // a nonzero row. One pass over the columns: gather the columns of every
+  // row r of column j once each (a mark array drops repeats, so long
+  // columns cost no quadratic duplicate work), sort, append.
   const SparseMatrix at = a.transpose();  // columns of at == rows of a
   const int n = a.cols();
 
@@ -30,9 +30,7 @@ Pattern ata_pattern(const SparseMatrix& a) {
 
   std::vector<int> mark(static_cast<std::size_t>(n), -1);
   std::vector<int> scratch;
-
-  // First pass: count, second pass: fill. Use a lambda over columns.
-  auto build_column = [&](int j, std::vector<int>* out) {
+  for (int j = 0; j < n; ++j) {
     scratch.clear();
     for (int k = a.col_begin(j); k < a.col_end(j); ++k) {
       const int r = a.row_idx()[k];
@@ -45,24 +43,11 @@ Pattern ata_pattern(const SparseMatrix& a) {
         }
       }
     }
-    if (out) {
-      std::sort(scratch.begin(), scratch.end());
-      out->insert(out->end(), scratch.begin(), scratch.end());
-    }
-  };
-
-  for (int j = 0; j < n; ++j) {
-    build_column(j, nullptr);
+    std::sort(scratch.begin(), scratch.end());
+    p.row_idx.insert(p.row_idx.end(), scratch.begin(), scratch.end());
     p.col_ptr[static_cast<std::size_t>(j) + 1] =
-        static_cast<int>(scratch.size());
+        static_cast<int>(p.row_idx.size());
   }
-  for (int j = 0; j < n; ++j) p.col_ptr[j + 1] += p.col_ptr[j];
-
-  std::fill(mark.begin(), mark.end(), -1);
-  p.row_idx.clear();
-  p.row_idx.reserve(static_cast<std::size_t>(p.col_ptr[n]));
-  for (int j = 0; j < n; ++j) build_column(j, &p.row_idx);
-  SSTAR_CHECK(static_cast<int>(p.row_idx.size()) == p.col_ptr[n]);
   return p;
 }
 

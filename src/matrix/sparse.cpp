@@ -139,18 +139,35 @@ SparseMatrix SparseMatrix::permuted(const std::vector<int>& row_new_to_old,
     }
   }
 
-  std::vector<Triplet> t;
-  t.reserve(row_idx_.size());
+  // Two counting passes, no sort: scatter A's columns, in their new
+  // order, into Bᵀ, whose columns (B's rows) therefore come out sorted;
+  // then transpose() sorts B's columns the same way.
+  const auto new_row = [&](int io) {
+    return row_old_to_new.empty() ? io : row_old_to_new[io];
+  };
+  SparseMatrix bt;
+  bt.rows_ = cols_;
+  bt.cols_ = rows_;
+  bt.col_ptr_.assign(static_cast<std::size_t>(rows_) + 1, 0);
   for (int jn = 0; jn < cols_; ++jn) {
     const int jo = col_new_to_old.empty() ? jn : col_new_to_old[jn];
     SSTAR_CHECK(jo >= 0 && jo < cols_);
+    for (int k = col_ptr_[jo]; k < col_ptr_[jo + 1]; ++k)
+      ++bt.col_ptr_[static_cast<std::size_t>(new_row(row_idx_[k])) + 1];
+  }
+  for (int i = 0; i < rows_; ++i) bt.col_ptr_[i + 1] += bt.col_ptr_[i];
+  bt.row_idx_.resize(static_cast<std::size_t>(bt.col_ptr_[rows_]));
+  bt.values_.resize(bt.row_idx_.size());
+  std::vector<int> next(bt.col_ptr_.begin(), bt.col_ptr_.end() - 1);
+  for (int jn = 0; jn < cols_; ++jn) {
+    const int jo = col_new_to_old.empty() ? jn : col_new_to_old[jn];
     for (int k = col_ptr_[jo]; k < col_ptr_[jo + 1]; ++k) {
-      const int io =
-          row_old_to_new.empty() ? row_idx_[k] : row_old_to_new[row_idx_[k]];
-      t.push_back({io, jn, values_[k]});
+      const int pos = next[new_row(row_idx_[k])]++;
+      bt.row_idx_[pos] = jn;
+      bt.values_[pos] = values_[k];
     }
   }
-  return from_triplets(rows_, cols_, std::move(t));
+  return bt.transpose();
 }
 
 void SparseMatrix::multiply(const std::vector<double>& x,

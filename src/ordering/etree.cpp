@@ -4,26 +4,63 @@
 
 namespace sstar {
 
+namespace {
+
+/// Liu's step for an edge (i, j), i < j: climb from i to the root of its
+/// current subtree, pointing every node passed at j, and hang that root
+/// under j.
+void link_up(int i, int j, std::vector<int>& parent,
+             std::vector<int>& ancestor) {
+  while (i != -1 && i < j) {
+    const int next = ancestor[i];
+    ancestor[i] = j;
+    if (next == -1) {
+      parent[i] = j;
+      break;
+    }
+    i = next;
+  }
+}
+
+}  // namespace
+
 std::vector<int> elimination_tree(const Pattern& sym) {
   SSTAR_CHECK(sym.rows == sym.cols);
   const int n = sym.cols;
   std::vector<int> parent(static_cast<std::size_t>(n), -1);
   std::vector<int> ancestor(static_cast<std::size_t>(n), -1);
+  for (int j = 0; j < n; ++j)
+    for (int k = sym.col_begin(j); k < sym.col_end(j); ++k)
+      link_up(sym.row_idx[k], j, parent, ancestor);  // links only rows < j
+  return parent;
+}
+
+std::vector<int> column_elimination_tree(const SparseMatrix& a,
+                                         const std::vector<int>& col_order) {
+  const int n = a.cols();
+  SSTAR_CHECK(col_order.empty() || static_cast<int>(col_order.size()) == n);
+  const auto old_col = [&](int j) {
+    return col_order.empty() ? j : col_order[static_cast<std::size_t>(j)];
+  };
+  // first[r] = the earliest new position of a column with an entry in
+  // row r: the hub that stands in for row r's clique.
+  std::vector<int> first(static_cast<std::size_t>(a.rows()), n);
+  std::vector<int> seen(static_cast<std::size_t>(n), 0);
   for (int j = 0; j < n; ++j) {
-    for (int k = sym.col_begin(j); k < sym.col_end(j); ++k) {
-      int i = sym.row_idx[k];
-      if (i >= j) continue;  // use upper triangle entries (i < j)
-      // Walk from i to the root of its current subtree, compressing.
-      while (i != -1 && i < j) {
-        const int next = ancestor[i];
-        ancestor[i] = j;
-        if (next == -1) {
-          parent[i] = j;
-          break;
-        }
-        i = next;
-      }
+    const int jo = old_col(j);
+    SSTAR_CHECK_MSG(jo >= 0 && jo < n && !seen[jo]++,
+                    "col_order is not a permutation");
+    for (int k = a.col_begin(jo); k < a.col_end(jo); ++k) {
+      int& f = first[a.row_idx()[k]];
+      if (f == n) f = j;
     }
+  }
+  std::vector<int> parent(static_cast<std::size_t>(n), -1);
+  std::vector<int> ancestor(static_cast<std::size_t>(n), -1);
+  for (int j = 0; j < n; ++j) {
+    const int jo = old_col(j);
+    for (int k = a.col_begin(jo); k < a.col_end(jo); ++k)
+      link_up(first[a.row_idx()[k]], j, parent, ancestor);
   }
   return parent;
 }

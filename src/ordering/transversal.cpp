@@ -1,5 +1,7 @@
 #include "ordering/transversal.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace sstar {
@@ -24,7 +26,9 @@ Transversal max_transversal(const SparseMatrix& a) {
   }
 
   // Augmenting-path phase (iterative DFS, MC21-style: each column keeps a
-  // cursor into its row list so total work is bounded per phase).
+  // cursor into its row list so total work is bounded per phase). A
+  // search rewinds a column's cursor when it first pushes the column, so
+  // it pays only for the columns it reaches, not for all n.
   std::vector<int> visited(static_cast<std::size_t>(n), -1);
   std::vector<int> cursor(static_cast<std::size_t>(n));
   std::vector<int> stack;   // columns on the DFS path
@@ -35,10 +39,10 @@ Transversal max_transversal(const SparseMatrix& a) {
   for (int j0 = 0; j0 < n; ++j0) {
     if (row_of_col[j0] != -1) continue;
     // DFS from unmatched column j0 looking for an augmenting path.
-    for (int j = 0; j < n; ++j) cursor[j] = a.col_begin(j);
     stack.clear();
     stack.push_back(j0);
     visited[j0] = j0;
+    cursor[j0] = a.col_begin(j0);
     bool augmented = false;
     while (!stack.empty()) {
       const int j = stack.back();
@@ -61,6 +65,7 @@ Transversal max_transversal(const SparseMatrix& a) {
         }
         if (visited[jc] != j0) {
           visited[jc] = j0;
+          cursor[jc] = a.col_begin(jc);
           stack.push_back(jc);
           advanced = true;
           break;
@@ -78,15 +83,21 @@ Transversal max_transversal(const SparseMatrix& a) {
   return t;
 }
 
-SparseMatrix make_zero_free_diagonal(const SparseMatrix& a,
-                                     std::vector<int>* row_new_to_old) {
-  const Transversal t = max_transversal(a);
+std::vector<int> zero_free_diagonal_rows(const SparseMatrix& a) {
+  Transversal t = max_transversal(a);
   SSTAR_CHECK_MSG(t.complete(a.cols()),
                   "matrix is structurally singular: only "
                       << t.matched << " of " << a.cols()
                       << " columns matched");
-  if (row_new_to_old) *row_new_to_old = t.row_for_col;
-  return a.permuted(t.row_for_col, {});
+  return std::move(t.row_for_col);
+}
+
+SparseMatrix make_zero_free_diagonal(const SparseMatrix& a,
+                                     std::vector<int>* row_new_to_old) {
+  std::vector<int> rows = zero_free_diagonal_rows(a);
+  SparseMatrix b = a.permuted(rows, {});
+  if (row_new_to_old) *row_new_to_old = std::move(rows);
+  return b;
 }
 
 }  // namespace sstar

@@ -28,6 +28,11 @@ struct Transversal {
 /// Compute a maximum transversal of the square matrix A.
 Transversal max_transversal(const SparseMatrix& a);
 
+/// The row permutation (new -> old) of a complete transversal:
+/// A.permuted(result, {}) has a zero-free diagonal. Throws CheckError if
+/// A is structurally singular.
+std::vector<int> zero_free_diagonal_rows(const SparseMatrix& a);
+
 /// Convenience: permute rows of A so the diagonal is zero-free. Throws
 /// CheckError if A is structurally singular. Outputs the row permutation
 /// used (new -> old) if `row_new_to_old` is non-null.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "matrix/pattern_ops.hpp"
@@ -31,87 +32,81 @@ SolverSetup prepare(const SparseMatrix& a, const SolverOptions& opt) {
 
   SolverSetup setup;
   // 0. Optional equilibration: rows to unit max magnitude, then columns.
-  SparseMatrix a0 = a;
+  //    The scales come from A and are applied to the one permuted copy
+  //    made below, so A itself is never copied.
   if (opt.equilibrate) {
     // Row scales: 1 / max |row| (empty rows keep scale 1).
     setup.row_scale.assign(static_cast<std::size_t>(n), 0.0);
     for (int j = 0; j < n; ++j)
-      for (int k = a0.col_begin(j); k < a0.col_end(j); ++k)
-        setup.row_scale[a0.row_idx()[k]] =
-            std::max(setup.row_scale[a0.row_idx()[k]],
-                     std::fabs(a0.values()[k]));
+      for (int k = a.col_begin(j); k < a.col_end(j); ++k)
+        setup.row_scale[a.row_idx()[k]] =
+            std::max(setup.row_scale[a.row_idx()[k]],
+                     std::fabs(a.values()[k]));
     for (double& s : setup.row_scale) s = s > 0.0 ? 1.0 / s : 1.0;
 
-    // Column scales on the row-scaled matrix, then apply both.
+    // Column scales on the row-scaled matrix.
     setup.col_scale.assign(static_cast<std::size_t>(n), 0.0);
     for (int j = 0; j < n; ++j)
-      for (int k = a0.col_begin(j); k < a0.col_end(j); ++k)
+      for (int k = a.col_begin(j); k < a.col_end(j); ++k)
         setup.col_scale[j] =
             std::max(setup.col_scale[j],
-                     std::fabs(a0.values()[k]) *
-                         setup.row_scale[a0.row_idx()[k]]);
+                     std::fabs(a.values()[k]) *
+                         setup.row_scale[a.row_idx()[k]]);
     for (double& s : setup.col_scale) s = s > 0.0 ? 1.0 / s : 1.0;
-    for (int j = 0; j < n; ++j)
-      for (int k = a0.col_begin(j); k < a0.col_end(j); ++k)
-        a0.values()[k] *=
-            setup.row_scale[a0.row_idx()[k]] * setup.col_scale[j];
   }
 
   // 1. Row transversal for a zero-free diagonal.
   std::vector<int> rowt(n);
-  for (int i = 0; i < n; ++i) rowt[i] = i;
-  SparseMatrix a1 = a0;
+  std::iota(rowt.begin(), rowt.end(), 0);
   if (opt.use_transversal) {
-    a1 = make_zero_free_diagonal(a0, &rowt);
+    rowt = zero_free_diagonal_rows(a);
   } else {
-    SSTAR_CHECK_MSG(a0.zero_diagonal_count() == 0,
+    SSTAR_CHECK_MSG(a.zero_diagonal_count() == 0,
                     "diagonal has zeros and use_transversal is off");
   }
 
-  // 2. Fill-reducing ordering, applied symmetrically so the zero-free
-  //    diagonal is preserved (the paper orders by minimum degree on AᵀA).
+  // 2. Fill-reducing column ordering q, applied to the rows after the
+  //    transversal too, so the zero-free diagonal is preserved (the paper
+  //    orders by minimum degree on AᵀA). AᵀA ignores row order, so it is
+  //    A's own; only RCM's A + Aᵀ sees the transversal.
   std::vector<int> q(n);
-  for (int j = 0; j < n; ++j) q[j] = j;
+  std::iota(q.begin(), q.end(), 0);
   switch (opt.ordering) {
     case SolverOptions::Ordering::kMinDegreeAtA:
-      q = min_degree_order(ata_pattern(a1));
+      q = min_degree_order(ata_pattern(a));
       break;
     case SolverOptions::Ordering::kNestedDissection:
-      q = nested_dissection_order(ata_pattern(a1));
+      q = nested_dissection_order(ata_pattern(a));
       break;
     case SolverOptions::Ordering::kRcm:
-      q = rcm_order(aplusat_pattern(a1));
+      q = rcm_order(aplusat_pattern(a.permuted(rowt, {})));
       break;
     case SolverOptions::Ordering::kNatural:
       break;
   }
-  setup.permuted = a1.permuted(q, q);
-
   if (opt.ordering != SolverOptions::Ordering::kNatural) {
-    // Postorder the elimination tree of AᵀA under the chosen ordering:
+    // Postorder the column elimination tree (the etree of AᵀA) under q:
     // equivalent fill, but parents immediately follow their children,
     // which is what lets supernodes grow and amalgamation (§3.3) find
-    // its consecutive merge candidates.
-    const Pattern ata = ata_pattern(setup.permuted);
-    const std::vector<int> parent = elimination_tree(ata);
-    const std::vector<int> post = postorder(parent);
-    bool identity = true;
-    for (std::size_t i = 0; i < post.size() && identity; ++i)
-      identity = post[i] == static_cast<int>(i);
-    if (!identity) {
-      setup.permuted = setup.permuted.permuted(post, post);
-      std::vector<int> composed(n);
-      for (int i = 0; i < n; ++i) composed[i] = q[post[i]];
-      q = std::move(composed);
-    }
+    // its consecutive merge candidates. The tree comes from A itself.
+    const std::vector<int> post = postorder(column_elimination_tree(a, q));
+    std::vector<int> composed(n);
+    for (int i = 0; i < n; ++i) composed[i] = q[post[i]];
+    q = std::move(composed);
   }
 
-  // Composite permutations back to the original numbering.
+  // Composite permutations back to the original numbering, applied to A
+  // in one permute, then the equilibration scales.
   setup.row_perm.resize(n);
-  setup.col_perm.resize(n);
-  for (int i = 0; i < n; ++i) {
-    setup.row_perm[i] = rowt[q[i]];
-    setup.col_perm[i] = q[i];
+  for (int i = 0; i < n; ++i) setup.row_perm[i] = rowt[q[i]];
+  setup.col_perm = std::move(q);
+  setup.permuted = a.permuted(setup.row_perm, setup.col_perm);
+  if (opt.equilibrate) {
+    SparseMatrix& p = setup.permuted;
+    for (int j = 0; j < n; ++j)
+      for (int k = p.col_begin(j); k < p.col_end(j); ++k)
+        p.values()[k] *= setup.row_scale[setup.row_perm[p.row_idx()[k]]] *
+                         setup.col_scale[setup.col_perm[j]];
   }
 
   // 3. Static symbolic factorization + 2D L/U supernode partitioning.
@@ -131,6 +126,7 @@ Solver::Solver(const SparseMatrix& a, SolverOptions opt)
 }
 
 void Solver::factorize() {
+  factorized_ = false;  // a failed factorization leaves none to solve with
   try {
     numeric_.factorize();
   } catch (const PivotError& e) {

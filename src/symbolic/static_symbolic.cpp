@@ -1,6 +1,8 @@
 #include "symbolic/static_symbolic.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 
 #include "util/check.hpp"
 
@@ -18,13 +20,34 @@ std::int64_t StaticStructure::factor_ops() const {
 
 namespace {
 
-/// A group of rows sharing one structure (see header). Dead groups have
-/// been merged into a successor.
-struct RowGroup {
-  std::vector<int> members;  // sorted original row ids, all >= next step
-  std::vector<int> cols;     // sorted column ids, all >= next step
-  bool dead = false;
-};
+/// Sorted union of the sorted lists list_of(g) over the groups g on one
+/// registry chain. The longest list is copied as it is; the entries the
+/// others add are sorted apart and merged in, so only the new entries,
+/// usually few, pay for a sort.
+template <class ListOf>
+void chain_union(int first, const std::vector<int>& next, ListOf list_of,
+                 int stamp, std::vector<int>& mark, std::vector<int>& extra,
+                 std::vector<int>& out) {
+  int longest = first;
+  for (int g = next[first]; g != -1; g = next[g])
+    if (list_of(g).size() > list_of(longest).size()) longest = g;
+  const std::span<const int> base = list_of(longest);
+  for (int v : base) mark[v] = stamp;
+  extra.clear();
+  for (int g = first; g != -1; g = next[g]) {
+    if (g == longest) continue;
+    for (int v : list_of(g)) {
+      if (mark[v] != stamp) {
+        mark[v] = stamp;
+        extra.push_back(v);
+      }
+    }
+  }
+  std::sort(extra.begin(), extra.end());
+  out.resize(base.size() + extra.size());
+  std::merge(base.begin(), base.end(), extra.begin(), extra.end(),
+             out.begin());
+}
 
 }  // namespace
 
@@ -38,63 +61,55 @@ StaticStructure static_symbolic_factorization(const SparseMatrix& a) {
   // Row structures of A: build from Aᵀ (columns of Aᵀ are rows of A).
   const SparseMatrix at = a.transpose();
 
-  std::vector<RowGroup> groups;
-  groups.reserve(static_cast<std::size_t>(n) * 2);
-  // registry[j] = ids of groups that had column j in their structure when
-  // they were created (stale entries are skipped via the dead flag).
-  std::vector<std::vector<int>> registry(static_cast<std::size_t>(n));
-
-  for (int i = 0; i < n; ++i) {
-    RowGroup g;
-    g.members = {i};
-    g.cols.assign(at.row_idx().begin() + at.col_begin(i),
-                  at.row_idx().begin() + at.col_end(i));
-    const int id = static_cast<int>(groups.size());
-    for (int c : g.cols) registry[c].push_back(id);
-    groups.push_back(std::move(g));
-  }
-
   StaticStructure s;
   s.n = n;
   s.l_col_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
   s.u_row_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
 
-  std::vector<int> mark(static_cast<std::size_t>(n), -1);
-  std::vector<int> cand;          // candidate group ids this step
+  // Row groups (see header) need no storage of their own. Group i < n is
+  // row i of A, as it starts; group n + k is the one formed at step k,
+  // whose rows are L column k and whose structure is U row k without its
+  // diagonal. A group is registered under its first column only: no
+  // column of its structure is smaller, so it is a candidate at exactly
+  // that step and merges away there. head[c] is the last group
+  // registered under column c; next[] chains the others.
+  std::vector<int> head(static_cast<std::size_t>(n), -1);
+  std::vector<int> next(2 * static_cast<std::size_t>(n), -1);
+  const auto add_group = [&](int g, int first_col) {
+    next[g] = head[first_col];
+    head[first_col] = g;
+  };
+  for (int i = 0; i < n; ++i) add_group(i, at.row_idx()[at.col_begin(i)]);
+
+  const auto cols_of = [&](int g) -> std::span<const int> {
+    if (g < n)
+      return {at.row_idx().data() + at.col_begin(g),
+              at.row_idx().data() + at.col_end(g)};
+    return {s.u_cols.data() + s.u_row_ptr[g - n] + 1,
+            s.u_cols.data() + s.u_row_ptr[g - n + 1]};
+  };
+  std::vector<int> rows(static_cast<std::size_t>(n));
+  std::iota(rows.begin(), rows.end(), 0);
+  const auto rows_of = [&](int g) -> std::span<const int> {
+    if (g < n) return {rows.data() + g, 1};
+    return {s.l_rows.data() + s.l_col_ptr[g - n],
+            s.l_rows.data() + s.l_col_ptr[g - n + 1]};
+  };
+
+  std::vector<int> col_mark(static_cast<std::size_t>(n), -1);
+  std::vector<int> row_mark(static_cast<std::size_t>(n), -1);
+  std::vector<int> extra;
   std::vector<int> union_cols;    // merged structure
   std::vector<int> union_members; // merged member rows
 
   for (int k = 0; k < n; ++k) {
-    // Gather candidate groups: live groups registered under column k.
-    cand.clear();
-    for (int id : registry[k]) {
-      if (!groups[id].dead) cand.push_back(id);
-    }
-    registry[k].clear();
-    registry[k].shrink_to_fit();
-    std::sort(cand.begin(), cand.end());
-    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-    SSTAR_CHECK_MSG(!cand.empty(), "no candidate rows at step " << k
+    // Union the structures (columns >= k) and members of the candidate
+    // groups, the ones registered under column k.
+    SSTAR_CHECK_MSG(head[k] != -1, "no candidate rows at step " << k
                                        << " (diagonal lost?)");
-
-    // Union the structures (columns >= k) and collect members.
-    union_cols.clear();
-    union_members.clear();
-    for (int id : cand) {
-      RowGroup& g = groups[id];
-      for (int c : g.cols) {
-        SSTAR_DCHECK(c >= k);
-        if (mark[c] != k) {
-          mark[c] = k;
-          union_cols.push_back(c);
-        }
-      }
-      union_members.insert(union_members.end(), g.members.begin(),
-                           g.members.end());
-    }
-    std::sort(union_cols.begin(), union_cols.end());
-    std::sort(union_members.begin(), union_members.end());
-    SSTAR_CHECK_MSG(!union_members.empty() && union_members.front() == k,
+    chain_union(head[k], next, cols_of, k, col_mark, extra, union_cols);
+    chain_union(head[k], next, rows_of, k, row_mark, extra, union_members);
+    SSTAR_CHECK_MSG(union_members.front() == k,
                     "row " << k << " is not a candidate at its own step");
     SSTAR_CHECK(union_cols.front() == k);
 
@@ -109,22 +124,9 @@ StaticStructure static_symbolic_factorization(const SparseMatrix& a) {
     s.l_col_ptr[k + 1] =
         s.l_col_ptr[k] + static_cast<std::int64_t>(union_members.size()) - 1;
 
-    // Retire row k, kill the old groups, and form the merged group.
-    for (int id : cand) {
-      groups[id].dead = true;
-      groups[id].members.clear();
-      groups[id].members.shrink_to_fit();
-      groups[id].cols.clear();
-      groups[id].cols.shrink_to_fit();
-    }
-    if (union_members.size() > 1) {
-      RowGroup g;
-      g.members.assign(union_members.begin() + 1, union_members.end());
-      g.cols.assign(union_cols.begin() + 1, union_cols.end());
-      const int id = static_cast<int>(groups.size());
-      for (int c : g.cols) registry[c].push_back(id);
-      groups.push_back(std::move(g));
-    }
+    // Retire row k; the rest form group n + k. Every member row i > k
+    // still holds column i, so its structure is never empty.
+    if (union_members.size() > 1) add_group(n + k, union_cols[1]);
   }
   return s;
 }

@@ -11,10 +11,12 @@
 // Implementation note. The textbook formulation is quadratic. We exploit
 // the algorithm's own invariant — after step k all candidate rows share
 // one structure — by keeping rows in *groups* with a single shared
-// structure. At step k the candidate groups are exactly the live groups
-// registered under column k; they merge into one new group in a single
-// sorted union. Each column of the output is emitted exactly once, so the
-// total cost is O((|L| + |U|) log n)-ish rather than O(n^2).
+// structure. Each group is registered under its first column, the one
+// step at which it is a candidate; at step k the groups registered under
+// column k merge into one new group in a single sorted union, whose
+// members and structure are L column k and U row k, so groups keep no
+// storage of their own. Each column of the output is emitted exactly
+// once, so the total cost is O((|L| + |U|) log n)-ish rather than O(n^2).
 #pragma once
 
 #include <cstdint>

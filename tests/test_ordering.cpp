@@ -13,6 +13,7 @@
 #include "symbolic/cholesky_symbolic.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace sstar {
 namespace {
@@ -121,6 +122,36 @@ TEST(Transversal, RandomMatricesAlwaysComplete) {
   }
 }
 
+TEST(Transversal, ManyAugmentingPathsStayLinear) {
+  // With h = n / 2, column j < h holds rows {j, h + j} and column h + j
+  // holds row j alone. The cheap pass gives column j row j, so each of
+  // the h columns h + j needs an augmenting path through column j: h
+  // searches that reach two columns each. A search that rewinds every
+  // column's cursor makes this quadratic, seconds at this size; ctest
+  // gives the case a timeout of a few seconds.
+  const int n = 400000;
+  const int h = n / 2;
+  std::vector<int> col_ptr = {0};
+  std::vector<int> row_idx;
+  for (int j = 0; j < h; ++j) {
+    row_idx.insert(row_idx.end(), {j, h + j});
+    col_ptr.push_back(static_cast<int>(row_idx.size()));
+  }
+  for (int j = 0; j < h; ++j) {
+    row_idx.push_back(j);
+    col_ptr.push_back(static_cast<int>(row_idx.size()));
+  }
+  std::vector<double> values(row_idx.size(), 1.0);
+  const auto a = SparseMatrix::from_csc(n, n, std::move(col_ptr),
+                                        std::move(row_idx), std::move(values));
+  const auto t = max_transversal(a);
+  ASSERT_EQ(t.matched, n);
+  for (int j = 0; j < h; ++j) {
+    ASSERT_EQ(t.row_for_col[j], h + j) << "column " << j;
+    ASSERT_EQ(t.row_for_col[h + j], j) << "column " << h + j;
+  }
+}
+
 TEST(Etree, ChainForTridiagonal) {
   // Tridiagonal pattern: etree is a path 0 -> 1 -> ... -> n-1.
   const int n = 8;
@@ -149,6 +180,47 @@ TEST(Etree, PostorderVisitsChildrenFirst) {
   for (std::size_t v = 0; v < parent.size(); ++v) {
     if (parent[v] != -1) {
       EXPECT_LT(position[v], position[parent[v]]);
+    }
+  }
+}
+
+TEST(Etree, ColumnTreeMatchesAtaTree) {
+  // n in {0, 1, 2}: the empty matrix, 1 x 1 empty and full, every 2 x 2
+  // pattern; then random square and rectangular patterns, sparse enough
+  // to leave rows and columns empty.
+  std::vector<SparseMatrix> cases = {
+      SparseMatrix::from_triplets(0, 0, {}),
+      SparseMatrix::from_triplets(1, 1, {}),
+      SparseMatrix::from_triplets(1, 1, {{0, 0, 1.0}})};
+  for (int mask = 0; mask < 16; ++mask) {
+    std::vector<Triplet> t;
+    for (int e = 0; e < 4; ++e)
+      if (mask >> e & 1) t.push_back({e % 2, e / 2, 1.0});
+    cases.push_back(SparseMatrix::from_triplets(2, 2, std::move(t)));
+  }
+  Rng rng(testing::test_seed(83));
+  for (int trial = 0; trial < 60; ++trial) {
+    const int m = rng.uniform_int(1, 30);
+    const int n = trial % 3 == 0 ? m : rng.uniform_int(1, 30);
+    const int entries = rng.uniform_int(0, 2 * (m + n));
+    std::vector<Triplet> t;
+    for (int e = 0; e < entries; ++e)
+      t.push_back({rng.uniform_int(0, m - 1), rng.uniform_int(0, n - 1), 1.0});
+    cases.push_back(SparseMatrix::from_triplets(m, n, std::move(t)));
+  }
+  cases.push_back(testing::random_sparse(80, 4, 19));
+
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const SparseMatrix& a = cases[c];
+    std::vector<int> shuffled(static_cast<std::size_t>(a.cols()));
+    std::iota(shuffled.begin(), shuffled.end(), 0);
+    for (int i = a.cols() - 1; i > 0; --i)
+      std::swap(shuffled[i], shuffled[rng.uniform_int(0, i)]);
+    for (const std::vector<int>& q :
+         {std::vector<int>{}, shuffled, min_degree_order(ata_pattern(a))}) {
+      const auto want = elimination_tree(ata_pattern(a.permuted({}, q)));
+      EXPECT_EQ(column_elimination_tree(a, q), want)
+          << "case " << c << " (" << a.rows() << " x " << a.cols() << ")";
     }
   }
 }

@@ -2,14 +2,25 @@
 // options and the generated benchmark suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <numeric>
 #include <string>
 
 #include "matrix/generators.hpp"
 #include "matrix/pattern_ops.hpp"
 #include "matrix/suite.hpp"
+#include "ordering/etree.hpp"
+#include "ordering/min_degree.hpp"
+#include "ordering/nested_dissection.hpp"
+#include "ordering/rcm.hpp"
+#include "ordering/transversal.hpp"
 #include "solve/solver.hpp"
+#include "supernode/partition.hpp"
+#include "symbolic/static_symbolic.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -138,6 +149,28 @@ TEST(Solver, SingularPivotNamesTheCallersColumn) {
   }
 }
 
+TEST(Solver, FailedRefactorizeLeavesSolverUnfactorized) {
+  // Factorizes at the default threshold; at 1e-310 the diagonal 1 stays
+  // the pivot of column 0, and its update of column 1 overflows.
+  const auto a = SparseMatrix::from_triplets(
+      2, 2, {{0, 0, 1.0}, {1, 0, 1e10}, {0, 1, 1e10}, {1, 1, 1e-300}});
+  Solver solver(a);
+  solver.factorize();
+  ASSERT_TRUE(solver.factorized());
+  PivotPolicy loose;
+  loose.threshold = 1e-310;
+  EXPECT_THROW(solver.refactorize(loose), PivotError);
+  EXPECT_FALSE(solver.factorized());
+  try {
+    solver.solve({1.0, 1.0});
+    FAIL() << "solve after a failed refactorize";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("solve before factorize()"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(Solver, RejectsInfinity) {
   expect_rejects_non_finite(std::numeric_limits<double>::infinity(),
                             /*diag=*/true);
@@ -168,6 +201,120 @@ TEST(Solver, AmalgamationGrowsBlocksAndKeepsCorrectness) {
   const auto s6 = prepare(a, r6);
   EXPECT_LE(s6.layout->num_blocks(), s0.layout->num_blocks());
   expect_solves(a, r6, 1e-6);
+}
+
+/// prepare() as it ran before it built AᵀA once: an equilibrated copy of
+/// A, a row-permuted copy for the transversal, AᵀA of that for the
+/// ordering, a symmetric permute, AᵀA again for the postorder etree, and
+/// a second permute.
+SolverSetup two_ata_reference(const SparseMatrix& a, const SolverOptions& opt) {
+  const int n = a.rows();
+  SolverSetup setup;
+  SparseMatrix a0 = a;
+  if (opt.equilibrate) {
+    setup.row_scale.assign(static_cast<std::size_t>(n), 0.0);
+    for (int j = 0; j < n; ++j)
+      for (int k = a0.col_begin(j); k < a0.col_end(j); ++k)
+        setup.row_scale[a0.row_idx()[k]] =
+            std::max(setup.row_scale[a0.row_idx()[k]],
+                     std::fabs(a0.values()[k]));
+    for (double& s : setup.row_scale) s = s > 0.0 ? 1.0 / s : 1.0;
+    setup.col_scale.assign(static_cast<std::size_t>(n), 0.0);
+    for (int j = 0; j < n; ++j)
+      for (int k = a0.col_begin(j); k < a0.col_end(j); ++k)
+        setup.col_scale[j] =
+            std::max(setup.col_scale[j],
+                     std::fabs(a0.values()[k]) *
+                         setup.row_scale[a0.row_idx()[k]]);
+    for (double& s : setup.col_scale) s = s > 0.0 ? 1.0 / s : 1.0;
+    for (int j = 0; j < n; ++j)
+      for (int k = a0.col_begin(j); k < a0.col_end(j); ++k)
+        a0.values()[k] *=
+            setup.row_scale[a0.row_idx()[k]] * setup.col_scale[j];
+  }
+  std::vector<int> rowt(n);
+  std::iota(rowt.begin(), rowt.end(), 0);
+  SparseMatrix a1 = a0;
+  if (opt.use_transversal) a1 = make_zero_free_diagonal(a0, &rowt);
+  std::vector<int> q(n);
+  std::iota(q.begin(), q.end(), 0);
+  switch (opt.ordering) {
+    case SolverOptions::Ordering::kMinDegreeAtA:
+      q = min_degree_order(ata_pattern(a1));
+      break;
+    case SolverOptions::Ordering::kNestedDissection:
+      q = nested_dissection_order(ata_pattern(a1));
+      break;
+    case SolverOptions::Ordering::kRcm:
+      q = rcm_order(aplusat_pattern(a1));
+      break;
+    case SolverOptions::Ordering::kNatural:
+      break;
+  }
+  setup.permuted = a1.permuted(q, q);
+  if (opt.ordering != SolverOptions::Ordering::kNatural) {
+    const auto post =
+        postorder(elimination_tree(ata_pattern(setup.permuted)));
+    setup.permuted = setup.permuted.permuted(post, post);
+    std::vector<int> composed(n);
+    for (int i = 0; i < n; ++i) composed[i] = q[post[i]];
+    q = std::move(composed);
+  }
+  setup.row_perm.resize(n);
+  setup.col_perm = q;
+  for (int i = 0; i < n; ++i) setup.row_perm[i] = rowt[q[i]];
+  setup.structure = static_symbolic_factorization(setup.permuted);
+  SupernodePartition part = find_supernodes(setup.structure, opt.max_block);
+  setup.presplit_avg_width = part.average_width();
+  part = amalgamate(setup.structure, part, opt.amalgamation, opt.max_block);
+  setup.layout = std::make_unique<BlockLayout>(setup.structure,
+                                               std::move(part));
+  return setup;
+}
+
+bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+}
+
+TEST(Prepare, MatchesTwoAtaReference) {
+  using Ordering = SolverOptions::Ordering;
+  for (const auto& entry : gen::suite()) {
+    // The large matrices at a smaller scale keep every matrix under
+    // about a thousand columns, and the case quick in sanitizer builds.
+    const auto a = entry.generate(entry.large ? 0.015 : 0.04, /*seed=*/11);
+    for (const Ordering ord :
+         {Ordering::kMinDegreeAtA, Ordering::kNestedDissection,
+          Ordering::kRcm, Ordering::kNatural}) {
+      for (const bool eq : {false, true}) {
+        SolverOptions opt;
+        opt.ordering = ord;
+        opt.equilibrate = eq;
+        const std::string where = entry.name + " ordering " +
+                                  std::to_string(static_cast<int>(ord)) +
+                                  (eq ? " equilibrated" : "");
+        const SolverSetup got = prepare(a, opt);
+        const SolverSetup want = two_ata_reference(a, opt);
+        EXPECT_TRUE(got.permuted.same_pattern(want.permuted)) << where;
+        EXPECT_TRUE(same_bits(got.permuted.values(), want.permuted.values()))
+            << where;
+        EXPECT_EQ(got.row_perm, want.row_perm) << where;
+        EXPECT_EQ(got.col_perm, want.col_perm) << where;
+        EXPECT_TRUE(same_bits(got.row_scale, want.row_scale)) << where;
+        EXPECT_TRUE(same_bits(got.col_scale, want.col_scale)) << where;
+        EXPECT_EQ(got.structure.n, want.structure.n) << where;
+        EXPECT_EQ(got.structure.l_col_ptr, want.structure.l_col_ptr) << where;
+        EXPECT_EQ(got.structure.l_rows, want.structure.l_rows) << where;
+        EXPECT_EQ(got.structure.u_row_ptr, want.structure.u_row_ptr) << where;
+        EXPECT_EQ(got.structure.u_cols, want.structure.u_cols) << where;
+        EXPECT_EQ(got.layout->partition().start,
+                  want.layout->partition().start)
+            << where;
+        EXPECT_EQ(got.presplit_avg_width, want.presplit_avg_width) << where;
+      }
+    }
+  }
 }
 
 class SuiteSmoke : public ::testing::TestWithParam<const char*> {};

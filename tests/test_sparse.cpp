@@ -1,12 +1,16 @@
 // Unit tests for the sparse matrix core and Matrix Market I/O.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "matrix/io.hpp"
 #include "matrix/sparse.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace sstar {
 namespace {
@@ -68,6 +72,67 @@ TEST(SparseMatrix, PermutedIdentityArgs) {
   const auto m = testing::random_sparse(10, 3, 9);
   const auto p = m.permuted({}, {});
   EXPECT_TRUE(m.same_pattern(p));
+}
+
+/// A uniformly random permutation of 0..n-1 (Fisher–Yates).
+std::vector<int> random_permutation(int n, Rng& rng) {
+  std::vector<int> p(static_cast<std::size_t>(n));
+  std::iota(p.begin(), p.end(), 0);
+  for (int i = n - 1; i > 0; --i) std::swap(p[i], p[rng.uniform_int(0, i)]);
+  return p;
+}
+
+/// permuted() as it was built before the two-pass scatter: one triplet
+/// per entry, then from_triplets' global sort.
+SparseMatrix permuted_by_triplets(const SparseMatrix& a,
+                                  const std::vector<int>& rows,
+                                  const std::vector<int>& cols) {
+  std::vector<int> row_old_to_new(static_cast<std::size_t>(a.rows()));
+  for (int i = 0; i < a.rows(); ++i)
+    row_old_to_new[rows.empty() ? i : rows[i]] = i;
+  std::vector<Triplet> t;
+  for (int jn = 0; jn < a.cols(); ++jn) {
+    const int jo = cols.empty() ? jn : cols[jn];
+    for (int k = a.col_begin(jo); k < a.col_end(jo); ++k)
+      t.push_back({row_old_to_new[a.row_idx()[k]], jn, a.values()[k]});
+  }
+  return SparseMatrix::from_triplets(a.rows(), a.cols(), std::move(t));
+}
+
+TEST(Sparse, PermutedMatchesTripletReference) {
+  Rng rng(testing::test_seed(61));
+  for (int trial = 0; trial < 40; ++trial) {
+    const int m = trial == 0 ? 0 : rng.uniform_int(1, 40);
+    const int n = trial == 0 ? 0 : rng.uniform_int(1, 40);
+    // Rectangular, with empty rows and columns, and values whose bits a
+    // sum or a sort by value would disturb: -0.0 and denormals.
+    std::vector<Triplet> t;
+    for (int e = 0; e < m * n / 4; ++e) {
+      const double pick = rng.uniform();
+      const double v = pick < 0.1   ? -0.0
+                       : pick < 0.2 ? 4.9e-324 * rng.uniform_int(1, 9)
+                                    : rng.uniform(-1.0, 1.0);
+      t.push_back({rng.uniform_int(0, m - 1), rng.uniform_int(0, n - 1), v});
+    }
+    const SparseMatrix a = SparseMatrix::from_triplets(m, n, std::move(t));
+    const std::vector<int> rp = random_permutation(m, rng);
+    const std::vector<int> cp = random_permutation(n, rng);
+    for (const auto& [rows, cols] :
+         {std::pair{rp, cp}, std::pair{rp, std::vector<int>{}},
+          std::pair{std::vector<int>{}, cp},
+          std::pair{std::vector<int>{}, std::vector<int>{}}}) {
+      const SparseMatrix got = a.permuted(rows, cols);
+      const SparseMatrix want = permuted_by_triplets(a, rows, cols);
+      ASSERT_TRUE(got.same_pattern(want)) << "trial " << trial;
+      ASSERT_EQ(got.values().size(), want.values().size());
+      if (!got.values().empty()) {
+        EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                              got.values().size() * sizeof(double)),
+                  0)
+            << "trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(SparseMatrix, MultiplyMatchesDense) {
