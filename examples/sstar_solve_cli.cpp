@@ -13,7 +13,6 @@
 //        --equilibrate  --no-refine  --write-solution=PATH
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -78,23 +77,11 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // Sniff the format: Matrix Market banners vs Harwell-Boeing cards.
-    SparseMatrix a = [&] {
-      std::ifstream probe(matrix_path);
-      if (!probe.is_open()) {
-        throw CheckError("cannot open " + matrix_path);
-      }
-      std::string first;
-      std::getline(probe, first);
-      probe.close();
-      if (first.rfind("%%MatrixMarket", 0) == 0)
-        return io::read_matrix_market(matrix_path);
-      io::HbInfo info;
-      SparseMatrix m = io::read_harwell_boeing(matrix_path, &info);
+    io::HbInfo info;
+    const SparseMatrix a = io::read_matrix_file(matrix_path, &info);
+    if (!info.type.empty())
       std::printf("Harwell-Boeing %s: %s\n", info.type.c_str(),
                   info.title.c_str());
-      return m;
-    }();
     std::printf("matrix: %s  n = %d, nnz = %lld\n", matrix_path.c_str(),
                 a.rows(), (long long)a.nnz());
     if (a.rows() != a.cols()) {

@@ -114,7 +114,14 @@ AuditReport sweep(const TaskSystem& sys, std::vector<ResourceAccess> flat) {
   report.num_tasks = sys.num_tasks();
   report.num_edges = static_cast<std::int64_t>(sys.edges.size());
   normalize(&flat);
-  const Reachability reach(sys.num_tasks(), sys.edges);
+  // Only tasks with an access are compared, so only they keep a row.
+  std::vector<int> accessing;
+  accessing.reserve(flat.size());
+  for (const ResourceAccess& a : flat) accessing.push_back(a.task);
+  std::sort(accessing.begin(), accessing.end());
+  accessing.erase(std::unique(accessing.begin(), accessing.end()),
+                  accessing.end());
+  const Reachability reach(sys.num_tasks(), sys.edges, accessing);
 
   std::size_t lo = 0;
   while (lo < flat.size()) {

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "matrix/hb_io.hpp"
 #include "util/check.hpp"
 
 namespace sstar::io {
@@ -74,6 +75,17 @@ SparseMatrix read_matrix_market(const std::string& path) {
   std::ifstream f(path);
   SSTAR_CHECK_MSG(f.is_open(), "cannot open " << path);
   return read_matrix_market(f);
+}
+
+SparseMatrix read_matrix_file(const std::string& path, HbInfo* hb_info) {
+  std::ifstream f(path);
+  SSTAR_CHECK_MSG(f.is_open(), "cannot open " << path);
+  std::string first;
+  std::getline(f, first);
+  f.clear();
+  f.seekg(0);
+  if (first.rfind("%%MatrixMarket", 0) == 0) return read_matrix_market(f);
+  return read_harwell_boeing(f, hb_info);
 }
 
 void write_matrix_market(const SparseMatrix& m, std::ostream& out) {

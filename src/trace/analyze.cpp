@@ -151,7 +151,8 @@ CriticalPath realized_critical_path(const Trace& trace) {
   }
 
   // Walk back from the last-finishing event, at each step taking the
-  // latest-finishing happens-before predecessor.
+  // latest-finishing happens-before predecessor not already on the path
+  // (a trace whose sends and recvs match in a cycle would loop forever).
   std::size_t cur = 0;
   for (std::size_t i = 1; i < n; ++i)
     if (trace.events[i].t1 > trace.events[cur].t1) cur = i;
@@ -163,20 +164,24 @@ CriticalPath realized_critical_path(const Trace& trace) {
   for (const auto& lane : by_lane)
     for (std::size_t p = 0; p < lane.size(); ++p) lane_pos[lane[p]] = p;
 
+  std::vector<char> on_path(n, 0);
   while (true) {
     rev.push_back(cur);
+    on_path[cur] = 1;
     const TraceEvent& e = trace.events[cur];
     std::ptrdiff_t best = -1;
     double best_t1 = -1.0;
     if (lane_pos[cur] > 0) {
       const std::size_t prev =
           by_lane[static_cast<std::size_t>(e.lane)][lane_pos[cur] - 1];
-      best = static_cast<std::ptrdiff_t>(prev);
-      best_t1 = trace.events[prev].t1;
+      if (on_path[prev] == 0) {
+        best = static_cast<std::ptrdiff_t>(prev);
+        best_t1 = trace.events[prev].t1;
+      }
     }
     if (e.kind == EventKind::kRecvWait && matched_send[cur] >= 0) {
       const std::size_t s = static_cast<std::size_t>(matched_send[cur]);
-      if (trace.events[s].t1 > best_t1) {
+      if (on_path[s] == 0 && trace.events[s].t1 > best_t1) {
         best = static_cast<std::ptrdiff_t>(s);
         best_t1 = trace.events[s].t1;
       }

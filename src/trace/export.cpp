@@ -1,13 +1,14 @@
 #include "trace/export.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <map>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace sstar::trace {
 
@@ -53,195 +54,52 @@ EventKind kind_from_tag(const std::string& s) {
   if (s == "panel_free") return EventKind::kPanelFree;
   if (s == "fsolve") return EventKind::kFSolve;
   if (s == "bsolve") return EventKind::kBSolve;
-  throw CheckError("chrome trace: unknown event kind tag '" + s + "'");
+  throw CheckError("unknown event kind tag '" + s + "'");
 }
 
-// ----- minimal strict JSON parser (objects/arrays/strings/numbers) -----
-//
-// The Chrome trace format is plain JSON; round-tripping through a real
-// parser (rather than string comparisons) is what makes the golden-file
-// test meaningful. This parser accepts exactly standard JSON minus
-// \uXXXX escapes (the exporter never emits them).
+constexpr double kMaxId = std::numeric_limits<std::int32_t>::max();
+constexpr double kMaxCount = 9007199254740992.0;  // 2^53: exact in a double
 
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<Json> arr;
-  std::map<std::string, Json> obj;
+// Number member `key` of `obj`: finite, within [lo, hi], and a whole
+// number when `integral`.
+double number(const util::JsonValue& obj, const char* key, double lo,
+              double hi, bool integral) {
+  const double v = obj.at(key).as_number();
+  SSTAR_CHECK_MSG(std::isfinite(v) && v >= lo && v <= hi &&
+                      (!integral || v == std::floor(v)),
+                  "'" << key << "' is " << std::setprecision(17) << v
+                      << "; want a finite "
+                      << (integral ? "integer" : "number") << " in [" << lo
+                      << ", " << hi << "]");
+  return v;
+}
 
-  const Json& at(const std::string& key) const {
-    const auto it = obj.find(key);
-    SSTAR_CHECK_MSG(it != obj.end(), "chrome trace: missing field '"
-                                         << key << "'");
-    return it->second;
-  }
-  bool has(const std::string& key) const { return obj.count(key) > 0; }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    SSTAR_CHECK_MSG(pos_ == s_.size(),
-                    "chrome trace: trailing bytes at offset " << pos_);
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-
-  char peek() {
-    skip_ws();
-    SSTAR_CHECK_MSG(pos_ < s_.size(),
-                    "chrome trace: unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    SSTAR_CHECK_MSG(peek() == c, "chrome trace: expected '"
-                                     << c << "' at offset " << pos_
-                                     << ", found '" << s_[pos_] << "'");
-    ++pos_;
-  }
-
-  Json value() {
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      Json v;
-      v.type = Json::Type::kString;
-      v.str = string();
-      return v;
-    }
-    if (c == 't' || c == 'f') return boolean();
-    if (c == 'n') {
-      literal("null");
-      return Json{};
-    }
-    return number();
-  }
-
-  void literal(const char* word) {
-    for (const char* p = word; *p != '\0'; ++p) {
-      SSTAR_CHECK_MSG(pos_ < s_.size() && s_[pos_] == *p,
-                      "chrome trace: bad literal at offset " << pos_);
-      ++pos_;
-    }
-  }
-
-  Json boolean() {
-    Json v;
-    v.type = Json::Type::kBool;
-    if (peek() == 't') {
-      literal("true");
-      v.b = true;
-    } else {
-      literal("false");
-      v.b = false;
-    }
-    return v;
-  }
-
-  Json number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    SSTAR_CHECK_MSG(pos_ > start, "chrome trace: expected a number at offset "
-                                      << start);
-    Json v;
-    v.type = Json::Type::kNumber;
-    v.num = std::stod(s_.substr(start, pos_ - start));
-    return v;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      SSTAR_CHECK_MSG(pos_ < s_.size(),
-                      "chrome trace: unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        SSTAR_CHECK_MSG(pos_ < s_.size(),
-                        "chrome trace: unterminated escape");
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          default:
-            throw CheckError("chrome trace: unsupported escape sequence");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-  }
-
-  Json array() {
-    expect('[');
-    Json v;
-    v.type = Json::Type::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.arr.push_back(value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      SSTAR_CHECK_MSG(c == ',', "chrome trace: expected ',' or ']' at offset "
-                                    << pos_ - 1);
-    }
-  }
-
-  Json object() {
-    expect('{');
-    Json v;
-    v.type = Json::Type::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      expect(':');
-      v.obj.emplace(std::move(key), value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      SSTAR_CHECK_MSG(c == ',', "chrome trace: expected ',' or '}' at offset "
-                                    << pos_ - 1);
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+// Reads one trace_event object into `e`; false for a metadata event.
+// Lane ids are below `entries`, the document's array length.
+bool read_event(const util::JsonValue& ev, std::size_t entries,
+                TraceEvent* e) {
+  SSTAR_CHECK_MSG(ev.is_object(), "not an object");
+  const std::string& ph = ev.at("ph").as_string();
+  if (ph == "M") return false;  // metadata (lane names)
+  SSTAR_CHECK_MSG(ph == "X" || ph == "i", "unexpected phase '" << ph << "'");
+  const util::JsonValue& args = ev.at("args");
+  e->kind = kind_from_tag(args.at("kind").as_string());
+  e->lane = static_cast<std::int32_t>(
+      number(ev, "tid", 0, static_cast<double>(entries) - 1, true));
+  e->task = static_cast<std::int32_t>(number(args, "task", -1, kMaxId, true));
+  e->k = static_cast<std::int32_t>(number(args, "k", -1, kMaxId, true));
+  e->j = static_cast<std::int32_t>(number(args, "j", -1, kMaxId, true));
+  e->peer = static_cast<std::int32_t>(number(args, "peer", -1, kMaxId, true));
+  e->flops =
+      static_cast<std::int64_t>(number(args, "flops", 0, kMaxCount, true));
+  e->bytes =
+      static_cast<std::int64_t>(number(args, "bytes", 0, kMaxCount, true));
+  const double inf = std::numeric_limits<double>::infinity();
+  e->t0 = number(ev, "ts", -inf, inf, false) / 1e6;
+  e->t1 = ev.has("dur") ? e->t0 + number(ev, "dur", 0, inf, false) / 1e6
+                        : e->t0;
+  return true;
+}
 
 }  // namespace
 
@@ -276,31 +134,33 @@ std::string chrome_trace_json(const Trace& trace,
 }
 
 Trace parse_chrome_trace(const std::string& json) {
-  const Json doc = JsonParser(json).parse();
-  SSTAR_CHECK_MSG(doc.type == Json::Type::kArray,
-                  "chrome trace: top level must be an array");
+  const util::JsonValue doc = util::parse_json(json);
+  SSTAR_CHECK_MSG(doc.is_array(), "chrome trace: top level must be an array");
   Trace out;
-  for (const Json& ev : doc.arr) {
-    SSTAR_CHECK_MSG(ev.type == Json::Type::kObject,
-                    "chrome trace: events must be objects");
-    const std::string ph = ev.at("ph").str;
-    if (ph == "M") continue;  // metadata (lane names)
-    SSTAR_CHECK_MSG(ph == "X" || ph == "i",
-                    "chrome trace: unexpected phase '" << ph << "'");
-    const Json& args = ev.at("args");
+  for (std::size_t i = 0; i < doc.items.size(); ++i) {
     TraceEvent e;
-    e.kind = kind_from_tag(args.at("kind").str);
-    e.lane = static_cast<std::int32_t>(ev.at("tid").num);
-    e.task = static_cast<std::int32_t>(args.at("task").num);
-    e.k = static_cast<std::int32_t>(args.at("k").num);
-    e.j = static_cast<std::int32_t>(args.at("j").num);
-    e.peer = static_cast<std::int32_t>(args.at("peer").num);
-    e.flops = static_cast<std::int64_t>(args.at("flops").num);
-    e.bytes = static_cast<std::int64_t>(args.at("bytes").num);
-    e.t0 = ev.at("ts").num / 1e6;
-    e.t1 = ev.has("dur") ? e.t0 + ev.at("dur").num / 1e6 : e.t0;
+    try {
+      if (!read_event(doc.items[i], doc.items.size(), &e)) continue;
+    } catch (const CheckError& err) {
+      throw CheckError("chrome trace: event " + std::to_string(i) + ": " +
+                       err.what());
+    }
     out.events.push_back(e);
     out.num_lanes = std::max(out.num_lanes, e.lane + 1);
+  }
+  // Put each lane in the collector's event order, which the analyses
+  // walk; lanes keep the document's interleaving, so a document whose
+  // lanes are each in order reads back unchanged.
+  std::vector<std::vector<std::size_t>> slots(
+      static_cast<std::size_t>(out.num_lanes));
+  for (std::size_t i = 0; i < out.events.size(); ++i)
+    slots[static_cast<std::size_t>(out.events[i].lane)].push_back(i);
+  std::vector<TraceEvent> lane;
+  for (const std::vector<std::size_t>& slot : slots) {
+    lane.clear();
+    for (const std::size_t i : slot) lane.push_back(out.events[i]);
+    std::stable_sort(lane.begin(), lane.end(), event_before);
+    for (std::size_t p = 0; p < slot.size(); ++p) out.events[slot[p]] = lane[p];
   }
   return out;
 }

@@ -8,9 +8,10 @@
 // single pid; timestamps are microseconds since the trace epoch.
 //
 // parse_chrome_trace() is the inverse (restricted to the fields this
-// module writes): it runs a small strict JSON parser and rebuilds the
-// Trace, so tests can assert the export round-trips losslessly and
-// external tools will see well-formed JSON.
+// module writes): it reads the document with util::parse_json, checks
+// every field's type and range, and rebuilds the Trace, so tests can
+// assert the export round-trips losslessly, external tools will see
+// well-formed JSON, and sstar_trace can read a saved run back.
 #pragma once
 
 #include <string>
@@ -25,8 +26,11 @@ std::string chrome_trace_json(const Trace& trace,
                               const std::string& lane_name = "lane");
 
 /// Parse a chrome_trace_json() document back into a Trace (metadata
-/// events are consumed, not represented). Throws CheckError with a
-/// position diagnostic on malformed JSON or missing fields.
+/// events are consumed, not represented), each lane's events sorted by
+/// event_before. Throws CheckError with a byte offset on malformed JSON,
+/// and naming the event index on a missing or invalid field: ids must
+/// be integers (a lane below the document's entry count, task/k/j/peer
+/// >= -1, flops/bytes >= 0), ts finite, dur finite and >= 0.
 Trace parse_chrome_trace(const std::string& json);
 
 /// ASCII Gantt chart of the measured spans, one row per lane — the

@@ -50,6 +50,12 @@ std::string event_label(const TraceEvent& e) {
   return os.str();
 }
 
+bool event_before(const TraceEvent& a, const TraceEvent& b) {
+  if (a.t0 != b.t0) return a.t0 < b.t0;
+  if (a.t1 != b.t1) return a.t1 < b.t1;
+  return a.lane < b.lane;
+}
+
 std::vector<const TraceEvent*> Trace::lane_events(int lane) const {
   std::vector<const TraceEvent*> out;
   for (const TraceEvent& e : events)
@@ -165,12 +171,7 @@ Trace TraceCollector::take() {
     }
     buffers_.clear();
   }
-  std::stable_sort(out.events.begin(), out.events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.t0 != b.t0) return a.t0 < b.t0;
-                     if (a.t1 != b.t1) return a.t1 < b.t1;
-                     return a.lane < b.lane;
-                   });
+  std::stable_sort(out.events.begin(), out.events.end(), event_before);
   for (const TraceEvent& e : out.events)
     out.num_lanes = std::max(out.num_lanes, e.lane + 1);
   return out;

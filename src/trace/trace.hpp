@@ -76,10 +76,15 @@ struct TraceEvent {
 /// Display label, e.g. "F(3)", "U(3,7)", "send(5)", "recv(5)".
 std::string event_label(const TraceEvent& e);
 
+/// The order of a merged trace: by (t0, t1, lane).
+bool event_before(const TraceEvent& a, const TraceEvent& b);
+
 /// A merged, time-sorted trace.
 struct Trace {
-  std::vector<TraceEvent> events;  ///< sorted by (t0, t1, lane)
-  int num_lanes = 0;               ///< max lane + 1 (0 when empty)
+  /// Stably sorted by event_before (a parsed trace: each lane sorted,
+  /// lanes interleaved as in the document).
+  std::vector<TraceEvent> events;
+  int num_lanes = 0;  ///< max lane + 1 (0 when empty)
 
   /// Events of one lane, in time order.
   std::vector<const TraceEvent*> lane_events(int lane) const;

@@ -162,7 +162,12 @@ ValidationReport validate_trace(const sim::ParallelProgram& prog,
   // Happens-before relation: program order per processor + every
   // message/dependency edge; transitive so unmeasured relay tasks
   // (e.g. pure comm steps) still propagate the ordering obligation.
-  const analysis::Reachability reach(n, prog.happens_before_edges());
+  // Only the measured tasks are compared, so only they keep a row.
+  std::vector<int> compared;
+  compared.reserve(report.tasks.size());
+  for (const TaskDelta& d : report.tasks) compared.push_back(d.task);
+  const analysis::Reachability reach(n, prog.happens_before_edges(),
+                                     compared);
 
   for (std::size_t ia = 0; ia < report.tasks.size(); ++ia) {
     for (std::size_t ib = 0; ib < report.tasks.size(); ++ib) {

@@ -1,10 +1,11 @@
-// Minimal strict JSON parser for configuration inputs (machine spec
-// files). No external dependencies: a hand-rolled recursive-descent
-// parser over the full JSON grammar (objects, arrays, strings with the
-// standard escapes, numbers, booleans, null), throwing CheckError with
-// a byte-position diagnostic on malformed input. This is a config
-// reader, not a serialization layer — results JSON is still written by
-// hand where needed (bench/*, trace/export).
+// Minimal strict JSON parser, the library's only one: it reads machine
+// spec files (sim/machine_spec) and saved Chrome traces
+// (trace/export). No external dependencies: a hand-rolled
+// recursive-descent parser over the full JSON grammar (objects, arrays,
+// strings with the standard escapes, numbers, booleans, null), throwing
+// CheckError with a byte-position diagnostic on malformed input. It is
+// a reader, not a serialization layer — JSON is still written by hand
+// where needed (bench/*, trace/export).
 #pragma once
 
 #include <string>

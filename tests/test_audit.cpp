@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analysis/audit.hpp"
+#include "analysis/reachability.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
 #include "core/task_graph.hpp"
@@ -243,6 +244,34 @@ TEST(Audit, DynamicCheckerCatchesUndeclaredAndUnordered) {
   const analysis::DynamicAuditReport ok_report =
       analysis::check_recorded_accesses(graph, good);
   EXPECT_TRUE(ok_report.ok()) << ok_report.summary();
+}
+
+// A closure over a subset of target nodes answers every target pair as
+// the closure over all nodes does, whatever the targets' order, though
+// its paths run through nodes that keep no row.
+TEST(Audit, ReachabilityOverTargetsMatchesFullClosure) {
+  Rng rng(29);
+  const int n = 300;
+  std::vector<std::pair<int, int>> edges;
+  for (int from = 0; from < n; ++from)
+    for (int e = 0; e < 3; ++e)
+      if (from + 1 < n)
+        edges.push_back(
+            {from, rng.uniform_int(from + 1, std::min(n - 1, from + 40))});
+  // Reverse the ids so the targets are neither a prefix nor sorted.
+  std::vector<int> targets;
+  for (int t = n - 1; t >= 0; t -= 7) targets.push_back(t);
+  const analysis::Reachability full(n, edges);
+  const analysis::Reachability part(n, edges, targets);
+  int ordered_pairs = 0;
+  for (const int a : targets)
+    for (const int b : targets) {
+      EXPECT_EQ(part.reaches(a, b), full.reaches(a, b)) << a << " -> " << b;
+      ordered_pairs += full.reaches(a, b) ? 1 : 0;
+    }
+  EXPECT_GT(ordered_pairs, 0);
+  EXPECT_THROW(analysis::Reachability(n, edges, {3, 3}), CheckError);
+  EXPECT_THROW(analysis::Reachability(n, edges, {n}), CheckError);
 }
 
 #ifdef SSTAR_AUDIT_ENABLED

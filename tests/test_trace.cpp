@@ -285,6 +285,30 @@ TEST(Trace, ChromeJsonParserRejectsMalformed) {
   EXPECT_THROW(
       trace::parse_chrome_trace(valid.substr(0, valid.size() / 2)),
       CheckError);  // truncated document
+
+  // Malformed fields of an otherwise valid event: a lane outside the
+  // document is named with its event (analyses index lanes by it), a
+  // number with a second point or without a digit with its byte offset.
+  auto event = [](const std::string& tid, const std::string& ts) {
+    return "[{\"ph\":\"X\",\"ts\":" + ts + ",\"dur\":1,\"tid\":" + tid +
+           ",\"args\":{\"kind\":\"factor\",\"task\":0,\"k\":0,\"j\":0,"
+           "\"peer\":-1,\"flops\":0,\"bytes\":0}}]";
+  };
+  EXPECT_NO_THROW(trace::parse_chrome_trace(event("0", "1")));
+  const std::pair<std::string, std::string> bad[] = {
+      {event("-1", "1"), "event 0"},
+      {event("1e12", "1"), "event 0"},
+      {event("0", "1.2.3"), "byte"},
+      {event("0", "-"), "byte"}};
+  for (const auto& [doc, names] : bad) {
+    try {
+      trace::parse_chrome_trace(doc);
+      ADD_FAILURE() << "accepted " << doc;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Trace, GanttTextCoversEveryLane) {
@@ -594,6 +618,29 @@ TEST(TraceAnalyze, CriticalPathFollowsSendRecvMatch) {
   EXPECT_EQ(cp.events[3].kind, trace::EventKind::kUpdate);
   const std::string text = trace::critical_path_text(cp);
   EXPECT_NE(text.find("F(0)"), std::string::npos);
+}
+
+TEST(TraceAnalyze, CriticalPathEndsOnCyclicSendRecvMatches) {
+  // Each lane receives before it sends what the other lane receives, so
+  // the send -> recv matches form a cycle; the walk must still end, and
+  // visit each event once.
+  const trace::Trace tr = trace::parse_chrome_trace(
+      "["
+      R"({"ph":"X","ts":0,"dur":1,"tid":0,"args":{"kind":"recv",)"
+      R"("task":-1,"k":0,"j":-1,"peer":1,"flops":0,"bytes":8}},)"
+      R"({"ph":"X","ts":0.1,"dur":1,"tid":1,"args":{"kind":"recv",)"
+      R"("task":-1,"k":0,"j":-1,"peer":0,"flops":0,"bytes":8}},)"
+      R"({"ph":"i","ts":2,"tid":0,"args":{"kind":"send",)"
+      R"("task":-1,"k":0,"j":-1,"peer":1,"flops":0,"bytes":8}},)"
+      R"({"ph":"i","ts":2.1,"tid":1,"args":{"kind":"send",)"
+      R"("task":-1,"k":0,"j":-1,"peer":0,"flops":0,"bytes":8}})"
+      "]");
+  const trace::CriticalPath cp = trace::realized_critical_path(tr);
+  EXPECT_DOUBLE_EQ(cp.makespan, 2.1e-6);
+  ASSERT_EQ(cp.events.size(), 4u);
+  std::set<std::pair<int, int>> seen;
+  for (const trace::TraceEvent& e : cp.events)
+    EXPECT_TRUE(seen.insert({e.lane, static_cast<int>(e.kind)}).second);
 }
 
 // ----------------------------------------------------------------------

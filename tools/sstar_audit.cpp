@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -45,7 +44,6 @@
 #include "core/task_graph.hpp"
 #include "exec/lu_real.hpp"
 #include "matrix/generators.hpp"
-#include "matrix/hb_io.hpp"
 #include "matrix/io.hpp"
 #include "matrix/suite.hpp"
 #include "sim/comm_plan.hpp"
@@ -334,16 +332,7 @@ int main(int argc, char** argv) {
 
   try {
     SparseMatrix a = [&]() -> SparseMatrix {
-      if (!matrix_path.empty()) {
-        std::ifstream probe(matrix_path);
-        if (!probe.is_open()) throw CheckError("cannot open " + matrix_path);
-        std::string first;
-        std::getline(probe, first);
-        probe.close();
-        if (first.rfind("%%MatrixMarket", 0) == 0)
-          return io::read_matrix_market(matrix_path);
-        return io::read_harwell_boeing(matrix_path, nullptr);
-      }
+      if (!matrix_path.empty()) return io::read_matrix_file(matrix_path);
       if (!suite_name.empty())
         return gen::suite_entry(suite_name).generate(scale, seed);
       gen::ValueOptions vo;

@@ -13,6 +13,13 @@
 //     distributed factors are BITWISE-identical (exit 1 if not),
 //   * fails verification if any rank still holds a cached remote panel
 //     after the run (a release-protocol leak),
+//   * prints the measured per-rank phase breakdown (compute / comm wait
+//     / idle — the measured version of the paper's Tables 5-7 split)
+//     of the traced run,
+//   * checks the trace against independent counts: summed span flops
+//     against the sequential reference's exact flops (the one count
+//     that sees forked ranks under --transport=proc), send events and
+//     bytes against the transport's counters (exit 1 on a mismatch),
 //   * checks an end-to-end solve residual,
 //   * with --memory, prints a per-rank store table (owned bytes, cache
 //     high water, panels cached) against the sim/memory_model
@@ -24,7 +31,11 @@
 //     coverage, deadlock-freedom, release safety of the panel cache —
 //     run BEFORE any message is sent) and the recorded-traffic
 //     cross-validation (every send/recv the transport performed vs the
-//     plan, in order, with peer/tag/bytes) run unconditionally.
+//     plan, in order, with peer/tag/bytes) run unconditionally,
+//   * validates measured against predicted by simulating the very
+//     program the ranks ran: per-task time deltas, makespan ratio, and
+//     measured-order DAG violations cross-checked against declared
+//     block access sets (exit 1 on a conflicting one).
 //
 // Flags: --suite=NAME --scale=S --grid=N --seed=S --ordering=... and
 //        --max-block=N --amalg=N as in sstar_solve_cli;
@@ -43,8 +54,9 @@
 //        --machine=PRESET|FILE.json (machine model the program is
 //        built and priced against: "t3d", "t3e", "hier4x8", or a JSON
 //        spec per DESIGN.md §16; default t3e),
-//        --trace=PATH (write a Chrome trace_event JSON of the MP run;
-//        analyze it with sstar_trace --load=PATH)
+//        --trace=PATH (write the run's Chrome trace_event JSON, viewable
+//        in chrome://tracing / ui.perfetto.dev; sstar_trace --load=PATH
+//        re-analyzes it)
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -62,14 +74,15 @@
 #include "exec/lu_mp.hpp"
 #include "exec/lu_real.hpp"
 #include "matrix/generators.hpp"
-#include "matrix/hb_io.hpp"
 #include "matrix/io.hpp"
 #include "matrix/suite.hpp"
 #include "sim/machine_spec.hpp"
 #include "sim/memory_model.hpp"
 #include "solve/solver.hpp"
+#include "trace/analyze.hpp"
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
+#include "trace/validate.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -199,16 +212,7 @@ int main(int argc, char** argv) {
 
   try {
     SparseMatrix a = [&]() -> SparseMatrix {
-      if (!matrix_path.empty()) {
-        std::ifstream probe(matrix_path);
-        if (!probe.is_open()) throw CheckError("cannot open " + matrix_path);
-        std::string first;
-        std::getline(probe, first);
-        probe.close();
-        if (first.rfind("%%MatrixMarket", 0) == 0)
-          return io::read_matrix_market(matrix_path);
-        return io::read_harwell_boeing(matrix_path, nullptr);
-      }
+      if (!matrix_path.empty()) return io::read_matrix_file(matrix_path);
       if (!suite_name.empty())
         return gen::suite_entry(suite_name).generate(scale, seed);
       gen::ValueOptions vo;
@@ -276,8 +280,9 @@ int main(int argc, char** argv) {
     std::printf("transport: %s\n",
                 transport == "proc" ? "proc (one OS process per rank)"
                                     : "inproc (one thread per rank)");
-    // Always record the run's trace: the recorded-traffic check below
-    // cross-validates every transport send/recv against the plan.
+    // Always record the run's trace: the phase breakdown, the recorded-
+    // traffic check, the flop/send reconciliation and the validation
+    // below all read it.
     trace::TraceCollector collector;
     collector.install();
     SStarNumeric mp(layout);
@@ -310,6 +315,8 @@ int main(int argc, char** argv) {
     std::printf("total  %12lld %14lld   (%.3f s wall)\n",
                 static_cast<long long>(st.total_messages()),
                 static_cast<long long>(st.total_bytes()), st.seconds);
+    const trace::PhaseBreakdown phases = trace::phase_breakdown(tr);
+    std::printf("\n%s", trace::breakdown_table(phases).c_str());
 
     int failures = 0;
 
@@ -353,6 +360,27 @@ int main(int argc, char** argv) {
     for (const analysis::TrafficIssue& issue : traffic.issues)
       std::printf("  !! %s\n", issue.message().c_str());
     failures += traffic.ok() ? 0 : 1;
+
+    // The trace against independent counts: span flops against the
+    // sequential reference's (forked ranks' BLAS counters never reach
+    // this process), send events against the transport's counters.
+    const auto ref_flops =
+        static_cast<std::int64_t>(ref.stats().flops.total());
+    const bool flops_ok = phases.total_flops == ref_flops;
+    std::printf("span flops vs sequential:    %lld vs %lld: %s\n",
+                static_cast<long long>(phases.total_flops),
+                static_cast<long long>(ref_flops),
+                flops_ok ? "ok" : "MISMATCH");
+    const bool sends_ok = phases.sends == st.total_messages() &&
+                          phases.total_sent_bytes == st.total_bytes();
+    std::printf("send events vs transport:    %lld / %lld B vs %lld / %lld "
+                "B: %s\n",
+                static_cast<long long>(phases.sends),
+                static_cast<long long>(phases.total_sent_bytes),
+                static_cast<long long>(st.total_messages()),
+                static_cast<long long>(st.total_bytes()),
+                sends_ok ? "ok" : "MISMATCH");
+    failures += (flops_ok ? 0 : 1) + (sends_ok ? 0 : 1);
 
     if (memory) {
       const sim::MpMemoryPrediction pred =
@@ -408,6 +436,13 @@ int main(int argc, char** argv) {
       failures += dyn.ok() ? 0 : 1;
     }
 #endif
+
+    // Predicted vs measured: the simulator replays the program the ranks
+    // ran; a conflicting order violation fails the run.
+    const trace::ValidationReport validation =
+        trace::validate_trace(prog, layout, m, tr);
+    std::printf("\n%s", validation.summary().c_str());
+    failures += validation.ok() ? 0 : 1;
     return failures == 0 ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
