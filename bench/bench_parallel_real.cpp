@@ -151,11 +151,9 @@ int main(int argc, char** argv) {
     for (const int nt : thread_counts) {
       SStarNumeric num(lay);
       num.assemble(p.setup.permuted);
-      exec::LuRealOptions lro;
-      lro.threads = nt;
       trace::TraceCollector collector;
       if (!opt.trace_path.empty()) collector.install();
-      const exec::ExecStats st = exec::factorize_parallel(graph, num, lro);
+      const exec::ExecStats st = exec::factorize_parallel(graph, num, nt);
       if (!opt.trace_path.empty()) {
         collector.uninstall();
         write_trace(opt.trace_path, name + ".t" + std::to_string(nt),

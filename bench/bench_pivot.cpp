@@ -356,11 +356,9 @@ int main(int argc, char** argv) {
         run.executor = "threads";
         SStarNumeric num(lay);
         num.set_pivot_policy(policy);
-        exec::LuRealOptions lro;
-        lro.threads = nthreads;
         const auto [cp, mk] =
             timed([&] { num.assemble(setup.permuted); },
-                  [&] { exec::factorize_parallel(graph, num, lro); });
+                  [&] { exec::factorize_parallel(graph, num, nthreads); });
         run.cp_seconds = cp;
         run.makespan = mk;
         run.bitwise = exec::factors_bitwise_equal(ref, num);

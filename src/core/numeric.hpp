@@ -108,7 +108,10 @@ class SStarNumeric {
   void scale_swap(int k, int j);
   void update_block(int k, int j);
 
-  /// Sequential right-looking driver: Fig. 6's loop nest.
+  /// Sequential right-looking driver: Fig. 6's loop nest, in the LU
+  /// task DAG's index order. The bitwise reference every parallel
+  /// executor matches (Solver::factorize() runs the DAG instead); tests
+  /// and bench_table2's Table 2 column call it directly.
   void factorize();
 
   // --- solve stages over a row-major panel (see the header comment) ----

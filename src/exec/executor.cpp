@@ -9,6 +9,10 @@
 #include <mutex>
 #include <thread>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -27,6 +31,13 @@ double ExecStats::efficiency() const {
 }
 
 int default_thread_count() {
+#ifdef __linux__
+  // The affinity mask, not the machine: under `taskset -c 0` this is 1.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    return std::max(1, CPU_COUNT(&set));
+#endif
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? static_cast<int>(hc) : 1;
 }
@@ -46,25 +57,29 @@ struct RunState {
   std::vector<WorkerDeque> workers;
   int nw;
 
-  std::atomic<int> remaining;
-  std::atomic<int> ready{0};
-  std::atomic<bool> abort{false};
+  std::atomic<int> pending{0};  ///< tasks queued or running
+  std::atomic<int> ready{0};    ///< tasks queued
   std::mutex sleep_mu;
   std::condition_variable cv;
+  // Lowest-numbered task that threw (the task count while none has) and
+  // its exception. No task numbered above it starts.
+  std::atomic<int> failed;
   std::mutex err_mu;
   std::exception_ptr err;
 
   std::atomic<std::int64_t> steals{0};
   std::atomic<std::int64_t> tasks_run{0};
+  std::atomic<int> completed{0};  ///< tasks run (or bodiless) without throwing
 
   RunState(const std::vector<DagTask>& t, int workers_n)
       : tasks(t), succs(t.size()), indeg(t.size()),
         workers(static_cast<std::size_t>(workers_n)), nw(workers_n),
-        remaining(static_cast<int>(t.size())) {}
+        failed(static_cast<int>(t.size())) {}
 
   void push(int t, int self) {
     const int hint = tasks[static_cast<std::size_t>(t)].affinity;
     const int target = hint >= 0 ? hint % nw : self;
+    pending.fetch_add(1, std::memory_order_relaxed);
     {
       WorkerDeque& w = workers[static_cast<std::size_t>(target)];
       const std::lock_guard<std::mutex> lock(w.mu);
@@ -101,13 +116,38 @@ struct RunState {
     return -1;
   }
 
-  void record_error() {
-    {
-      const std::lock_guard<std::mutex> lock(err_mu);
-      if (!err) err = std::current_exception();
+  void record_error(int t) {
+    const std::lock_guard<std::mutex> lock(err_mu);
+    if (t < failed.load(std::memory_order_relaxed)) {
+      err = std::current_exception();
+      failed.store(t, std::memory_order_release);
     }
-    abort.store(true, std::memory_order_release);
-    cv.notify_all();
+  }
+
+  // Runs task t and releases its successors; a throwing task releases
+  // none.
+  void run_task(int t, int self, double* busy) {
+    const DagTask& task = tasks[static_cast<std::size_t>(t)];
+    if (task.run) {
+      const trace::ScopedTraceTask trace_task(t);
+      const WallTimer timer;
+      try {
+        task.run();
+      } catch (...) {
+        record_error(t);
+        return;
+      }
+      *busy += timer.seconds();
+      tasks_run.fetch_add(1, std::memory_order_relaxed);
+    }
+    completed.fetch_add(1, std::memory_order_relaxed);
+    for (const int s : succs[static_cast<std::size_t>(t)]) {
+      // acq_rel: the final decrement observes every predecessor's
+      // writes, and its push publishes them to whoever runs `s`.
+      if (indeg[static_cast<std::size_t>(s)].fetch_sub(
+              1, std::memory_order_acq_rel) == 1)
+        push(s, self);
+    }
   }
 
   void worker_loop(int self, double* busy) {
@@ -115,43 +155,27 @@ struct RunState {
     // bodies) belong to worker lane `self`.
     const trace::ScopedLane trace_lane(self);
     for (;;) {
-      if (abort.load(std::memory_order_acquire)) return;
       int t = pop_own(self);
       if (t < 0) t = steal(self);
       if (t < 0) {
-        if (remaining.load(std::memory_order_acquire) == 0) return;
+        if (pending.load(std::memory_order_acquire) == 0) return;
         std::unique_lock<std::mutex> lock(sleep_mu);
         cv.wait_for(lock, std::chrono::microseconds(200), [&] {
           return ready.load(std::memory_order_acquire) > 0 ||
-                 remaining.load(std::memory_order_acquire) == 0 ||
-                 abort.load(std::memory_order_acquire);
+                 pending.load(std::memory_order_acquire) == 0;
         });
         continue;
       }
-
-      const DagTask& task = tasks[static_cast<std::size_t>(t)];
-      if (task.run) {
-        const trace::ScopedTraceTask trace_task(t);
-        const WallTimer timer;
-        try {
-          task.run();
-        } catch (...) {
-          record_error();
-          return;
-        }
-        *busy += timer.seconds();
-        tasks_run.fetch_add(1, std::memory_order_relaxed);
-      }
-
-      for (const int s : succs[static_cast<std::size_t>(t)]) {
-        // acq_rel: the final decrement observes every predecessor's
-        // writes, and its push publishes them to whoever runs `s`.
-        if (indeg[static_cast<std::size_t>(s)].fetch_sub(
-                1, std::memory_order_acq_rel) == 1)
-          push(s, self);
-      }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      // After a failure the run drains: tasks numbered below the lowest
+      // thrower still run (one of them may throw first in index order),
+      // the rest are dropped unrun.
+      if (t < failed.load(std::memory_order_acquire)) run_task(t, self, busy);
+      // Successors were pushed (and counted) before this decrement, so
+      // pending reaches 0 only when no task can become ready again.
+      if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        { const std::lock_guard<std::mutex> lock(sleep_mu); }
         cv.notify_all();
+      }
     }
   }
 };
@@ -164,44 +188,57 @@ ExecStats run_dag(const std::vector<DagTask>& tasks,
   const int nw =
       std::max(1, opt.threads > 0 ? opt.threads : default_thread_count());
 
-  // Indegrees + successor lists, validating edge endpoints.
-  std::vector<int> indeg0(static_cast<std::size_t>(n), 0);
-  std::vector<std::vector<int>> succs(static_cast<std::size_t>(n));
+  bool forward = true;
   for (const DagEdge& e : edges) {
     SSTAR_CHECK_MSG(e.from >= 0 && e.from < n && e.to >= 0 && e.to < n,
                     "edge (" << e.from << " -> " << e.to
                              << ") outside task range [0, " << n << ")");
-    succs[static_cast<std::size_t>(e.from)].push_back(e.to);
-    ++indeg0[static_cast<std::size_t>(e.to)];
-  }
-
-  // Kahn pass: yields a topological order (the single-thread execution
-  // order) and rejects cyclic inputs before any task runs.
-  std::vector<int> topo;
-  topo.reserve(static_cast<std::size_t>(n));
-  {
-    std::vector<int> indeg = indeg0;
-    for (int t = 0; t < n; ++t)
-      if (indeg[static_cast<std::size_t>(t)] == 0) topo.push_back(t);
-    for (std::size_t head = 0; head < topo.size(); ++head)
-      for (const int s : succs[static_cast<std::size_t>(topo[head])])
-        if (--indeg[static_cast<std::size_t>(s)] == 0) topo.push_back(s);
-    SSTAR_CHECK_MSG(static_cast<int>(topo.size()) == n,
-                    "task graph has a cycle ("
-                        << n - static_cast<int>(topo.size())
-                        << " tasks unreachable)");
+    forward = forward && e.from < e.to;
   }
 
   ExecStats stats;
   stats.threads = nw;
   stats.busy_seconds.assign(static_cast<std::size_t>(nw), 0.0);
 
+  // Indegrees and successor lists, which one worker on forward edges
+  // does not need.
+  std::vector<int> indeg0;
+  std::vector<std::vector<int>> succs;
+  if (nw > 1 || !forward) {
+    indeg0.assign(static_cast<std::size_t>(n), 0);
+    succs.resize(static_cast<std::size_t>(n));
+    for (const DagEdge& e : edges) {
+      succs[static_cast<std::size_t>(e.from)].push_back(e.to);
+      ++indeg0[static_cast<std::size_t>(e.to)];
+    }
+  }
+
+  // The one-worker execution order: index order when every edge points
+  // forward (such edges cannot form a cycle), else a Kahn pass, which
+  // also rejects cyclic inputs before any task runs.
+  std::vector<int> order;
+  if (!forward) {
+    order.reserve(static_cast<std::size_t>(n));
+    std::vector<int> indeg = indeg0;
+    for (int t = 0; t < n; ++t)
+      if (indeg[static_cast<std::size_t>(t)] == 0) order.push_back(t);
+    for (std::size_t head = 0; head < order.size(); ++head)
+      for (const int s : succs[static_cast<std::size_t>(order[head])])
+        if (--indeg[static_cast<std::size_t>(s)] == 0) order.push_back(s);
+    SSTAR_CHECK_MSG(static_cast<int>(order.size()) == n,
+                    "task graph has a cycle ("
+                        << n - static_cast<int>(order.size())
+                        << " tasks unreachable)");
+  }
+
   if (nw == 1) {
-    // Inline execution in topological order: the 1-thread baseline pays
-    // no pool overhead.
+    // Inline execution: the 1-thread baseline pays no pool overhead, and
+    // the first task to throw is the lowest-numbered thrower when edges
+    // point forward.
     const trace::ScopedLane trace_lane(0);
     const WallTimer wall;
-    for (const int t : topo) {
+    for (int i = 0; i < n; ++i) {
+      const int t = forward ? i : order[static_cast<std::size_t>(i)];
       const DagTask& task = tasks[static_cast<std::size_t>(t)];
       if (!task.run) continue;
       const trace::ScopedTraceTask trace_task(t);
@@ -228,6 +265,7 @@ ExecStats run_dag(const std::vector<DagTask>& tasks,
     const int target = hint >= 0 ? hint % nw : (rr++ % nw);
     state.workers[static_cast<std::size_t>(target)].dq.push_back(t);
     state.ready.fetch_add(1, std::memory_order_relaxed);
+    state.pending.fetch_add(1, std::memory_order_relaxed);
   }
 
   const WallTimer wall;
@@ -241,7 +279,7 @@ ExecStats run_dag(const std::vector<DagTask>& tasks,
   stats.seconds = wall.seconds();
 
   if (state.err) std::rethrow_exception(state.err);
-  SSTAR_CHECK_MSG(state.remaining.load() == 0,
+  SSTAR_CHECK_MSG(state.completed.load() == n,
                   "executor finished with unrun tasks");
   stats.tasks_run = state.tasks_run.load();
   stats.steals = state.steals.load();

@@ -7,10 +7,10 @@
 // performs the final decrement pushes the task onto a ready deque, and
 // each worker owns one deque — popping its own back (LIFO, cache-warm)
 // and stealing other workers' fronts (FIFO, oldest work first) when it
-// runs dry. Tasks may carry an affinity hint (the paper's 2D processor
-// mapping, block (i, j) -> processor (i mod p_r, j mod p_c)); a hinted
-// task is pushed to the hinted worker's deque, but stealing keeps hints
-// advisory, never load-imbalancing.
+// runs dry. Tasks may carry an affinity hint (a program task's virtual
+// processor, the LU DAG's target column block); a hinted task is pushed
+// to the hinted worker's deque (hint mod #workers), but stealing keeps
+// hints advisory, never load-imbalancing.
 //
 // Completion counters use acquire/release ordering, so a task's body
 // happens-before every successor's body; code executed through run_dag
@@ -52,12 +52,18 @@ struct ExecStats {
   double efficiency() const;
 };
 
-/// std::thread::hardware_concurrency() with a sane floor of 1.
+/// The CPUs this process may run on (its affinity mask; where that is
+/// unavailable, std::thread::hardware_concurrency()), at least 1.
 int default_thread_count();
 
 /// Execute every task exactly once, each after all its predecessors.
-/// Throws CheckError on malformed edges or cycles; rethrows the first
-/// exception a task body throws (remaining tasks are then abandoned).
+/// One worker runs the tasks inline, in index order when every edge
+/// points forward (from a lower to a higher index) and in a Kahn
+/// topological order otherwise. Throws CheckError on malformed edges or
+/// cycles. Once a task body throws, no task numbered above the
+/// lowest-numbered thrower starts, the lower-numbered ones finish, and
+/// that thrower's exception is rethrown: with forward edges it is the
+/// exception an index-order run throws, at every thread count.
 ExecStats run_dag(const std::vector<DagTask>& tasks,
                   const std::vector<DagEdge>& edges,
                   const ExecOptions& opt = {});

@@ -7,15 +7,6 @@
 
 namespace sstar::exec {
 
-namespace {
-
-// Worker standing in for grid processor (i mod p_r, j mod p_c).
-int owner_worker(const sim::Grid& g, int i, int j) {
-  return (i % g.rows) * g.cols + (j % g.cols);
-}
-
-}  // namespace
-
 void run_lu_task(SStarNumeric& numeric, const LuTask& task) {
   if (task.type == LuTask::Type::kFactor) {
     numeric.factor_block(task.k);
@@ -30,23 +21,19 @@ void run_lu_task(SStarNumeric& numeric, const LuTask& task) {
 }
 
 ExecStats factorize_parallel(const LuTaskGraph& graph, SStarNumeric& numeric,
-                             const LuRealOptions& opt) {
-  const int nt = opt.threads > 0 ? opt.threads : default_thread_count();
-  const sim::Grid grid = opt.grid.rows > 0 && opt.grid.cols > 0
-                             ? opt.grid
-                             : sim::default_grid(nt);
-
+                             int threads) {
+  const auto body = [&graph, &numeric](int t) {
+    SSTAR_AUDIT_TASK(t);
+    run_lu_task(numeric, graph.task(t));
+  };
   std::vector<DagTask> tasks(static_cast<std::size_t>(graph.num_tasks()));
   for (int t = 0; t < graph.num_tasks(); ++t) {
-    const LuTask& lt = graph.task(t);
     DagTask& dt = tasks[static_cast<std::size_t>(t)];
-    dt.run = [&numeric, lt, t] {
-      SSTAR_AUDIT_TASK(t);
-      run_lu_task(numeric, lt);
-    };
-    // Updates of column block j land on j's owner — the same worker for
+    // Two words: std::function keeps it inline, with no allocation.
+    dt.run = [&body, t] { body(t); };
+    // The tasks of column block j land on worker j mod threads at
     // every stage k, which also preserves property-3 locality.
-    dt.affinity = owner_worker(grid, lt.j, lt.j);
+    dt.affinity = graph.task(t).j;
   }
 
   std::vector<DagEdge> edges;
@@ -54,13 +41,13 @@ ExecStats factorize_parallel(const LuTaskGraph& graph, SStarNumeric& numeric,
   for (const LuTaskEdge& e : graph.edges()) edges.push_back({e.from, e.to});
 
   ExecOptions eo;
-  eo.threads = nt;
+  eo.threads = threads;
   return run_dag(tasks, edges, eo);
 }
 
-ExecStats factorize_parallel(SStarNumeric& numeric, const LuRealOptions& opt) {
+ExecStats factorize_parallel(SStarNumeric& numeric, int threads) {
   const LuTaskGraph graph(numeric.layout());
-  return factorize_parallel(graph, numeric, opt);
+  return factorize_parallel(graph, numeric, threads);
 }
 
 ExecStats execute_program(const sim::ParallelProgram& prog,

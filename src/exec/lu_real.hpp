@@ -10,9 +10,11 @@
 // produces bitwise-identical factors to SStarNumeric::factorize().
 // factors_bitwise_equal() checks exactly that; tests enforce it.
 //
-// Affinity hints follow the paper's 2D mapping: the tasks of column
-// block j prefer the worker standing in for processor
-// (j mod p_r, j mod p_c) of the p_r x p_c grid.
+// Affinity hints: every task targeting column block j prefers worker
+// j mod threads, the same worker at every stage k (property-3 locality).
+// Since LuTaskGraph numbers its tasks in the sequential loop's order,
+// run_dag's error rule makes a failing factorization throw the loop's
+// PivotError at every thread count.
 //
 // execute_program() runs a built 1D/2D program (core/lu_1d, core/lu_2d)
 // the same way: its tasks' LuTask kernels, ordered by the program's
@@ -24,7 +26,6 @@
 #include "core/task_graph.hpp"
 #include "exec/executor.hpp"
 #include "sim/event_sim.hpp"
-#include "sim/machine.hpp"
 
 namespace sstar::exec {
 
@@ -35,20 +36,14 @@ namespace sstar::exec {
 /// own sequential loop as the bitwise reference.
 void run_lu_task(SStarNumeric& numeric, const LuTask& task);
 
-struct LuRealOptions {
-  int threads = 0;        ///< 0 = default_thread_count()
-  sim::Grid grid{0, 0};   ///< affinity mapping; {0,0} = default_grid(threads)
-};
-
-/// Factor `numeric` (already assembled) by executing its task DAG on
-/// real threads. Builds the LuTaskGraph internally.
-ExecStats factorize_parallel(SStarNumeric& numeric,
-                             const LuRealOptions& opt = {});
-
-/// Same, with a prebuilt graph (benchmarks rebuild per thread count but
-/// not per run).
+/// Factor `numeric` (already assembled) by executing `graph`, its
+/// layout's task DAG, on `threads` workers (0 = default_thread_count()).
+/// Solver::factorize() runs this at the default count.
 ExecStats factorize_parallel(const LuTaskGraph& graph, SStarNumeric& numeric,
-                             const LuRealOptions& opt = {});
+                             int threads = 0);
+
+/// Same, building the LuTaskGraph internally.
+ExecStats factorize_parallel(SStarNumeric& numeric, int threads = 0);
 
 /// Execute a built program's kernels against `numeric` (assembled) on
 /// real threads. Dependencies are the program's own: per-processor

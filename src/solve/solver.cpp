@@ -5,6 +5,7 @@
 #include <numeric>
 #include <utility>
 
+#include "exec/lu_real.hpp"
 #include "matrix/pattern_ops.hpp"
 #include "ordering/etree.hpp"
 #include "ordering/min_degree.hpp"
@@ -120,7 +121,10 @@ SolverSetup prepare(const SparseMatrix& a, const SolverOptions& opt) {
 }
 
 Solver::Solver(const SparseMatrix& a, SolverOptions opt)
-    : opt_(opt), setup_(prepare(a, opt)), numeric_(*setup_.layout) {
+    : opt_(opt),
+      setup_(prepare(a, opt)),
+      numeric_(*setup_.layout),
+      graph_(*setup_.layout) {
   numeric_.set_pivot_policy(opt.pivot);
   numeric_.assemble(setup_.permuted);
 }
@@ -128,7 +132,7 @@ Solver::Solver(const SparseMatrix& a, SolverOptions opt)
 void Solver::factorize() {
   factorized_ = false;  // a failed factorization leaves none to solve with
   try {
-    numeric_.factorize();
+    exec::factorize_parallel(graph_, numeric_);
   } catch (const PivotError& e) {
     // factor_block names the permuted column; the caller's is col_perm's.
     throw PivotError(e.pivot(), setup_.col_perm[e.column()]);

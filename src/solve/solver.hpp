@@ -4,12 +4,17 @@
 //   Solver solver(A, SolverOptions{});   // transversal + ordering +
 //                                        // static symbolic + 2D L/U
 //                                        // partition + amalgamation
-//   solver.factorize();                  // sequential S* numeric phase
+//   solver.factorize();                  // S* numeric phase: the LU task
+//                                        // DAG on every CPU it may use
 //   std::vector<double> x = solver.solve(b);
 //
-// The parallel (simulated distributed-memory) drivers live in
-// core/lu_1d.hpp and core/lu_2d.hpp and consume the same preprocessing
-// through this class.
+// factorize() runs the Factor/ScaleSwap/Update DAG (§4.1) on one
+// work-stealing worker per CPU in the process's affinity mask
+// (exec/lu_real; `taskset` limits them); its factors, pivots and
+// FactorStats are bitwise those of the sequential loop
+// SStarNumeric::factorize() at every worker count. The simulated
+// distributed-memory drivers live in core/lu_1d.hpp and core/lu_2d.hpp
+// and consume the same preprocessing through this class.
 //
 // Every solve — A or Aᵀ, one right-hand side or many, here or in a
 // serve::SolveSession — is one path: solve_in_panels() gathers the
@@ -23,6 +28,7 @@
 
 #include "core/numeric.hpp"
 #include "core/pivot.hpp"
+#include "core/task_graph.hpp"
 #include "matrix/sparse.hpp"
 #include "supernode/block_layout.hpp"
 
@@ -94,8 +100,11 @@ class Solver {
  public:
   Solver(const SparseMatrix& a, SolverOptions opt = {});
 
-  /// Numeric factorization (sequential S*). A zero or non-finite pivot
-  /// throws PivotError naming the failing column in A's numbering.
+  /// Numeric factorization: the LU task DAG, built with the Solver, on
+  /// exec::default_thread_count() workers; bitwise the sequential
+  /// loop's factors at any count. A zero or non-finite pivot throws the
+  /// loop's PivotError (the first failing column in elimination order),
+  /// naming that column in A's numbering.
   void factorize();
   bool factorized() const { return factorized_; }
 
@@ -137,6 +146,9 @@ class Solver {
   SolverOptions opt_;
   SolverSetup setup_;
   SStarNumeric numeric_;
+  // Built once with the Solver: rebuilding it on every factorize()
+  // measurably slowed one-worker refactorizations (DESIGN.md §7).
+  LuTaskGraph graph_;
   bool factorized_ = false;
 };
 

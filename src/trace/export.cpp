@@ -148,20 +148,9 @@ Trace parse_chrome_trace(const std::string& json) {
     out.events.push_back(e);
     out.num_lanes = std::max(out.num_lanes, e.lane + 1);
   }
-  // Put each lane in the collector's event order, which the analyses
-  // walk; lanes keep the document's interleaving, so a document whose
-  // lanes are each in order reads back unchanged.
-  std::vector<std::vector<std::size_t>> slots(
-      static_cast<std::size_t>(out.num_lanes));
-  for (std::size_t i = 0; i < out.events.size(); ++i)
-    slots[static_cast<std::size_t>(out.events[i].lane)].push_back(i);
-  std::vector<TraceEvent> lane;
-  for (const std::vector<std::size_t>& slot : slots) {
-    lane.clear();
-    for (const std::size_t i : slot) lane.push_back(out.events[i]);
-    std::stable_sort(lane.begin(), lane.end(), event_before);
-    for (std::size_t p = 0; p < slot.size(); ++p) out.events[slot[p]] = lane[p];
-  }
+  // The collector's order (Trace::events), whatever the document's: a
+  // trace the collector wrote reads back unchanged.
+  std::stable_sort(out.events.begin(), out.events.end(), event_before);
   return out;
 }
 

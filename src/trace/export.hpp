@@ -26,11 +26,12 @@ std::string chrome_trace_json(const Trace& trace,
                               const std::string& lane_name = "lane");
 
 /// Parse a chrome_trace_json() document back into a Trace (metadata
-/// events are consumed, not represented), each lane's events sorted by
-/// event_before. Throws CheckError with a byte offset on malformed JSON,
-/// and naming the event index on a missing or invalid field: ids must
-/// be integers (a lane below the document's entry count, task/k/j/peer
-/// >= -1, flops/bytes >= 0), ts finite, dur finite and >= 0.
+/// events are consumed, not represented), its events stably sorted by
+/// event_before as Trace::events documents. Throws CheckError with a
+/// byte offset on malformed JSON, and naming the event index on a
+/// missing or invalid field: ids must be integers (a lane below the
+/// document's entry count, task/k/j/peer >= -1, flops/bytes >= 0), ts
+/// finite, dur finite and >= 0.
 Trace parse_chrome_trace(const std::string& json);
 
 /// ASCII Gantt chart of the measured spans, one row per lane — the

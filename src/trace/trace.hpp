@@ -81,8 +81,7 @@ bool event_before(const TraceEvent& a, const TraceEvent& b);
 
 /// A merged, time-sorted trace.
 struct Trace {
-  /// Stably sorted by event_before (a parsed trace: each lane sorted,
-  /// lanes interleaved as in the document).
+  /// Stably sorted by event_before (a parsed trace too).
   std::vector<TraceEvent> events;
   int num_lanes = 0;  ///< max lane + 1 (0 when empty)
 

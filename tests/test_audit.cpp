@@ -288,9 +288,7 @@ TEST(Audit, DynamicEndToEndRealExecution) {
   log.install();
   SStarNumeric num(*layout);
   num.assemble(a);
-  exec::LuRealOptions opt;
-  opt.threads = 4;
-  exec::factorize_parallel(graph, num, opt);
+  exec::factorize_parallel(graph, num, 4);
   log.uninstall();
 
   const std::vector<analysis::AccessEvent> events = log.take_events();

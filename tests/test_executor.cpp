@@ -1,12 +1,20 @@
 // Tests for the shared-memory DAG executor: every task runs exactly
 // once, never before its predecessors, across thread counts and random
-// graph shapes; cycles and task exceptions surface as errors.
+// graph shapes; cycles and task exceptions surface as errors, and the
+// exception rethrown is the one an index-order run would throw.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "exec/executor.hpp"
 #include "util/check.hpp"
@@ -144,6 +152,73 @@ TEST(Executor, TaskExceptionPropagates) {
   EXPECT_THROW(run_dag(tasks, edges, threads(4)), std::runtime_error);
   EXPECT_THROW(run_dag(tasks, edges, threads(1)), std::runtime_error);
 }
+
+// Independent tasks 10 and 40 both throw. Task 10 is slow and sits at
+// the cold end of its worker's deque, so 40 usually throws first in wall
+// time; the run must still rethrow task 10's exception, after every
+// task below 10 has run.
+TEST(Executor, LowestNumberedThrowerWinsAtEveryThreadCount) {
+  constexpr int kN = 64;
+  std::vector<std::atomic<int>> ran(kN);
+  std::vector<DagTask> tasks(kN);
+  for (int i = 0; i < kN; ++i)
+    tasks[i].run = [i, &ran] { ran[i].store(1, std::memory_order_relaxed); };
+  tasks[10].run = [] {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    throw std::runtime_error("task 10");
+  };
+  tasks[40].run = [] { throw std::runtime_error("task 40"); };
+  for (const int nt : {1, 2, 4, 8}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      for (auto& r : ran) r = 0;
+      try {
+        run_dag(tasks, {}, threads(nt));
+        FAIL() << "no exception at " << nt << " threads";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), "task 10") << nt << " threads";
+      }
+      for (int i = 0; i < 10; ++i)
+        EXPECT_EQ(ran[i].load(), 1) << "task " << i << ", " << nt;
+    }
+  }
+}
+
+// A forward-edge DAG whose Kahn (breadth-first) order is not its index
+// order: one worker runs it in index order.
+TEST(Executor, OneWorkerRunsForwardDagInIndexOrder) {
+  constexpr int kN = 6;
+  std::vector<int> order;
+  std::vector<DagTask> tasks(kN);
+  for (int i = 0; i < kN; ++i)
+    tasks[i].run = [i, &order] { order.push_back(i); };
+  const std::vector<DagEdge> edges{{0, 4}, {0, 5}, {1, 2}, {3, 5}};
+  const ExecStats st = run_dag(tasks, edges, threads(1));
+  EXPECT_EQ(st.tasks_run, kN);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+#ifdef __linux__
+// The default worker count is the affinity mask's CPU count: a thread
+// pinned to one CPU gets one worker, whatever the machine has.
+TEST(Executor, DefaultThreadCountFollowsAffinityMask) {
+  int pinned = -1;  // stays -1 if this host refuses to pin a thread
+  std::thread probe([&pinned] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0) return;
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &set)) ++cpu;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    if (sched_setaffinity(0, sizeof(set), &set) != 0) return;
+    pinned = default_thread_count();
+  });
+  probe.join();
+  EXPECT_GE(default_thread_count(), 1);
+  if (pinned == -1) GTEST_SKIP() << "cannot pin a thread to one CPU here";
+  EXPECT_EQ(pinned, 1);
+}
+#endif
 
 TEST(Executor, StatsAreCoherent) {
   std::vector<DagTask> tasks(64);

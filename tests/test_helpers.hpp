@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "baseline/dense_lu.hpp"
+#include "blas/kernel_backend.hpp"
 #include "matrix/sparse.hpp"
 
 namespace sstar::testing {
@@ -41,5 +42,12 @@ SparseMatrix paper_fig2_matrix();
 
 /// The paper's Fig. 4 seven-by-seven supernode-partition example.
 SparseMatrix paper_fig4_matrix();
+
+/// Restores the process-wide backend selection on scope exit, so tests
+/// that force a backend cannot leak it into the rest of the suite.
+struct BackendGuard {
+  blas::KernelBackend saved = blas::active_kernel_backend();
+  ~BackendGuard() { blas::set_kernel_backend(saved); }
+};
 
 }  // namespace sstar::testing

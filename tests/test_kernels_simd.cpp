@@ -41,12 +41,7 @@ namespace {
 
 constexpr double kEps = std::numeric_limits<double>::epsilon();
 
-/// Restores the process-wide backend selection on scope exit, so these
-/// tests cannot leak a forced backend into the rest of the suite.
-struct BackendGuard {
-  blas::KernelBackend saved = blas::active_kernel_backend();
-  ~BackendGuard() { blas::set_kernel_backend(saved); }
-};
+using testing::BackendGuard;
 
 std::vector<blas::KernelBackend> simd_backends() {
   std::vector<blas::KernelBackend> out;
@@ -513,7 +508,7 @@ TEST(KernelDeterminism, BitwiseIdenticalAcrossExecutorsPerBackend) {
     for (const int threads : {1, 2, 4, 8}) {
       SStarNumeric par(*f.layout);
       par.assemble(f.a);
-      exec::factorize_parallel(par, exec::LuRealOptions{threads, {0, 0}});
+      exec::factorize_parallel(par, threads);
       EXPECT_TRUE(exec::factors_bitwise_equal(ref, par))
           << blas::kernel_backend_name(kb) << " threads=" << threads;
       EXPECT_EQ(par.pivot_of_col(), ref.pivot_of_col());

@@ -53,9 +53,7 @@ TEST(LuRealExec, BitwiseIdenticalAcrossThreadCounts) {
   for (const int nt : {1, 2, 4, 8}) {
     SStarNumeric num(*f.layout);
     num.assemble(f.a);
-    exec::LuRealOptions opt;
-    opt.threads = nt;
-    const exec::ExecStats st = exec::factorize_parallel(graph, num, opt);
+    const exec::ExecStats st = exec::factorize_parallel(graph, num, nt);
     EXPECT_EQ(st.threads, nt);
     EXPECT_EQ(st.tasks_run, graph.num_tasks());
     EXPECT_TRUE(exec::factors_bitwise_equal(*ref, num)) << nt << " threads";
@@ -76,9 +74,7 @@ TEST(LuRealExec, RepeatedRunsIdentical) {
   for (int rep = 0; rep < 3; ++rep) {
     auto num = std::make_unique<SStarNumeric>(*f.layout);
     num->assemble(f.a);
-    exec::LuRealOptions opt;
-    opt.threads = 4;
-    exec::factorize_parallel(*num, opt);
+    exec::factorize_parallel(*num, 4);
     if (!first) {
       first = std::move(num);
       continue;
@@ -94,26 +90,25 @@ TEST(LuRealExec, SolveMatchesSequential) {
 
   SStarNumeric num(*f.layout);
   num.assemble(f.a);
-  exec::LuRealOptions opt;
-  opt.threads = 4;
-  exec::factorize_parallel(num, opt);
+  exec::factorize_parallel(num, 4);
   const auto got = num.solve(b);
   for (int i = 0; i < 90; ++i) EXPECT_EQ(got[i], want[i]) << "i=" << i;
 }
 
-TEST(LuRealExec, ExplicitGridAffinity) {
+// Column block j's tasks are hinted to worker j mod threads; worker
+// counts that do not divide the block count, or are not a power of two,
+// wrap the hints unevenly and must still give the loop's bits.
+TEST(LuRealExec, ColumnAffinityBitwiseAtUnevenThreadCounts) {
   const auto f = Fixture::make(100, 4, 41, 8, 4);
   const auto ref = f.sequential();
-  for (const sim::Grid g : {sim::Grid{1, 4}, sim::Grid{2, 2},
-                            sim::Grid{4, 1}, sim::Grid{2, 4}}) {
+  const LuTaskGraph graph(*f.layout);
+  for (const int nt : {3, 5, 6, 8}) {
     SStarNumeric num(*f.layout);
     num.assemble(f.a);
-    exec::LuRealOptions opt;
-    opt.threads = 4;
-    opt.grid = g;
-    exec::factorize_parallel(num, opt);
-    EXPECT_TRUE(exec::factors_bitwise_equal(*ref, num))
-        << "grid " << g.rows << "x" << g.cols;
+    const exec::ExecStats st = exec::factorize_parallel(graph, num, nt);
+    EXPECT_EQ(st.threads, nt);
+    EXPECT_TRUE(exec::factors_bitwise_equal(*ref, num)) << nt << " threads";
+    EXPECT_EQ(num.stats().flops.total(), ref->stats().flops.total());
   }
 }
 
@@ -155,11 +150,9 @@ TEST(LuRealExec, TracingOnBitwiseIdentical) {
 
   SStarNumeric num(*f.layout);
   num.assemble(f.a);
-  exec::LuRealOptions opt;
-  opt.threads = 4;
   trace::TraceCollector collector;
   collector.install();
-  const exec::ExecStats st = exec::factorize_parallel(graph, num, opt);
+  const exec::ExecStats st = exec::factorize_parallel(graph, num, 4);
   collector.uninstall();
   const trace::Trace tr = collector.take();
 

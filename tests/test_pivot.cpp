@@ -139,9 +139,7 @@ TEST(PivotBitwise, ExactPolicyAcrossThreadCounts) {
     SStarNumeric num(*f.layout);
     num.set_pivot_policy(policy_of(1.0));
     num.assemble(f.a);
-    exec::LuRealOptions opt;
-    opt.threads = threads;
-    exec::factorize_parallel(num, opt);
+    exec::factorize_parallel(num, threads);
     EXPECT_TRUE(exec::factors_bitwise_equal(*plain, num))
         << "threads=" << threads;
     EXPECT_EQ(num.stats().relaxed_pivots, 0);
@@ -313,9 +311,7 @@ TEST(PivotThreshold, ThresholdFactorsBitwiseAcrossExecutors) {
     SStarNumeric num(*f.layout);
     num.set_pivot_policy(p);
     num.assemble(f.a);
-    exec::LuRealOptions opt;
-    opt.threads = threads;
-    exec::factorize_parallel(num, opt);
+    exec::factorize_parallel(num, threads);
     EXPECT_TRUE(exec::factors_bitwise_equal(*ref, num))
         << "threads=" << threads;
   }
@@ -454,9 +450,7 @@ TEST(PivotAudit, DependenceAuditCoversThresholdPivotedRuns) {
   SStarNumeric num(*f.layout);
   num.set_pivot_policy(policy_of(0.25));
   num.assemble(f.a);
-  exec::LuRealOptions opt;
-  opt.threads = 4;
-  exec::factorize_parallel(graph, num, opt);
+  exec::factorize_parallel(graph, num, 4);
   const auto ref = f.factor(policy_of(0.25));
   EXPECT_TRUE(exec::factors_bitwise_equal(*ref, num));
 }

@@ -8,6 +8,7 @@
 // 2D sync) at ranks {1, 2, 4, 8}.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -180,6 +181,8 @@ TEST(Trace, SequentialFactorizeEmitsKernelSpans) {
 // ----------------------------------------------------------------------
 // Chrome trace_event JSON.
 
+// Two lanes whose events interleave in time, listed in event_before
+// order as a collected Trace holds them.
 trace::Trace synthetic_trace() {
   trace::Trace tr;
   trace::TraceEvent e = make_event(trace::EventKind::kFactor, 1e-6, 5e-6,
@@ -188,17 +191,17 @@ trace::Trace synthetic_trace() {
   e.task = 12;
   e.flops = 1234;
   tr.events.push_back(e);
-  e = make_event(trace::EventKind::kSend, 5e-6, 5e-6, 3);
-  e.lane = 0;
-  e.peer = 1;
-  e.bytes = 456;
-  e.flops = 0;
-  tr.events.push_back(e);
   e = make_event(trace::EventKind::kRecvWait, 2e-6, 7e-6, 3);
   e.lane = 1;
   e.task = 19;
   e.peer = 0;
   e.bytes = 456;
+  tr.events.push_back(e);
+  e = make_event(trace::EventKind::kSend, 5e-6, 5e-6, 3);
+  e.lane = 0;
+  e.peer = 1;
+  e.bytes = 456;
+  e.flops = 0;
   tr.events.push_back(e);
   e = make_event(trace::EventKind::kScale, 7e-6, 8e-6, 3, 4);
   e.lane = 1;
@@ -239,6 +242,29 @@ TEST(Trace, ChromeJsonRoundTripsLosslessly) {
   // Export is a fixed point: exporting the parsed trace reproduces the
   // document byte for byte (the golden-file property).
   EXPECT_EQ(trace::chrome_trace_json(back, "rank"), json);
+}
+
+// A document is free to list its lanes one after the other, out of time
+// order; the parse restores the one global order Trace::events
+// documents, which is the collector's.
+TEST(Trace, ChromeJsonInterleavedLanesLoadInEventOrder) {
+  const trace::Trace tr = synthetic_trace();
+  trace::Trace by_lane = tr;
+  std::stable_sort(by_lane.events.begin(), by_lane.events.end(),
+                   [](const trace::TraceEvent& a, const trace::TraceEvent& b) {
+                     return a.lane > b.lane;
+                   });
+  const trace::Trace back =
+      trace::parse_chrome_trace(trace::chrome_trace_json(by_lane, "worker"));
+  ASSERT_EQ(back.events.size(), tr.events.size());
+  EXPECT_TRUE(std::is_sorted(back.events.begin(), back.events.end(),
+                             trace::event_before));
+  for (std::size_t i = 0; i < tr.events.size(); ++i) {
+    EXPECT_EQ(back.events[i].kind, tr.events[i].kind) << i;
+    EXPECT_EQ(back.events[i].lane, tr.events[i].lane) << i;
+  }
+  EXPECT_EQ(trace::chrome_trace_json(back, "worker"),
+            trace::chrome_trace_json(tr, "worker"));
 }
 
 // A golden document written by an earlier version of the exporter must

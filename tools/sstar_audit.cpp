@@ -374,9 +374,7 @@ int main(int argc, char** argv) {
       log.install();
       SStarNumeric numeric(layout);
       numeric.assemble(setup.permuted);
-      exec::LuRealOptions ropt;
-      ropt.threads = threads;
-      exec::factorize_parallel(graph, numeric, ropt);
+      exec::factorize_parallel(graph, numeric, threads);
       log.uninstall();
       const analysis::DynamicAuditReport dyn =
           analysis::check_recorded_accesses(graph, log.take_events());
