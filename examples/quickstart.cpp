@@ -31,7 +31,8 @@ int main() {
 
   // Factor: transversal -> minimum-degree ordering -> static symbolic
   // factorization -> 2D L/U supernode partitioning -> numeric phase.
-  SolverOptions options;  // defaults: BSIZE = 25, amalgamation r = 4
+  SolverOptions options;  // defaults: BSIZE = 64 (the paper's 25 is
+                          // a T3D/T3E choice), amalgamation r = 4
   Solver solver(a, options);
   solver.factorize();
 

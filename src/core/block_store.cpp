@@ -33,13 +33,39 @@ double BlockStore::value_at(int row, int col) const {
 }
 
 void BlockStore::assemble(const SparseMatrix& a) {
-  SSTAR_CHECK(a.rows() == layout_->n() && a.cols() == layout_->n());
+  const BlockLayout& lay = *layout_;
+  SSTAR_CHECK(a.rows() == lay.n() && a.cols() == lay.n());
   clear();
+  // Columns ascend, and rows ascend within each column, so forward
+  // cursors find the slots entry_ptr would: one over panel_rows(jb) per
+  // column, and one per row block over panel_cols(ib) for the matrix.
+  std::vector<int> ucur(static_cast<std::size_t>(lay.num_blocks()), 0);
   for (int j = 0; j < a.cols(); ++j) {
-    if (!stores_column_block(layout_->block_of_column(j))) continue;
+    const int jb = lay.block_of_column(j);
+    if (!stores_column_block(jb)) continue;
+    const int base = lay.start(jb);
+    const std::ptrdiff_t lc = j - base;
+    double* dcol = diag(jb) + lc * diag_ld(jb);
+    double* lcol = l_panel(jb) + lc * l_ld(jb);
+    const std::vector<int>& prows = lay.panel_rows(jb);
+    std::size_t lcur = 0;
     for (int k = a.col_begin(j); k < a.col_end(j); ++k) {
-      double* p = entry_ptr(a.row_idx()[k], j);
-      SSTAR_CHECK_MSG(p != nullptr, "entry (" << a.row_idx()[k] << "," << j
+      const int row = a.row_idx()[k];
+      const int ib = lay.block_of_column(row);
+      double* p = nullptr;
+      if (ib == jb) {
+        p = dcol + (row - base);
+      } else if (ib > jb) {
+        while (lcur < prows.size() && prows[lcur] < row) ++lcur;
+        if (lcur < prows.size() && prows[lcur] == row) p = lcol + lcur;
+      } else {
+        const std::vector<int>& pcols = lay.panel_cols(ib);
+        int& c = ucur[static_cast<std::size_t>(ib)];
+        while (c < static_cast<int>(pcols.size()) && pcols[c] < j) ++c;
+        if (c < static_cast<int>(pcols.size()) && pcols[c] == j)
+          p = u_block(ib, c) + (row - lay.start(ib));
+      }
+      SSTAR_CHECK_MSG(p != nullptr, "entry (" << row << "," << j
                                               << ") outside static structure");
       *p = a.values()[k];
     }

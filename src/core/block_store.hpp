@@ -92,7 +92,7 @@ class BlockStore {
     return true;
   }
 
-  // --- element addressing (slow; tests and assembly only) ---------------
+  // --- element addressing (slow; tests and diagnostics only) ------------
   /// Pointer to the storage cell of global (row, col); nullptr if the
   /// position is not stored OR row/col are out of the matrix range.
   double* entry_ptr(int row, int col);
@@ -104,10 +104,12 @@ class BlockStore {
   /// positions.
   double value_at(int row, int col) const;
 
-  /// Scatter the entries of A into the (zeroed) storage. Every entry of
-  /// A inside a stored column block must lie inside the static
-  /// structure; entries of unstored column blocks are skipped (they
-  /// belong to some other rank's store).
+  /// Scatter the entries of A into the (zeroed) storage, finding each
+  /// slot with forward cursors over the sorted panel lists. Every entry
+  /// of A inside a stored column block must lie inside the static
+  /// structure (else CheckError names its (row, col)); entries of
+  /// unstored column blocks are skipped (they belong to some other
+  /// rank's store).
   void assemble(const SparseMatrix& a);
 
   /// Reset all values to zero (storage shape is kept; a distributed

@@ -13,21 +13,31 @@ namespace sstar {
 
 namespace {
 
-std::string pivot_message(double pivot, int column) {
+std::string pivot_message(double pivot, int column, PivotError::Cause cause) {
   std::ostringstream os;
-  if (std::isfinite(pivot))
+  if (cause == PivotError::Cause::kOverflow)
+    os << "factor entry overflowed to " << pivot << " at column " << column;
+  else if (std::isfinite(pivot))
     os << "matrix is numerically singular at column " << column;
   else
     os << "non-finite pivot " << pivot << " at column " << column;
   return os.str();
 }
 
+// Throw the overflow PivotError for the first non-finite x[i], if any.
+void check_finite(const double* x, int n, int column) {
+  for (int i = 0; i < n; ++i)
+    if (!std::isfinite(x[i]))
+      throw PivotError(x[i], column, PivotError::Cause::kOverflow);
+}
+
 }  // namespace
 
-PivotError::PivotError(double pivot, int column)
-    : CheckError(pivot_message(pivot, column)),
+PivotError::PivotError(double pivot, int column, Cause cause)
+    : CheckError(pivot_message(pivot, column, cause)),
       pivot_(pivot),
-      column_(column) {}
+      column_(column),
+      cause_(cause) {}
 
 SStarNumeric::SStarNumeric(const BlockLayout& layout)
     : SStarNumeric(layout, std::make_unique<PackedBlockStore>(layout)) {}
@@ -166,6 +176,15 @@ void SStarNumeric::factor_block(int k) {
     const double inv = 1.0 / cd[ml];
     blas::dscal(w - ml - 1, inv, cd + ml + 1);
     blas::dscal(nr, inv, cp);
+    // Every candidate was finite, so only the division can overflow: a
+    // pivot kept far below the column max by a subnormal threshold.
+    // Later swaps only move these multipliers, and Update's zero-column
+    // skip relies on L_k being finite. (U_kk needs no check of its own:
+    // a non-finite u(ml, c) reaches column c's candidates through the
+    // rank-1 update below, since l * u is never finite, and column c's
+    // pivot search rejects it.)
+    check_finite(cd + ml + 1, w - ml - 1, m);
+    check_finite(cp, nr, m);
 
     // Rank-1 update of the remaining columns of the diagonal block and
     // the panel: A -= l * u_row.
@@ -392,6 +411,7 @@ void SStarNumeric::update_block(int k, int j) {
   // Scratch is thread-local, not a member: concurrent Update tasks on
   // exec:: workers each get their own buffers.
   thread_local std::vector<double> work;
+  thread_local std::vector<double> packed;
   thread_local std::vector<int> maps;
 
   SSTAR_AUDIT_RECORD(k, k, analysis::Access::kRead);
@@ -400,28 +420,58 @@ void SStarNumeric::update_block(int k, int j) {
   // U_kj = L_kk^{-1} U_kj.
   blas::dtrsm_lower_unit(wk, ncols, store_->diag(k), wk, ukj, uld);
 
-  // work = L_k * U_kj for the whole L panel of k in ONE GEMM: the L
+  // U_kj is final: a non-finite entry fails naming its column. An
+  // exactly zero column is skipped. Its GEMM column would be
+  // (sum_p l * 0, summed from +0) = +0, because Factor(k) checked that
+  // L_k is finite, and x - (+0) = x for every target x. Each GEMM
+  // column depends only on its own column of U_kj
+  // (KernelSimd.GemmColumnsAreIndependent), so the GEMM and the
+  // epilogue run over the other columns, packed, and every factor bit
+  // stays as it was. Maps: [0, ncols) the kept columns' global indices,
+  // [ncols, 2 ncols) their columns inside column block j itself, then
+  // inside row block i's U slice, then the rows.
+  const int jstart = lay.start(j);
+  maps.resize(static_cast<std::size_t>(3 * ncols + lld));
+  int* kcols = maps.data();
+  int* jcols = kcols + ncols;
+  int* icols = jcols + ncols;
+  int* rmap = icols + ncols;
+  packed.resize(static_cast<std::size_t>(wk) * static_cast<std::size_t>(ncols));
+  int nkept = 0;
+  for (int c = 0; c < ncols; ++c) {
+    const double* col = ukj + static_cast<std::ptrdiff_t>(c) * uld;
+    check_finite(col, wk, ucols[c]);
+    if (std::none_of(col, col + wk, [](double v) { return v != 0.0; }))
+      continue;
+    std::copy(col, col + wk,
+              packed.data() + static_cast<std::ptrdiff_t>(nkept) * wk);
+    kcols[nkept] = ucols[c];
+    jcols[nkept++] = ucols[c] - jstart;
+  }
+
+  // work = L_k * (kept U_kj) for the whole L panel of k in ONE GEMM: the L
   // blocks are consecutive rows of one column-major panel. Each element
   // is summed from zero in k order whatever row strip it falls in, so
   // the rows of L block i carry the bits a per-block GEMM would give
   // them (pinned by KernelSimd.StackedRowsMatchPerBlockGemm).
-  work.resize(static_cast<std::size_t>(lld) * static_cast<std::size_t>(ncols));
-  blas::dgemm(lld, ncols, wk, 1.0, store_->l_panel(k), lld, ukj, uld, 0.0,
-              work.data(), lld);
-  // One flop per updated cell for the subtraction below.
+  work.resize(static_cast<std::size_t>(lld) * static_cast<std::size_t>(nkept));
+  blas::dgemm(lld, nkept, wk, 1.0, store_->l_panel(k), lld, packed.data(),
+              wk, 0.0, work.data(), lld);
+  // The counts stay the static S* ones the machine model prices: the
+  // skipped columns' GEMM and subtract count as if run, and
+  // skipped_flops reports them apart. One flop per updated cell for the
+  // subtraction below.
+  const std::uint64_t skipped_cells = static_cast<std::uint64_t>(lld) *
+                                      static_cast<std::uint64_t>(ncols - nkept);
+  blas::FlopCount skipped;
+  skipped.blas1 = skipped_cells;
+  skipped.blas3 = 2 * skipped_cells * static_cast<std::uint64_t>(wk);
   blas::flop_counter().blas1 +=
       static_cast<std::uint64_t>(lld) * static_cast<std::uint64_t>(ncols);
+  blas::flop_counter().blas3 += skipped.blas3;
 
   // A_ij -= L_ik * U_kj for every nonzero L block below the diagonal.
-  // Maps: [0, ncols) the columns of U_kj inside column block j itself,
-  // [ncols, 2 ncols) inside row block i's U slice, then the rows.
-  const int jstart = lay.start(j);
   const int* prows = lay.panel_rows(k).data();
-  maps.resize(static_cast<std::size_t>(2 * ncols + lld));
-  int* jcols = maps.data();
-  int* icols = jcols + ncols;
-  int* rmap = icols + ncols;
-  for (int c = 0; c < ncols; ++c) jcols[c] = ucols[c] - jstart;
   for (const BlockRef& lref : lay.l_blocks(k)) {
     const int i = lref.block;
     const int mrows = lref.count;
@@ -438,13 +488,14 @@ void SStarNumeric::update_block(int k, int j) {
     SSTAR_AUDIT_RECORD(i, k, analysis::Access::kRead);
     if (i == j || tref != nullptr)
       SSTAR_AUDIT_RECORD(i, j, analysis::Access::kWrite);
+    if (nkept == 0) continue;
     if (i > j) {
       // Rows are found in the (i, j) run of panel_rows(j); columns are
       // direct.
       const bool rows_run =
           merge_offsets(grows, mrows, lay.panel_rows(j).data() + toff,
                         tcount, toff, rmap);
-      subtract_tile(src, lld, mrows, ncols, rmap, rows_run, jcols,
+      subtract_tile(src, lld, mrows, nkept, rmap, rows_run, jcols,
                     store_->l_panel(j), store_->l_ld(j));
       continue;
     }
@@ -455,21 +506,22 @@ void SStarNumeric::update_block(int k, int j) {
     for (int r = 0; r < mrows; ++r) rmap[r] = grows[r] - istart;
     const bool rows_run = grows[mrows - 1] - grows[0] == mrows - 1;
     if (i == j) {
-      subtract_tile(src, lld, mrows, ncols, rmap, rows_run, jcols,
+      subtract_tile(src, lld, mrows, nkept, rmap, rows_run, jcols,
                     store_->diag(j), store_->diag_ld(j));
     } else {
       // Columns are found in the slice's run of panel_cols(i). A
       // distributed store holds U per slice, so the slice is addressed
       // as u_block(i, toff).
-      merge_offsets(ucols, ncols, lay.panel_cols(i).data() + toff, tcount,
+      merge_offsets(kcols, nkept, lay.panel_cols(i).data() + toff, tcount,
                     0, icols);
-      subtract_tile(src, lld, mrows, ncols, rmap, rows_run, icols,
+      subtract_tile(src, lld, mrows, nkept, rmap, rows_run, icols,
                     tref != nullptr ? store_->u_block(i, toff) : nullptr,
                     store_->u_ld(i));
     }
   }
   const std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.flops += region.delta();
+  stats_.skipped_flops += skipped;
 }
 
 void SStarNumeric::factorize() {

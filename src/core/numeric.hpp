@@ -18,10 +18,18 @@
 //   ScaleSwap(k,j) — delayed pivoting: apply block k's pivot sequence to
 //                    column block j;
 //   Update(k,j)    — U_kj = L_kk^{-1} U_kj (DTRSM), then one DGEMM of
-//                    k's whole L panel by U_kj into scratch, then
-//                    A_ij -= L_ik * U_kj for each L block i: a subtract
-//                    epilogue whose target offsets come from one merge
-//                    walk of the sorted panel lists per block.
+//                    k's whole L panel by U_kj's nonzero columns into
+//                    scratch, then A_ij -= L_ik * U_kj for each L block
+//                    i: a subtract epilogue whose target offsets come
+//                    from one merge walk of the sorted panel lists per
+//                    block. An exactly zero column of U_kj is skipped
+//                    without changing a bit (see update_block).
+//
+// Every factor entry is checked once: Factor(k) its pivot candidates
+// (which a non-finite U_kk entry reaches through the rank-1 updates)
+// and multipliers, Update(k, j) its final U_kj. A non-finite one throws
+// PivotError naming its column, so the factors are finite or the
+// factorization fails.
 //
 // Pivoting is physical in the active region only: computed L multipliers
 // stay with their storage row (the sparse-LU convention; SuperLU does the
@@ -50,25 +58,36 @@
 
 namespace sstar {
 
-/// Factor(k) found no usable pivot: the largest candidate of a column is
-/// zero (the matrix is numerically singular) or not finite. column() is
-/// the failing column in the thrower's numbering: factor_block reports
-/// the permuted column, Solver::factorize()/refactorize() rethrow it
-/// naming the caller's column.
+/// The numeric phase cannot go on at column(). Either Factor(k) found
+/// no usable pivot, because the largest candidate of a column is zero
+/// (the matrix is numerically singular) or not finite, or a computed
+/// factor entry of that column (an L multiplier or a U entry)
+/// overflowed. column() is in the thrower's numbering: the kernels
+/// report the permuted column, Solver::factorize()/refactorize()
+/// rethrow it naming the caller's column.
 class PivotError : public CheckError {
  public:
-  PivotError(double pivot, int column);
+  enum class Cause { kPivot, kOverflow };
+  PivotError(double pivot, int column, Cause cause = Cause::kPivot);
+  /// The failing value: the pivot candidate, or the overflowed entry.
   double pivot() const { return pivot_; }
   int column() const { return column_; }
+  Cause cause() const { return cause_; }
 
  private:
   double pivot_;
   int column_;
+  Cause cause_;
 };
 
 /// Statistics of one numeric factorization run.
 struct FactorStats {
-  blas::FlopCount flops;       ///< exact flops by BLAS level
+  /// Exact flops by BLAS level: the static S* count (what the paper's
+  /// S* executes), which the machine model and the task model price.
+  blas::FlopCount flops;
+  /// The part of `flops` that Update(k, j) skipped as exactly zero
+  /// columns of U_kj (GEMM and subtract); flops - skipped_flops ran.
+  blas::FlopCount skipped_flops;
   int off_diagonal_pivots = 0; ///< pivot row != current row count
   int relaxed_pivots = 0;      ///< columns where the threshold policy kept
                                ///< a pivot below the column max

@@ -135,7 +135,7 @@ void Solver::factorize() {
     exec::factorize_parallel(graph_, numeric_);
   } catch (const PivotError& e) {
     // factor_block names the permuted column; the caller's is col_perm's.
-    throw PivotError(e.pivot(), setup_.col_perm[e.column()]);
+    throw PivotError(e.pivot(), setup_.col_perm[e.column()], e.cause());
   }
   factorized_ = true;
 }

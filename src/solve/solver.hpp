@@ -34,11 +34,16 @@
 
 namespace sstar {
 
-/// Pipeline knobs. Defaults mirror the paper's choices.
+/// Pipeline knobs. Defaults mirror the paper's choices, except
+/// max_block, which is sized for current hosts.
 struct SolverOptions {
   /// Maximum supernode width after splitting for cache/parallelism
-  /// ("BSIZE"; the paper uses 25 on both T3D and T3E).
-  int max_block = 25;
+  /// ("BSIZE"). The paper uses 25 on both T3D and T3E, and its benches
+  /// keep that (bench/common.hpp). 64 was faster than 25 at one worker
+  /// and at four on every suite matrix measured on an AVX-512 host
+  /// (DESIGN.md §12): wider blocks halve the Update epilogue's scatter
+  /// and the task count, for a wider BLAS-2 Factor(k) panel.
+  int max_block = 64;
   /// Supernode amalgamation factor r (§3.3; 4-6 reported best, 0 = off).
   int amalgamation = 4;
   /// Fill-reducing column ordering.
@@ -102,9 +107,10 @@ class Solver {
 
   /// Numeric factorization: the LU task DAG, built with the Solver, on
   /// exec::default_thread_count() workers; bitwise the sequential
-  /// loop's factors at any count. A zero or non-finite pivot throws the
-  /// loop's PivotError (the first failing column in elimination order),
-  /// naming that column in A's numbering.
+  /// loop's factors at any count. A zero or non-finite pivot, or a
+  /// factor entry that overflowed, throws the loop's PivotError (the
+  /// first failing task in elimination order), naming its column in
+  /// A's numbering.
   void factorize();
   bool factorized() const { return factorized_; }
 

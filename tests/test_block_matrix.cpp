@@ -2,6 +2,8 @@
 // the panel slicing the kernels depend on.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/block_matrix.hpp"
 #include "ordering/transversal.hpp"
 #include "supernode/partition.hpp"
@@ -104,28 +106,44 @@ TEST(BlockMatrix, ClearZeroesEverything) {
 
 TEST(BlockMatrix, AssembleRejectsOutOfStructureEntry) {
   // Build a layout from a SPARSER matrix, then try to assemble a matrix
-  // with an extra entry outside the predicted structure.
+  // with an extra entry outside the predicted structure: once above the
+  // diagonal blocks (a U panel column) and once below (an L panel row).
+  // The error names the entry.
   auto base = make_zero_free_diagonal(testing::random_sparse(30, 2, 6));
   const auto s = static_symbolic_factorization(base);
   BlockLayout layout(s, find_supernodes(s, 6));
   BlockMatrix bm(layout);
 
-  // Find a position outside the structure.
-  int oi = -1, oj = -1;
-  for (int j = 0; j < 30 && oi < 0; ++j)
-    for (int i = 0; i < 30 && oi < 0; ++i)
-      if (bm.entry_ptr(i, j) == nullptr) {
-        oi = i;
-        oj = j;
+  for (const bool upper : {true, false}) {
+    // Find a position outside the structure on that side.
+    int oi = -1, oj = -1;
+    for (int j = 0; j < 30 && oi < 0; ++j)
+      for (int i = 0; i < 30 && oi < 0; ++i) {
+        const int ib = layout.block_of_column(i);
+        const int jb = layout.block_of_column(j);
+        if ((upper ? ib < jb : ib > jb) && bm.entry_ptr(i, j) == nullptr) {
+          oi = i;
+          oj = j;
+        }
       }
-  ASSERT_GE(oi, 0);
-  std::vector<Triplet> t;
-  for (int j = 0; j < 30; ++j)
-    for (int k = base.col_begin(j); k < base.col_end(j); ++k)
-      t.push_back({base.row_idx()[k], j, base.values()[k]});
-  t.push_back({oi, oj, 3.14});
-  const auto bigger = SparseMatrix::from_triplets(30, 30, std::move(t));
-  EXPECT_THROW(bm.assemble(bigger), CheckError);
+    ASSERT_GE(oi, 0) << (upper ? "upper" : "lower");
+    std::vector<Triplet> t;
+    for (int j = 0; j < 30; ++j)
+      for (int k = base.col_begin(j); k < base.col_end(j); ++k)
+        t.push_back({base.row_idx()[k], j, base.values()[k]});
+    t.push_back({oi, oj, 3.14});
+    const auto bigger = SparseMatrix::from_triplets(30, 30, std::move(t));
+    try {
+      bm.assemble(bigger);
+      FAIL() << "entry (" << oi << "," << oj << ") assembled";
+    } catch (const CheckError& e) {
+      const std::string want = "entry (" + std::to_string(oi) + "," +
+                               std::to_string(oj) +
+                               ") outside static structure";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

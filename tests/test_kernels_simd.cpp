@@ -476,6 +476,70 @@ TEST(KernelSimd, StackedRowsMatchPerBlockGemm) {
   }
 }
 
+// Update(k, j) runs its GEMM over U_kj's nonzero columns only, packed.
+// That leaves every factor bit as it was because (1) each product
+// column depends only on its own B column, wherever it falls in the
+// register tiles, and (2) a zero B column, even of -0s, gives +0, which
+// the epilogue's x - (+0) = x turns into no change.
+TEST(KernelSimd, GemmColumnsAreIndependent) {
+  Rng rng(2718);
+  const std::uint64_t plus_zero = 0;
+  for (const blas::KernelBackend kb : blas::supported_kernel_backends()) {
+    const blas::KernelOps& ops = *blas::kernel_ops_for(kb);
+    for (int s = 0; s < 24; ++s) {
+      const int m = rng.uniform_int(1, 300);
+      const int n = rng.uniform_int(1, 40);
+      const int k = rng.uniform_int(1, 64);
+      const int lda = m + 1;
+      const int ldb = k + 2;
+      const auto a = random_values(static_cast<std::size_t>(lda) * k, rng);
+      auto b = random_values(static_cast<std::size_t>(ldb) * n, rng);
+      std::vector<int> zero_cols;
+      for (int c = 0; c < n; ++c) {
+        if (!rng.bernoulli(0.3)) continue;
+        zero_cols.push_back(c);
+        for (int p = 0; p < k; ++p)
+          b[static_cast<std::size_t>(c) * ldb + p] =
+              rng.bernoulli(0.5) ? 0.0 : -0.0;
+      }
+      std::vector<double> full(static_cast<std::size_t>(m) * n);
+      ops.dgemm(m, n, k, 1.0, a.data(), lda, b.data(), ldb, 0.0, full.data(),
+                m);
+      const std::string where = std::string(blas::kernel_backend_name(kb)) +
+                                " m=" + std::to_string(m) +
+                                " n=" + std::to_string(n) +
+                                " k=" + std::to_string(k);
+      for (const int c : zero_cols)
+        for (int r = 0; r < m; ++r)
+          ASSERT_EQ(std::memcmp(&full[static_cast<std::size_t>(c) * m + r],
+                                &plus_zero, sizeof(double)),
+                    0)
+              << where << " zero column " << c << " row " << r;
+
+      // A random subset, packed as Update packs it.
+      std::vector<int> keep;
+      for (int c = 0; c < n; ++c)
+        if (rng.bernoulli(0.6)) keep.push_back(c);
+      if (keep.empty()) continue;
+      const int nk = static_cast<int>(keep.size());
+      std::vector<double> packed(static_cast<std::size_t>(k) * nk);
+      for (int c = 0; c < nk; ++c)
+        std::copy_n(b.data() + static_cast<std::size_t>(keep[c]) * ldb, k,
+                    packed.data() + static_cast<std::size_t>(c) * k);
+      std::vector<double> part(static_cast<std::size_t>(m) * nk);
+      ops.dgemm(m, nk, k, 1.0, a.data(), lda, packed.data(), k, 0.0,
+                part.data(), m);
+      for (int c = 0; c < nk; ++c)
+        ASSERT_EQ(std::memcmp(part.data() + static_cast<std::size_t>(c) * m,
+                              full.data() +
+                                  static_cast<std::size_t>(keep[c]) * m,
+                              sizeof(double) * static_cast<std::size_t>(m)),
+                  0)
+            << where << " packed column " << c << " = column " << keep[c];
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Per-backend bitwise determinism across executors
 // ---------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include "core/lu_2d.hpp"
 #include "core/task_graph.hpp"
 #include "core/task_model.hpp"
+#include "matrix/suite.hpp"
 #include "ordering/transversal.hpp"
 #include "sched/list_schedule.hpp"
 #include "solve/solver.hpp"
@@ -88,6 +89,21 @@ TEST(TaskModel, MatchesExecutedFlopsExactly) {
   EXPECT_EQ(executed.blas1, modeled.blas1);
   EXPECT_EQ(executed.blas2, modeled.blas2);
   EXPECT_EQ(executed.blas3, modeled.blas3);
+
+  // A suite matrix whose U blocks hold exactly zero columns: Update
+  // skips them, reports them in skipped_flops, and keeps counting them
+  // in the static flops the model prices.
+  Solver s(gen::suite_entry("sherman3").generate(0.3, 1));
+  s.factorize();
+  const FactorStats& st = s.stats();
+  const auto suite_modeled = total_model_flops(s.layout());
+  EXPECT_EQ(st.flops.blas1, suite_modeled.blas1);
+  EXPECT_EQ(st.flops.blas2, suite_modeled.blas2);
+  EXPECT_EQ(st.flops.blas3, suite_modeled.blas3);
+  EXPECT_GT(st.skipped_flops.blas1, 0u);
+  EXPECT_GT(st.skipped_flops.blas3, 0u);
+  EXPECT_EQ(st.skipped_flops.blas2, 0u);
+  EXPECT_LT(st.skipped_flops.blas3, st.flops.blas3);
 }
 
 struct DriverCase {

@@ -150,8 +150,10 @@ TEST(Solver, SingularPivotNamesTheCallersColumn) {
 }
 
 TEST(Solver, FailedRefactorizeLeavesSolverUnfactorized) {
-  // Factorizes at the default threshold; at 1e-310 the diagonal 1 stays
-  // the pivot of column 0, and its update of column 1 overflows.
+  // Factorizes at the default threshold. The pipeline puts A's column 1
+  // first; at threshold 1e-310 its diagonal 1e-300 stays the pivot
+  // (1e-300 >= 1e-310 * 1e10), so the multiplier 1e10 / 1e-300
+  // overflows, and Factor names that column.
   const auto a = SparseMatrix::from_triplets(
       2, 2, {{0, 0, 1.0}, {1, 0, 1e10}, {0, 1, 1e10}, {1, 1, 1e-300}});
   Solver solver(a);
@@ -159,7 +161,15 @@ TEST(Solver, FailedRefactorizeLeavesSolverUnfactorized) {
   ASSERT_TRUE(solver.factorized());
   PivotPolicy loose;
   loose.threshold = 1e-310;
-  EXPECT_THROW(solver.refactorize(loose), PivotError);
+  try {
+    solver.refactorize(loose);
+    FAIL() << "overflowed multiplier accepted";
+  } catch (const PivotError& e) {
+    EXPECT_EQ(e.cause(), PivotError::Cause::kOverflow);
+    EXPECT_EQ(e.column(), 1);
+    EXPECT_EQ(std::string(e.what()),
+              "factor entry overflowed to inf at column 1");
+  }
   EXPECT_FALSE(solver.factorized());
   try {
     solver.solve({1.0, 1.0});

@@ -2,8 +2,9 @@
 // on every CPU it may use. On a Solver's own analysis, that DAG's
 // factors, pivots and FactorStats are bitwise those of the sequential
 // loop SStarNumeric::factorize() at every worker count and kernel
-// backend, and a singular matrix fails naming the loop's column. One
-// Solver-level call per case checks the wiring at the default count.
+// backend, and a singular matrix or an overflowed factor entry fails
+// naming the loop's column. One Solver-level call per case checks the
+// wiring at the default count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -45,6 +46,8 @@ void expect_same_factors(const SStarNumeric& got, const SStarNumeric& want,
   EXPECT_EQ(gs.flops.blas1, ws.flops.blas1) << where;
   EXPECT_EQ(gs.flops.blas2, ws.flops.blas2) << where;
   EXPECT_EQ(gs.flops.blas3, ws.flops.blas3) << where;
+  EXPECT_EQ(gs.skipped_flops.blas1, ws.skipped_flops.blas1) << where;
+  EXPECT_EQ(gs.skipped_flops.blas3, ws.skipped_flops.blas3) << where;
   EXPECT_EQ(gs.off_diagonal_pivots, ws.off_diagonal_pivots) << where;
   EXPECT_EQ(gs.relaxed_pivots, ws.relaxed_pivots) << where;
   EXPECT_EQ(gs.input_max_abs, ws.input_max_abs) << where;
@@ -124,6 +127,56 @@ TEST(SolverThreads, SingularBlocksNameTheLoopsColumnAtEveryCount) {
     EXPECT_EQ(e.column(), want);
   }
   EXPECT_FALSE(s.factorized());
+}
+
+// U(1, 2) = 1e308 - (-1)(1e308) overflows in Update(0, 2) and is final
+// after Update(1, 2)'s dtrsm, so at one column per block that Update
+// fails naming column 2 at every count, and no factor with an inf in
+// it reaches a solve. At the default blocking the whole matrix is one
+// block: U(1, 2) is a U_kk entry there, and Factor's rank-1 update
+// carries it into column 2's pivot candidates as NaN.
+TEST(SolverThreads, OverflowedFactorEntryNamesItsColumnAtEveryCount) {
+  const SparseMatrix a = SparseMatrix::from_triplets(
+      3, 3, {{0, 0, 1.0}, {1, 0, -1.0}, {1, 1, 1.0}, {0, 2, 1e308},
+             {1, 2, 1e308}, {2, 2, 1.0}});
+  SolverOptions opt;
+  opt.ordering = SolverOptions::Ordering::kNatural;
+  opt.max_block = 1;
+  opt.amalgamation = 0;
+  Solver s(a, opt);
+  ASSERT_EQ(s.setup().col_perm, (std::vector<int>{0, 1, 2}));
+  const LuTaskGraph graph(s.layout());
+  const std::string want = "factor entry overflowed to inf at column 2";
+  for (const int nt : kThreadCounts) {
+    const auto num = assembled(s);
+    try {
+      exec::factorize_parallel(graph, *num, nt);
+      FAIL() << "overflowed factor accepted at " << nt << " threads";
+    } catch (const PivotError& e) {
+      EXPECT_EQ(e.cause(), PivotError::Cause::kOverflow) << nt;
+      EXPECT_EQ(e.column(), 2) << nt;
+      EXPECT_EQ(std::string(e.what()), want) << nt << " threads";
+    }
+  }
+  try {
+    s.factorize();
+    FAIL() << "overflowed factor accepted by Solver";
+  } catch (const PivotError& e) {
+    EXPECT_EQ(std::string(e.what()), want);
+  }
+  EXPECT_FALSE(s.factorized());
+
+  opt = SolverOptions{};
+  opt.ordering = SolverOptions::Ordering::kNatural;
+  Solver one_block(a, opt);
+  ASSERT_EQ(one_block.layout().num_blocks(), 1);
+  try {
+    one_block.factorize();
+    FAIL() << "NaN pivot accepted";
+  } catch (const PivotError& e) {
+    EXPECT_EQ(e.cause(), PivotError::Cause::kPivot);
+    EXPECT_EQ(std::string(e.what()), "non-finite pivot nan at column 2");
+  }
 }
 
 }  // namespace

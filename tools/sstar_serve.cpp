@@ -18,7 +18,8 @@
 // edges, levels, average parallelism) and runs --verify.
 //
 // Flags: --suite=NAME --scale=S --grid=N --seed=S --max-block=N
-//        --amalg=N --threads=a,b,c (default 1,2,4,8)
+//        --amalg=N (default SolverOptions') --threads=a,b,c (default
+//        1,2,4,8)
 //        --widths=a,b,c (default 1,3,8,32) --verbose
 //        --alpha=A (threshold-pivoting policy in (0,1] for the served
 //        factorization; the summary line reports the active policy,
@@ -149,9 +150,7 @@ int main(int argc, char** argv) {
   double scale = 1.0;
   int grid = 16;
   std::uint64_t seed = 1;
-  int max_block = 25;
-  int amalg = 4;
-  double alpha = 1.0;
+  SolverOptions opt;  // --max-block, --amalg and --alpha override it
   std::vector<int> threads = {1, 2, 4, 8};
   std::vector<int> widths = {1, 3, 8, 32};
   bool do_verify = false, do_audit = false, do_self_test = false;
@@ -166,9 +165,9 @@ int main(int argc, char** argv) {
     else if (arg.rfind("--scale=", 0) == 0) scale = std::atof(val("--scale=").c_str());
     else if (arg.rfind("--grid=", 0) == 0) grid = std::atoi(val("--grid=").c_str());
     else if (arg.rfind("--seed=", 0) == 0) seed = std::strtoull(val("--seed=").c_str(), nullptr, 10);
-    else if (arg.rfind("--max-block=", 0) == 0) max_block = std::atoi(val("--max-block=").c_str());
-    else if (arg.rfind("--amalg=", 0) == 0) amalg = std::atoi(val("--amalg=").c_str());
-    else if (arg.rfind("--alpha=", 0) == 0) alpha = std::atof(val("--alpha=").c_str());
+    else if (arg.rfind("--max-block=", 0) == 0) opt.max_block = std::atoi(val("--max-block=").c_str());
+    else if (arg.rfind("--amalg=", 0) == 0) opt.amalgamation = std::atoi(val("--amalg=").c_str());
+    else if (arg.rfind("--alpha=", 0) == 0) opt.pivot.threshold = std::atof(val("--alpha=").c_str());
     else if (arg.rfind("--threads=", 0) == 0) threads = parse_int_list(val("--threads="));
     else if (arg.rfind("--widths=", 0) == 0) widths = parse_int_list(val("--widths="));
     else if (arg == "--verify") do_verify = true;
@@ -190,10 +189,6 @@ int main(int argc, char** argv) {
     return gen::stencil5(grid, grid, 0.1, vo);
   }();
 
-  SolverOptions opt;
-  opt.max_block = max_block;
-  opt.amalgamation = amalg;
-  opt.pivot.threshold = alpha;
   if (!opt.pivot.valid()) {
     std::fprintf(stderr, "--alpha must be in (0, 1]\n");
     return 2;
