@@ -1,13 +1,16 @@
 // Kernel backend microbenchmarks: GF/s per kernel x shape x backend.
 //
-// The S* design premise (§2) is that DGEMM beats DGEMV on cached blocks
+// The S* design premise (§2) is that DGEMM beats BLAS-2 on cached blocks
 // (103 vs 85 MFLOPS on T3D; 388 vs 255 on T3E at BSIZE = 25). This
-// harness measures the same kernels on the host CPU, once per kernel
-// BACKEND (scalar reference, plus every SIMD backend the build carries
-// and the CPU supports — see DESIGN.md §12), and reports the speedup of
-// each backend over scalar. It is the auditable evidence for the SIMD
-// dispatch layer's performance gate: the widest backend must clear 2x
-// scalar DGEMM throughput on mid/large tiles.
+// harness measures the dense kernels of the factorization on the host
+// CPU — dgemm and dtrsm_lower_unit as Update(k, j) runs them, and dger,
+// the BLAS-2 kernel Factor(k) runs and the machine model's blas2_rate
+// prices — once per kernel BACKEND (scalar reference, plus every SIMD
+// backend the build carries and the CPU supports — see DESIGN.md §12),
+// and reports the speedup of each backend over scalar. It is the
+// auditable evidence for the SIMD dispatch layer's performance gate:
+// the widest backend must clear 2x scalar DGEMM throughput on mid/large
+// tiles.
 //
 // Output: a text table on stdout and machine-readable JSON (default
 // results/bench_kernels.json, override with --json=<path>).
@@ -102,7 +105,7 @@ int main(int argc, char** argv) {
       {"128x128x128", 128, 128, 128}, {"256x25x25", 256, 25, 25},
       {"25x256x25", 25, 256, 25},
   };
-  const int mv_sizes[] = {16, 25, 32, 64, 128};
+  const int ger_sizes[] = {16, 25, 32, 64, 128};
   const int trsm_sizes[] = {16, 25, 64};
 
   std::vector<Cell> cells;
@@ -119,17 +122,7 @@ int main(int argc, char** argv) {
       });
       cells.push_back(cell);
     }
-    for (const int n : mv_sizes) {
-      const auto a = random_vec(static_cast<std::size_t>(n) * n, 4);
-      const auto x = random_vec(static_cast<std::size_t>(n), 5);
-      auto y = random_vec(static_cast<std::size_t>(n), 6);
-      Cell cell{"dgemv", std::to_string(n) + "x" + std::to_string(n),
-                blas::kernel_backend_name(kb), 0.0, 1.0};
-      cell.gflops = measure_gflops(2.0 * n * n, [&] {
-        ops.dgemv(n, n, 1.0, a.data(), n, x.data(), 1.0, y.data());
-      });
-      cells.push_back(cell);
-
+    for (const int n : ger_sizes) {
       const auto xg = random_vec(static_cast<std::size_t>(n), 7);
       const auto yg = random_vec(static_cast<std::size_t>(n), 8);
       auto ag = random_vec(static_cast<std::size_t>(n) * n, 9);

@@ -137,10 +137,6 @@ int main(int argc, char** argv) {
   for (const int ranks : rank_counts) {
     const sim::MachineModel m = sim::resolve_machine(machine_spec, ranks);
     std::printf("machine (%d ranks): %s\n", ranks, m.describe().c_str());
-    if (!m.hierarchical())
-      std::printf(
-          "  note: %s is FLAT — placements price identically, expect 1.00\n",
-          machine_spec.c_str());
     machines.emplace_back(ranks, sim::machine_json(m));
   }
 

@@ -58,14 +58,6 @@ void dswap(int n, double* x, double* y, int incx, int incy) {
   }
 }
 
-void dgemv(int m, int n, double alpha, const double* a, int lda,
-           const double* x, double beta, double* y) {
-  active_kernel_ops().dgemv(m, n, alpha, a, lda, x, beta, y);
-  if (m > 0 && n > 0)
-    flop_counter().blas2 +=
-        2ULL * static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(n);
-}
-
 void dger(int m, int n, double alpha, const double* x, const double* y,
           double* a, int lda, int incx, int incy) {
   active_kernel_ops().dger(m, n, alpha, x, y, a, lda, incx, incy);
@@ -100,14 +92,6 @@ void dtrsv_upper(int n, const double* a, int lda, double* x) {
 void dtrsm_lower_unit(int n, int m, const double* a, int lda, double* b,
                       int ldb) {
   active_kernel_ops().dtrsm_lower_unit(n, m, a, lda, b, ldb);
-  flop_counter().blas3 += static_cast<std::uint64_t>(n) *
-                          static_cast<std::uint64_t>(n) *
-                          static_cast<std::uint64_t>(m);
-}
-
-void dtrsm_upper(int n, int m, const double* a, int lda, double* b,
-                 int ldb) {
-  active_kernel_ops().dtrsm_upper(n, m, a, lda, b, ldb);
   flop_counter().blas3 += static_cast<std::uint64_t>(n) *
                           static_cast<std::uint64_t>(n) *
                           static_cast<std::uint64_t>(m);

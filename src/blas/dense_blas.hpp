@@ -36,10 +36,6 @@ double ddot(int n, const double* x, const double* y, int incx = 1,
 /// Swap vectors x and y.
 void dswap(int n, double* x, double* y, int incx = 1, int incy = 1);
 
-/// y = alpha * A * x + beta * y for column-major A (m x n).
-void dgemv(int m, int n, double alpha, const double* a, int lda,
-           const double* x, double beta, double* y);
-
 /// Rank-1 update A += alpha * x * yᵀ, A is m x n column-major. x has
 /// stride incx, y stride incy (a row of a column-major matrix passes
 /// incy = its leading dimension).
@@ -59,11 +55,6 @@ void dtrsv_upper(int n, const double* a, int lda, double* x);
 /// DTRSM used to form U_kj = L_kk^{-1} U_kj in Update(k, j).
 void dtrsm_lower_unit(int n, int m, const double* a, int lda, double* b,
                       int ldb);
-
-/// Solve U * X = B in place for an n x n upper triangular U (diagonal
-/// included) and an n x m block B. Used by the blocked multi-RHS solve.
-void dtrsm_upper(int n, int m, const double* a, int lda, double* b,
-                 int ldb);
 
 /// C = alpha * A * B + beta * C with A (m x k), B (k x n), C (m x n),
 /// all column-major. Register-blocked micro-kernel; counts 2*m*n*k

@@ -25,7 +25,7 @@ namespace sstar::blas {
 /// of the paper (w2 = BLAS-1/2 rate, w3 = BLAS-3 rate).
 struct FlopCount {
   std::uint64_t blas1 = 0;  ///< vector ops: axpy, scal, dot, swaps
-  std::uint64_t blas2 = 0;  ///< matrix-vector: gemv, ger, trsv
+  std::uint64_t blas2 = 0;  ///< matrix-vector: ger, trsv
   std::uint64_t blas3 = 0;  ///< matrix-matrix: gemm, trsm
 
   std::uint64_t total() const { return blas1 + blas2 + blas3; }

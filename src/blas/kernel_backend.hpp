@@ -1,9 +1,11 @@
 // Pluggable SIMD kernel backends for the dense BLAS layer.
 //
 // The public kernels in blas/dense_blas.hpp keep their signatures and
-// their flop accounting, but the BLAS-2/3 workhorses (dgemm, the two
-// dtrsm variants, dger, dgemv) dispatch through a per-process table of
-// function pointers — one table per instruction-set backend:
+// their flop accounting, but the kernels the factorization and the
+// solves run (dgemm, dtrsm_lower_unit and dger for Update(k, j) and
+// Factor(k), the three rhs_* panel kernels for the solves) dispatch
+// through a per-process table of function pointers — one table per
+// instruction-set backend:
 //
 //   scalar  — the original from-scratch loops; always available and the
 //             bitwise-reference oracle for every other backend;
@@ -49,12 +51,8 @@ struct KernelOps {
                 const double* b, int ldb, double beta, double* c, int ldc);
   void (*dtrsm_lower_unit)(int n, int m, const double* a, int lda, double* b,
                            int ldb);
-  void (*dtrsm_upper)(int n, int m, const double* a, int lda, double* b,
-                      int ldb);
   void (*dger)(int m, int n, double alpha, const double* x, const double* y,
                double* a, int lda, int incx, int incy);
-  void (*dgemv)(int m, int n, double alpha, const double* a, int lda,
-                const double* x, double beta, double* y);
 
   // --- Multi-RHS blocked-solve kernels (serving layer, DESIGN.md §14).
   //
@@ -89,7 +87,7 @@ struct KernelOps {
   /// In-place upper-triangular solve, LEFT-looking row order: for each
   /// row ml descending, subtract a(ml, cl)*b(cl, :) for cl ascending,
   /// then divide by the diagonal — the exact op order of the sequential
-  /// backward substitution rows (unlike the right-looking dtrsm_upper).
+  /// backward substitution rows.
   void (*rhs_upper_solve)(int w, int ncols, const double* a, int lda,
                           double* b, int ldb);
 };

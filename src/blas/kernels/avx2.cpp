@@ -1,5 +1,5 @@
 // AVX2+FMA backend: 8x6 register microkernel (12 accumulator ymm), 4-wide
-// fused substitution/rank-1/matvec loops. Compiled with -mavx2 -mfma via
+// fused substitution and rank-1 loops. Compiled with -mavx2 -mfma via
 // per-file options in src/CMakeLists.txt; on other architectures (or a
 // compiler without the flags) this TU compiles to a null getter and the
 // dispatch layer never selects the backend.
@@ -52,19 +52,9 @@ void avx2_dtrsm_lower_unit(int n, int m, const double* a, int lda, double* b,
   trsm_lower_unit<Avx2Abi>(n, m, a, lda, b, ldb);
 }
 
-void avx2_dtrsm_upper(int n, int m, const double* a, int lda, double* b,
-                      int ldb) {
-  trsm_upper<Avx2Abi>(n, m, a, lda, b, ldb);
-}
-
 void avx2_dger(int m, int n, double alpha, const double* x, const double* y,
                double* a, int lda, int incx, int incy) {
   ger<Avx2Abi>(m, n, alpha, x, y, a, lda, incx, incy);
-}
-
-void avx2_dgemv(int m, int n, double alpha, const double* a, int lda,
-                const double* x, double beta, double* y) {
-  gemv<Avx2Abi>(m, n, alpha, a, lda, x, beta, y);
 }
 
 void avx2_rhs_panel_update(int m, int k, int ncols, const double* a, int lda,
@@ -86,8 +76,7 @@ void avx2_rhs_upper_solve(int w, int ncols, const double* a, int lda,
 }
 
 const KernelOps kAvx2Ops = {
-    "avx2",           avx2_dgemm, avx2_dtrsm_lower_unit,
-    avx2_dtrsm_upper, avx2_dger,  avx2_dgemv,
+    "avx2", avx2_dgemm, avx2_dtrsm_lower_unit, avx2_dger,
     avx2_rhs_panel_update, avx2_rhs_lower_solve, avx2_rhs_upper_solve,
 };
 

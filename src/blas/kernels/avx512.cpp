@@ -1,5 +1,5 @@
 // AVX-512 backend: 16x8 register microkernel (16 accumulator zmm of the
-// 32 architectural registers), 8-wide substitution/rank-1/matvec loops.
+// 32 architectural registers), 8-wide substitution and rank-1 loops.
 // Compiled with -mavx512f -mavx512dq -mavx512bw -mavx512vl via per-file
 // options in src/CMakeLists.txt; elsewhere this TU is a null getter.
 #include "blas/kernels/kernels.hpp"
@@ -52,19 +52,9 @@ void avx512_dtrsm_lower_unit(int n, int m, const double* a, int lda,
   trsm_lower_unit<Avx512Abi>(n, m, a, lda, b, ldb);
 }
 
-void avx512_dtrsm_upper(int n, int m, const double* a, int lda, double* b,
-                        int ldb) {
-  trsm_upper<Avx512Abi>(n, m, a, lda, b, ldb);
-}
-
 void avx512_dger(int m, int n, double alpha, const double* x,
                  const double* y, double* a, int lda, int incx, int incy) {
   ger<Avx512Abi>(m, n, alpha, x, y, a, lda, incx, incy);
-}
-
-void avx512_dgemv(int m, int n, double alpha, const double* a, int lda,
-                  const double* x, double beta, double* y) {
-  gemv<Avx512Abi>(m, n, alpha, a, lda, x, beta, y);
 }
 
 void avx512_rhs_panel_update(int m, int k, int ncols, const double* a,
@@ -86,8 +76,7 @@ void avx512_rhs_upper_solve(int w, int ncols, const double* a, int lda,
 }
 
 const KernelOps kAvx512Ops = {
-    "avx512",           avx512_dgemm, avx512_dtrsm_lower_unit,
-    avx512_dtrsm_upper, avx512_dger,  avx512_dgemv,
+    "avx512", avx512_dgemm, avx512_dtrsm_lower_unit, avx512_dger,
     avx512_rhs_panel_update, avx512_rhs_lower_solve, avx512_rhs_upper_solve,
 };
 

@@ -24,7 +24,7 @@ const KernelOps* neon_ops();
 
 // --- shared helpers (header-only, inlined into every backend TU) ------
 
-// These helpers are deliberately `static`: backend TUs are compiled
+// The helper is deliberately `static`: backend TUs are compiled
 // with per-file ISA flags, and a namespace-scope inline function would
 // have one COMDAT copy picked across ALL TUs — possibly the one with
 // illegal instructions for the running CPU. Internal linkage keeps each
@@ -43,16 +43,6 @@ const KernelOps* neon_ops();
     } else {
       for (int i = 0; i < m; ++i) cc[i] *= beta;
     }
-  }
-}
-
-/// Same for a vector y of length m.
-[[maybe_unused]] static inline void scale_y(int m, double beta, double* y) {
-  if (beta == 1.0) return;
-  if (beta == 0.0) {
-    for (int i = 0; i < m; ++i) y[i] = 0.0;
-  } else {
-    for (int i = 0; i < m; ++i) y[i] *= beta;
   }
 }
 

@@ -256,62 +256,6 @@ inline void trsm_lower_unit(int n, int m, const double* a, int lda,
   }
 }
 
-/// Backward substitution U X = B (U n x n upper incl. diagonal).
-template <class Abi>
-inline void trsm_upper(int n, int m, const double* a, int lda, double* b,
-                       int ldb) {
-  using V = typename Abi::V;
-  constexpr int W = Abi::W;
-  int c0 = 0;
-  for (; c0 + 4 <= m; c0 += 4) {
-    double* x0 = b + static_cast<std::ptrdiff_t>(c0 + 0) * ldb;
-    double* x1 = b + static_cast<std::ptrdiff_t>(c0 + 1) * ldb;
-    double* x2 = b + static_cast<std::ptrdiff_t>(c0 + 2) * ldb;
-    double* x3 = b + static_cast<std::ptrdiff_t>(c0 + 3) * ldb;
-    for (int j = n - 1; j >= 0; --j) {
-      const double* col = a + static_cast<std::ptrdiff_t>(j) * lda;
-      const double d = col[j];
-      const double s0 = x0[j] /= d;
-      const double s1 = x1[j] /= d;
-      const double s2 = x2[j] /= d;
-      const double s3 = x3[j] /= d;
-      if (s0 == 0.0 && s1 == 0.0 && s2 == 0.0 && s3 == 0.0) continue;
-      const V b0 = Abi::broadcast(s0), b1 = Abi::broadcast(s1);
-      const V b2 = Abi::broadcast(s2), b3 = Abi::broadcast(s3);
-      int i = 0;
-      for (; i + W <= j; i += W) {
-        const V cv = Abi::loadu(col + i);
-        Abi::storeu(x0 + i, Abi::fnmadd(cv, b0, Abi::loadu(x0 + i)));
-        Abi::storeu(x1 + i, Abi::fnmadd(cv, b1, Abi::loadu(x1 + i)));
-        Abi::storeu(x2 + i, Abi::fnmadd(cv, b2, Abi::loadu(x2 + i)));
-        Abi::storeu(x3 + i, Abi::fnmadd(cv, b3, Abi::loadu(x3 + i)));
-      }
-      for (; i < j; ++i) {
-        const double cv = col[i];
-        x0[i] -= s0 * cv;
-        x1[i] -= s1 * cv;
-        x2[i] -= s2 * cv;
-        x3[i] -= s3 * cv;
-      }
-    }
-  }
-  for (; c0 < m; ++c0) {
-    double* x = b + static_cast<std::ptrdiff_t>(c0) * ldb;
-    for (int j = n - 1; j >= 0; --j) {
-      const double* col = a + static_cast<std::ptrdiff_t>(j) * lda;
-      x[j] /= col[j];
-      const double s = x[j];
-      if (s == 0.0) continue;
-      const V bs = Abi::broadcast(s);
-      int i = 0;
-      for (; i + W <= j; i += W)
-        Abi::storeu(x + i, Abi::fnmadd(Abi::loadu(col + i), bs,
-                                       Abi::loadu(x + i)));
-      for (; i < j; ++i) x[i] -= s * col[i];
-    }
-  }
-}
-
 /// Rank-1 update A += alpha * x * yT; the unit-incx hot path (column
 /// updates in Factor(k)) runs W-wide FMA, strided x falls back to the
 /// scalar loop.
@@ -336,58 +280,6 @@ inline void ger(int m, int n, double alpha, const double* x, const double* y,
       for (int i = 0; i < m; ++i)
         col[i] += x[static_cast<std::ptrdiff_t>(i) * incx] * yj;
     }
-  }
-}
-
-/// y = alpha*A*x + beta*y, columns in groups of four to amortize the y
-/// read-modify-write traffic.
-template <class Abi>
-inline void gemv(int m, int n, double alpha, const double* a, int lda,
-                 const double* x, double beta, double* y) {
-  using V = typename Abi::V;
-  constexpr int W = Abi::W;
-  if (m <= 0) return;
-  scale_y(m, beta, y);
-  if (n <= 0 || alpha == 0.0) return;
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const double s0 = alpha * x[j + 0], s1 = alpha * x[j + 1];
-    const double s2 = alpha * x[j + 2], s3 = alpha * x[j + 3];
-    const double* c0 = a + static_cast<std::ptrdiff_t>(j + 0) * lda;
-    const double* c1 = a + static_cast<std::ptrdiff_t>(j + 1) * lda;
-    const double* c2 = a + static_cast<std::ptrdiff_t>(j + 2) * lda;
-    const double* c3 = a + static_cast<std::ptrdiff_t>(j + 3) * lda;
-    if (s0 == 0.0 && s1 == 0.0 && s2 == 0.0 && s3 == 0.0) continue;
-    const V b0 = Abi::broadcast(s0), b1 = Abi::broadcast(s1);
-    const V b2 = Abi::broadcast(s2), b3 = Abi::broadcast(s3);
-    int i = 0;
-    for (; i + W <= m; i += W) {
-      V acc = Abi::loadu(y + i);
-      acc = Abi::fmadd(Abi::loadu(c0 + i), b0, acc);
-      acc = Abi::fmadd(Abi::loadu(c1 + i), b1, acc);
-      acc = Abi::fmadd(Abi::loadu(c2 + i), b2, acc);
-      acc = Abi::fmadd(Abi::loadu(c3 + i), b3, acc);
-      Abi::storeu(y + i, acc);
-    }
-    for (; i < m; ++i) {
-      double acc = y[i];
-      acc += s0 * c0[i];
-      acc += s1 * c1[i];
-      acc += s2 * c2[i];
-      acc += s3 * c3[i];
-      y[i] = acc;
-    }
-  }
-  for (; j < n; ++j) {
-    const double s = alpha * x[j];
-    if (s == 0.0) continue;
-    const double* col = a + static_cast<std::ptrdiff_t>(j) * lda;
-    const V bs = Abi::broadcast(s);
-    int i = 0;
-    for (; i + W <= m; i += W)
-      Abi::storeu(y + i,
-                  Abi::fmadd(Abi::loadu(col + i), bs, Abi::loadu(y + i)));
-    for (; i < m; ++i) y[i] += s * col[i];
   }
 }
 

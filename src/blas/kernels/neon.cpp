@@ -1,6 +1,6 @@
 // AArch64 Advanced SIMD (NEON) backend: 8x4 register microkernel built
 // from 2-lane float64x2 vectors (16 accumulator q-registers of 32), with
-// 2-wide substitution/rank-1/matvec loops. Advanced SIMD is mandatory on
+// 2-wide substitution and rank-1 loops. Advanced SIMD is mandatory on
 // AArch64, so no extra compile flags are needed; on other architectures
 // this TU is a null getter.
 #include "blas/kernels/kernels.hpp"
@@ -52,19 +52,9 @@ void neon_dtrsm_lower_unit(int n, int m, const double* a, int lda, double* b,
   trsm_lower_unit<NeonAbi>(n, m, a, lda, b, ldb);
 }
 
-void neon_dtrsm_upper(int n, int m, const double* a, int lda, double* b,
-                      int ldb) {
-  trsm_upper<NeonAbi>(n, m, a, lda, b, ldb);
-}
-
 void neon_dger(int m, int n, double alpha, const double* x, const double* y,
                double* a, int lda, int incx, int incy) {
   ger<NeonAbi>(m, n, alpha, x, y, a, lda, incx, incy);
-}
-
-void neon_dgemv(int m, int n, double alpha, const double* a, int lda,
-                const double* x, double beta, double* y) {
-  gemv<NeonAbi>(m, n, alpha, a, lda, x, beta, y);
 }
 
 void neon_rhs_panel_update(int m, int k, int ncols, const double* a, int lda,
@@ -86,8 +76,7 @@ void neon_rhs_upper_solve(int w, int ncols, const double* a, int lda,
 }
 
 const KernelOps kNeonOps = {
-    "neon",           neon_dgemm, neon_dtrsm_lower_unit,
-    neon_dtrsm_upper, neon_dger,  neon_dgemv,
+    "neon", neon_dgemm, neon_dtrsm_lower_unit, neon_dger,
     neon_rhs_panel_update, neon_rhs_lower_solve, neon_rhs_upper_solve,
 };
 

@@ -10,21 +10,6 @@
 namespace sstar::blas::kernels {
 namespace {
 
-void scalar_dgemv(int m, int n, double alpha, const double* a, int lda,
-                  const double* x, double beta, double* y) {
-  if (m <= 0) return;
-  scale_y(m, beta, y);
-  // Reference-BLAS early exit: alpha == 0 must not read A or x (NaN/Inf
-  // there would otherwise propagate through 0 * x[j]).
-  if (n <= 0 || alpha == 0.0) return;
-  for (int j = 0; j < n; ++j) {
-    const double xj = alpha * x[j];
-    if (xj == 0.0) continue;
-    const double* col = a + static_cast<std::ptrdiff_t>(j) * lda;
-    for (int i = 0; i < m; ++i) y[i] += xj * col[i];
-  }
-}
-
 void scalar_dger(int m, int n, double alpha, const double* x, const double* y,
                  double* a, int lda, int incx, int incy) {
   if (m <= 0 || n <= 0 || alpha == 0.0) return;
@@ -51,20 +36,6 @@ void scalar_dtrsm_lower_unit(int n, int m, const double* a, int lda,
       if (xj == 0.0) continue;
       const double* col = a + static_cast<std::ptrdiff_t>(j) * lda;
       for (int i = j + 1; i < n; ++i) x[i] -= xj * col[i];
-    }
-  }
-}
-
-void scalar_dtrsm_upper(int n, int m, const double* a, int lda, double* b,
-                        int ldb) {
-  for (int c = 0; c < m; ++c) {
-    double* x = b + static_cast<std::ptrdiff_t>(c) * ldb;
-    for (int j = n - 1; j >= 0; --j) {
-      const double* col = a + static_cast<std::ptrdiff_t>(j) * lda;
-      x[j] /= col[j];
-      const double xj = x[j];
-      if (xj == 0.0) continue;
-      for (int i = 0; i < j; ++i) x[i] -= xj * col[i];
     }
   }
 }
@@ -191,8 +162,7 @@ void scalar_rhs_upper_solve(int w, int ncols, const double* a, int lda,
 }
 
 const KernelOps kScalarOps = {
-    "scalar",         scalar_dgemm, scalar_dtrsm_lower_unit,
-    scalar_dtrsm_upper, scalar_dger,  scalar_dgemv,
+    "scalar", scalar_dgemm, scalar_dtrsm_lower_unit, scalar_dger,
     scalar_rhs_panel_update, scalar_rhs_lower_solve, scalar_rhs_upper_solve,
 };
 

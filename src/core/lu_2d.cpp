@@ -22,9 +22,8 @@ struct Builder {
   // Latency charges are link-aware (DESIGN.md §16): the serialized
   // pivot rounds and delayed-interchange exchanges of column c pay the
   // slowest link among that processor column's rank pairs, and the
-  // global barrier pays the machine's slowest occupied link. On a flat
-  // machine every latency_between() is the scalar m.latency, so these
-  // reduce to the historic charges bit-for-bit.
+  // global barrier pays the machine's slowest occupied link. A column
+  // or grid of one rank pays the network link.
   std::vector<double> col_lat;  // per grid column
   double max_lat;
 
@@ -36,8 +35,9 @@ struct Builder {
           const std::vector<int>* od)
       : lay(l), m(mm), async(as), offd(od), pr(mm.grid.rows),
         pc(mm.grid.cols), prog(mm.processors),
-        col_lat(static_cast<std::size_t>(mm.grid.cols), mm.latency),
-        max_lat(mm.latency) {
+        col_lat(static_cast<std::size_t>(mm.grid.cols),
+                mm.topology.network_link.latency),
+        max_lat(mm.topology.network_link.latency) {
     if (pr > 1) {
       for (int c = 0; c < pc; ++c) {
         double lat = 0.0;

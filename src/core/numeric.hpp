@@ -40,10 +40,9 @@
 // Every solve runs on one shape: a ROW-major panel (system row r's
 // `ncols` right-hand-side values contiguous at rhs + r*ld) swept through
 // per-supernode stages, forward over blocks 0..N-1 then backward over
-// N-1..0. solve_panel() is that sweep; the serving layer and the
-// distributed solve (core/solve_1d) replay the same stages task by task;
-// a single-RHS solve is the ncols == 1 case and a transposed solve the
-// transposed stages.
+// N-1..0. solve_panel() is that sweep; the serving layer replays the
+// same stages task by task; a single-RHS solve is the ncols == 1 case
+// and a transposed solve the transposed stages.
 #pragma once
 
 #include <memory>

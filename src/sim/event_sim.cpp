@@ -102,7 +102,7 @@ SimulationResult simulate(const ParallelProgram& prog,
       double arrive = res.finish[t];
       if (cross && !pure_dep) {
         // Priced on the link the (src, dst) rank pair actually
-        // crosses; identical to comm_seconds(bytes) on flat machines.
+        // crosses.
         arrive += machine.comm_seconds_between(prog.tasks_[msg.from].proc,
                                                prog.tasks_[msg.to].proc,
                                                msg.bytes);

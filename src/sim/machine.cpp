@@ -34,9 +34,9 @@ MachineModel MachineModel::cray_t3d(int p) {
   m.blas1_rate = 50e6;
   m.blas2_rate = 85e6;
   m.blas3_rate = 103e6;
-  m.latency = 2.7e-6;
-  m.bandwidth = 126e6;
   m.task_overhead = 10e-6;
+  m.topology = Topology::flat(p, {2.7e-6, 126e6});
+  m.rank_to_pe = map_grid_ranks(m.topology, m.grid, m.mapping);
   return m;
 }
 
@@ -48,9 +48,9 @@ MachineModel MachineModel::cray_t3e(int p) {
   m.blas1_rate = 150e6;
   m.blas2_rate = 255e6;
   m.blas3_rate = 388e6;
-  m.latency = 1.0e-6;
-  m.bandwidth = 500e6;
   m.task_overhead = 4e-6;
+  m.topology = Topology::flat(p, {1.0e-6, 500e6});
+  m.rank_to_pe = map_grid_ranks(m.topology, m.grid, m.mapping);
   return m;
 }
 
@@ -90,17 +90,12 @@ MachineModel MachineModel::hier_cluster(int p) {
   m.blas2_rate = 255e6;
   m.blas3_rate = 388e6;
   m.task_overhead = 4e-6;
-  m.hier = true;
   m.topology.nodes = 4;
   m.topology.sockets_per_node = 2;
   m.topology.pes_per_socket = 4;
   m.topology.socket_link = {0.2e-6, 2e9};
   m.topology.node_link = {0.8e-6, 1.2e9};
   m.topology.network_link = {5.0e-6, 0.25e9};
-  // Scalars hold the worst (network) link for placement-agnostic uses.
-  m.latency = m.topology.network_link.latency;
-  m.bandwidth = m.topology.network_link.bandwidth;
-  m.mapping = GridMapping::kTopologyAware;
   m.rank_to_pe = map_grid_ranks(m.topology, m.grid, m.mapping);
   return m;
 }
@@ -109,13 +104,12 @@ MachineModel MachineModel::with_grid(Grid g) const {
   SSTAR_CHECK(g.size() == processors);
   MachineModel m = *this;
   m.grid = g;
-  if (m.hier) m.rank_to_pe = map_grid_ranks(m.topology, g, m.mapping);
+  m.rank_to_pe = map_grid_ranks(m.topology, g, m.mapping);
   return m;
 }
 
 MachineModel MachineModel::with_mapping(GridMapping how) const {
   MachineModel m = *this;
-  if (!m.hier) return m;
   m.mapping = how;
   m.rank_to_pe = map_grid_ranks(m.topology, m.grid, how);
   return m;
@@ -123,11 +117,6 @@ MachineModel MachineModel::with_mapping(GridMapping how) const {
 
 std::string MachineModel::describe() const {
   char buf[192];
-  if (!hier) {
-    std::snprintf(buf, sizeof(buf), "%s: p=%d grid=%dx%d flat", name.c_str(),
-                  processors, grid.rows, grid.cols);
-    return buf;
-  }
   std::snprintf(buf, sizeof(buf), "%s: p=%d grid=%dx%d %s, %s mapping",
                 name.c_str(), processors, grid.rows, grid.cols,
                 topology.describe().c_str(),

@@ -3,9 +3,11 @@
 //
 // The paper's experiments ran on Cray T3D and T3E; the constants below
 // are the paper's own measurements (§2 and §6): per-level BLAS rates for
-// block size 25, shmem_put latency and bandwidth. Virtual processors
-// execute real kernels while their clocks advance according to these
-// rates, so "parallel time" means what it means in the paper's analysis.
+// block size 25, shmem_put latency and bandwidth. Virtual processors'
+// clocks advance according to these rates, so "parallel time" means
+// what it means in the paper's analysis. Every model prices messages
+// through its Topology (sim/topology.hpp): the flat T3D and T3E are one
+// node of p PEs with one link cost, the hierarchical cluster has three.
 #pragma once
 
 #include <string>
@@ -53,23 +55,15 @@ struct MachineModel {
   double blas2_rate = 85e6;
   double blas3_rate = 103e6;
 
-  // Communication: time = latency + bytes / bandwidth.
-  double latency = 2.7e-6;      ///< seconds per message (put overhead)
-  double bandwidth = 126e6;     ///< bytes per second
-
   /// Fixed per-task dispatch overhead (runtime-system bookkeeping,
   /// index manipulation, buffer management). This is what supernode
   /// amalgamation amortizes: the paper's 20-50% gains (Table 4) come
   /// from fewer, larger tasks as much as from more BLAS-3.
   double task_overhead = 10e-6;
 
-  // Hierarchical extension (DESIGN.md §16). When `hier` is set, the
-  // scalar (latency, bandwidth) above hold the slowest (network) link
-  // as a worst-case for placement-agnostic formulas, and the per-link
-  // methods below price by the link a (src, dst) rank pair crosses.
-  // Flat machines (hier == false) are bit-for-bit the historic model:
-  // every *_between method degrades to the scalar expression.
-  bool hier = false;
+  // Communication (DESIGN.md §16): a message costs latency + bytes /
+  // bandwidth on the link its ranks' PEs share. A flat machine such as
+  // the T3D or T3E is one node of p PEs whose three links are equal.
   Topology topology;
   GridMapping mapping = GridMapping::kTopologyAware;
   std::vector<int> rank_to_pe;  ///< empty = identity placement
@@ -78,27 +72,22 @@ struct MachineModel {
   double compute_seconds(double f1, double f2, double f3) const {
     return f1 / blas1_rate + f2 / blas2_rate + f3 / blas3_rate;
   }
-  /// Seconds for a message of `bytes` to arrive after send
-  /// (placement-agnostic: the flat law, i.e. the worst link when
-  /// hierarchical).
+  /// Seconds for a message of `bytes` to arrive after send when the
+  /// placement is unknown: priced on the network (slowest) link.
   double comm_seconds(double bytes) const {
-    return latency + bytes / bandwidth;
+    return topology.network_link.seconds(bytes);
   }
 
-  bool hierarchical() const { return hier; }
   /// PE hosting rank r (identity when no explicit placement).
   int pe_of_rank(int r) const {
     return rank_to_pe.empty() ? r : rank_to_pe[static_cast<std::size_t>(r)];
   }
   /// Per-message latency of the link rank p -> rank q crosses.
   double latency_between(int p, int q) const {
-    if (!hier) return latency;
     return topology.link_between(pe_of_rank(p), pe_of_rank(q)).latency;
   }
-  /// Seconds for `bytes` from rank p to rank q, priced on the actual
-  /// link. Exactly comm_seconds(bytes) on a flat machine.
+  /// Seconds for `bytes` from rank p to rank q, priced on that link.
   double comm_seconds_between(int p, int q, double bytes) const {
-    if (!hier) return comm_seconds(bytes);
     return topology.link_between(pe_of_rank(p), pe_of_rank(q)).seconds(bytes);
   }
 
@@ -112,12 +101,10 @@ struct MachineModel {
   /// T3E-class compute rates and intra-socket << intra-node <<
   /// inter-node links. p <= 32; ranks placed topology-aware.
   static MachineModel hier_cluster(int p);
-  /// Same rates as cray_t3d/t3e but a 1 x p grid (for 1D codes).
-  /// Hierarchical machines re-derive the rank placement for the new
-  /// grid shape under the current mapping policy.
+  /// Copy with grid shape `g` (g.size() == processors; 1 x p for 1D
+  /// codes), re-deriving the rank placement under the mapping policy.
   MachineModel with_grid(Grid g) const;
-  /// Copy with the given mapping policy (re-deriving rank_to_pe);
-  /// no-op on flat machines.
+  /// Copy with the given mapping policy (re-deriving rank_to_pe).
   MachineModel with_mapping(GridMapping how) const;
   /// One-line description for logs: name, grid, topology, mapping.
   std::string describe() const;

@@ -39,7 +39,6 @@ MachineModel machine_from_json(const std::string& path, int ranks) {
     m.task_overhead = doc.at("task_overhead").as_number();
 
   if (const util::JsonValue* topo = doc.find("topology")) {
-    m.hier = true;
     m.topology.nodes = static_cast<int>(topo->at("nodes").as_number());
     m.topology.sockets_per_node =
         static_cast<int>(topo->at("sockets_per_node").as_number());
@@ -52,28 +51,24 @@ MachineModel machine_from_json(const std::string& path, int ranks) {
     m.topology.socket_link = parse_link(topo->at("socket"), "socket");
     m.topology.node_link = parse_link(topo->at("node"), "node");
     m.topology.network_link = parse_link(topo->at("network"), "network");
-    m.latency = m.topology.network_link.latency;
-    m.bandwidth = m.topology.network_link.bandwidth;
-    m.mapping = GridMapping::kTopologyAware;
-    if (doc.has("mapping")) {
-      const std::string& how = doc.at("mapping").as_string();
-      if (how == "round-robin")
-        m.mapping = GridMapping::kRoundRobin;
-      else
-        SSTAR_CHECK_MSG(how == "topology" || how == "topology-aware",
-                        "machine spec '" << path << "' has unknown mapping '"
-                                         << how << "'");
-    }
-    m.rank_to_pe = map_grid_ranks(m.topology, m.grid, m.mapping);
   } else {
     SSTAR_CHECK_MSG(doc.has("latency") && doc.has("bandwidth"),
                     "machine spec '"
                         << path
                         << "' needs either a topology or flat "
                            "latency/bandwidth");
-    m.latency = doc.at("latency").as_number();
-    m.bandwidth = doc.at("bandwidth").as_number();
+    m.topology = Topology::flat(ranks, parse_link(doc, "flat"));
   }
+  if (doc.has("mapping")) {
+    const std::string& how = doc.at("mapping").as_string();
+    if (how == "round-robin")
+      m.mapping = GridMapping::kRoundRobin;
+    else
+      SSTAR_CHECK_MSG(how == "topology" || how == "topology-aware",
+                      "machine spec '" << path << "' has unknown mapping '"
+                                       << how << "'");
+  }
+  m.rank_to_pe = map_grid_ranks(m.topology, m.grid, m.mapping);
   return m;
 }
 
@@ -105,26 +100,20 @@ std::string machine_json(const MachineModel& m) {
      << ", \"processors\": " << m.processors << ", \"grid\": {\"rows\": "
      << m.grid.rows << ", \"cols\": " << m.grid.cols << "}"
      << ", \"blas_rates\": [" << m.blas1_rate << ", " << m.blas2_rate << ", "
-     << m.blas3_rate << "], \"task_overhead\": " << m.task_overhead;
-  if (!m.hier) {
-    os << ", \"latency\": " << m.latency << ", \"bandwidth\": " << m.bandwidth
-       << ", \"topology\": null";
-  } else {
-    os << ", \"topology\": {\"nodes\": " << m.topology.nodes
-       << ", \"sockets_per_node\": " << m.topology.sockets_per_node
-       << ", \"pes_per_socket\": " << m.topology.pes_per_socket
-       << ", \"socket\": " << link_json(m.topology.socket_link)
-       << ", \"node\": " << link_json(m.topology.node_link)
-       << ", \"network\": " << link_json(m.topology.network_link) << "}"
-       << ", \"mapping\": "
-       << (m.mapping == GridMapping::kTopologyAware ? "\"topology\""
-                                                    : "\"round-robin\"")
-       << ", \"rank_to_pe\": [";
-    for (int r = 0; r < m.processors; ++r)
-      os << (r ? ", " : "") << m.pe_of_rank(r);
-    os << "]";
-  }
-  os << "}";
+     << m.blas3_rate << "], \"task_overhead\": " << m.task_overhead
+     << ", \"topology\": {\"nodes\": " << m.topology.nodes
+     << ", \"sockets_per_node\": " << m.topology.sockets_per_node
+     << ", \"pes_per_socket\": " << m.topology.pes_per_socket
+     << ", \"socket\": " << link_json(m.topology.socket_link)
+     << ", \"node\": " << link_json(m.topology.node_link)
+     << ", \"network\": " << link_json(m.topology.network_link) << "}"
+     << ", \"mapping\": "
+     << (m.mapping == GridMapping::kTopologyAware ? "\"topology\""
+                                                  : "\"round-robin\"")
+     << ", \"rank_to_pe\": [";
+  for (int r = 0; r < m.processors; ++r)
+    os << (r ? ", " : "") << m.pe_of_rank(r);
+  os << "]}";
   return os.str();
 }
 

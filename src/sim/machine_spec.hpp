@@ -8,7 +8,8 @@
 //     "name": "my-cluster",
 //     "blas1_rate": 150e6, "blas2_rate": 255e6, "blas3_rate": 388e6,
 //     "task_overhead": 4e-6,
-//     // EITHER a flat machine:
+//     // EITHER a flat machine (one node of `ranks` PEs, every link
+//     // at this latency and bandwidth):
 //     "latency": 1e-6, "bandwidth": 500e6,
 //     // OR a hierarchical one:
 //     "topology": {
@@ -22,7 +23,8 @@
 //
 // machine_json() renders the resolved model (including its topology
 // and rank placement) as a JSON object so results files are labelled
-// with the machine they were produced on.
+// with the machine they were produced on. Every model renders in the
+// topology form; a flat one shows as 1 x 1 x p with three equal links.
 #pragma once
 
 #include <string>
@@ -38,7 +40,8 @@ namespace sstar::sim {
 MachineModel resolve_machine(const std::string& spec, int ranks);
 
 /// The resolved model as a JSON object string (single line):
-/// name, processors, grid, flat/hierarchical link costs, mapping.
+/// name, processors, grid, rates, topology and its link costs,
+/// mapping and rank placement.
 std::string machine_json(const MachineModel& m);
 
 }  // namespace sstar::sim

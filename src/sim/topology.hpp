@@ -2,14 +2,14 @@
 // communication costs (DESIGN.md §16).
 //
 // The paper's flat (latency, bandwidth) pair models a Cray T3D/T3E
-// torus where every hop costs the same. Modern machines are
-// hierarchies: PEs sharing a socket talk through cache, sockets in a
-// node over the memory interconnect, nodes over the network — three
-// link classes whose costs differ by orders of magnitude
-// (intra-socket << intra-node << inter-node). A Topology names the
-// shape and the three LinkCosts; MachineModel consults it (when
-// hierarchical) to price a message by the slowest link the (src, dst)
-// PE pair actually crosses.
+// torus where every hop costs the same: one node whose three links are
+// equal (Topology::flat). Modern machines are hierarchies: PEs sharing
+// a socket talk through cache, sockets in a node over the memory
+// interconnect, nodes over the network — three link classes whose
+// costs differ by orders of magnitude (intra-socket << intra-node <<
+// inter-node). A Topology names the shape and the three LinkCosts;
+// MachineModel consults it to price a message by the slowest link the
+// (src, dst) PE pair actually crosses.
 //
 // PE numbering is locality-major:
 //   pe = (node * sockets_per_node + socket) * pes_per_socket + index
@@ -40,6 +40,12 @@ struct Topology {
   LinkCost socket_link;   ///< both PEs in the same socket
   LinkCost node_link;     ///< same node, different sockets
   LinkCost network_link;  ///< different nodes
+
+  /// One node of `pes` PEs in one socket, every link `link`: the
+  /// paper's flat machine.
+  static Topology flat(int pes, LinkCost link) {
+    return {1, 1, pes, link, link, link};
+  }
 
   int pes_per_node() const { return sockets_per_node * pes_per_socket; }
   int pes() const { return nodes * pes_per_node(); }

@@ -1,8 +1,9 @@
-// Hierarchical machine model tests (DESIGN.md §16): per-link pricing,
-// grid-rank placement, flat-model parity (the t3d/t3e presets and any
-// flat machine must simulate bit-for-bit as before the topology
-// extension), JSON machine specs, and the topology-aware-vs-round-robin
-// simulated win the mapping exists for.
+// Machine model tests (DESIGN.md §16): per-link pricing, grid-rank
+// placement, flat-model parity (the t3d/t3e presets are one-node
+// topologies that price every rank pair at the paper's latency +
+// bytes / bandwidth, and a uniform multi-node topology simulates bit
+// for bit like them), JSON machine specs, and the
+// topology-aware-vs-round-robin simulated win the mapping exists for.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -37,46 +38,59 @@ struct Fixture {
   }
 };
 
-// A hierarchical machine whose every link equals the flat scalars: the
-// per-link methods must then be bit-identical to the flat expressions.
+// The flat machine's one link spread over a 2-node, 2-socket topology:
+// placements then cross all three link classes, each at the same cost.
 sim::MachineModel uniform_hier(const sim::MachineModel& flat) {
   sim::MachineModel m = flat;
-  m.hier = true;
-  m.topology.nodes = 2;
-  m.topology.sockets_per_node = 2;
-  m.topology.pes_per_socket =
-      (flat.processors + 3) / 4 > 0 ? (flat.processors + 3) / 4 : 1;
-  const sim::LinkCost uniform{flat.latency, flat.bandwidth};
-  m.topology.socket_link = uniform;
-  m.topology.node_link = uniform;
-  m.topology.network_link = uniform;
+  const sim::LinkCost uniform = flat.topology.network_link;
+  m.topology = {2, 2, (flat.processors + 3) / 4, uniform, uniform, uniform};
+  m.rank_to_pe = sim::map_grid_ranks(m.topology, m.grid, m.mapping);
   return m;
 }
 
 TEST(MachineTopology, PresetsStayFlat) {
-  const auto t3d = sim::MachineModel::cray_t3d(8);
-  const auto t3e = sim::MachineModel::cray_t3e(8);
-  EXPECT_FALSE(t3d.hierarchical());
-  EXPECT_FALSE(t3e.hierarchical());
+  struct Preset {
+    sim::MachineModel m;
+    double latency, bandwidth, blas3_rate;
+  };
   // The paper's constants, pinned: any drift would silently re-time
   // every simulation in the suite.
-  EXPECT_EQ(t3d.latency, 2.7e-6);
-  EXPECT_EQ(t3d.bandwidth, 126e6);
-  EXPECT_EQ(t3d.blas3_rate, 103e6);
-  EXPECT_EQ(t3e.latency, 1.0e-6);
-  EXPECT_EQ(t3e.bandwidth, 500e6);
-  EXPECT_EQ(t3e.blas3_rate, 388e6);
-  // Flat per-link pricing degrades to the scalar law, bitwise.
-  for (double bytes : {0.0, 64.0, 8192.0}) {
-    EXPECT_EQ(t3d.comm_seconds_between(0, 7, bytes), t3d.comm_seconds(bytes));
-    EXPECT_EQ(t3e.comm_seconds_between(3, 4, bytes), t3e.comm_seconds(bytes));
+  for (const Preset& pre : {Preset{sim::MachineModel::cray_t3d(8), 2.7e-6,
+                                   126e6, 103e6},
+                            Preset{sim::MachineModel::cray_t3e(8), 1.0e-6,
+                                   500e6, 388e6}}) {
+    const sim::Topology& topo = pre.m.topology;
+    EXPECT_EQ(topo.nodes, 1) << pre.m.name;
+    EXPECT_EQ(topo.sockets_per_node, 1) << pre.m.name;
+    EXPECT_EQ(topo.pes_per_socket, 8) << pre.m.name;
+    for (const sim::LinkCost* link :
+         {&topo.socket_link, &topo.node_link, &topo.network_link}) {
+      EXPECT_EQ(link->latency, pre.latency) << pre.m.name;
+      EXPECT_EQ(link->bandwidth, pre.bandwidth) << pre.m.name;
+    }
+    EXPECT_EQ(pre.m.blas3_rate, pre.blas3_rate) << pre.m.name;
+    // Every rank pair, under both mappings and after a reshape, pays
+    // exactly the flat law.
+    for (const sim::MachineModel& m :
+         {pre.m.with_mapping(sim::GridMapping::kTopologyAware),
+          pre.m.with_mapping(sim::GridMapping::kRoundRobin),
+          pre.m.with_grid({1, 8}), pre.m.with_grid({4, 2})}) {
+      for (const double bytes : {0.0, 64.0, 8192.0}) {
+        const double flat = pre.latency + bytes / pre.bandwidth;
+        EXPECT_EQ(m.comm_seconds(bytes), flat) << m.name;
+        for (int p = 0; p < m.processors; ++p)
+          for (int q = 0; q < m.processors; ++q) {
+            ASSERT_EQ(m.comm_seconds_between(p, q, bytes), flat)
+                << m.name << " " << p << " -> " << q;
+            ASSERT_EQ(m.latency_between(p, q), pre.latency);
+          }
+      }
+    }
   }
-  EXPECT_EQ(t3e.latency_between(0, 5), t3e.latency);
 }
 
 TEST(MachineTopology, LinkSelection) {
   const auto m = sim::MachineModel::hier_cluster(32);
-  ASSERT_TRUE(m.hierarchical());
   const auto& topo = m.topology;
   EXPECT_EQ(topo.pes(), 32);
   EXPECT_EQ(topo.pes_per_node(), 8);
@@ -88,9 +102,8 @@ TEST(MachineTopology, LinkSelection) {
   EXPECT_LT(topo.socket_link.latency, topo.node_link.latency);
   EXPECT_LT(topo.node_link.latency, topo.network_link.latency);
   EXPECT_GT(topo.socket_link.bandwidth, topo.network_link.bandwidth);
-  // The scalar fields hold the worst link for placement-agnostic code.
-  EXPECT_EQ(m.latency, topo.network_link.latency);
-  EXPECT_EQ(m.bandwidth, topo.network_link.bandwidth);
+  // Placement-agnostic code prices on the worst (network) link.
+  EXPECT_EQ(m.comm_seconds(4096.0), topo.network_link.seconds(4096.0));
 }
 
 TEST(MachineTopology, GridMappings) {
@@ -170,7 +183,7 @@ TEST(MachineTopology, ResolvePresets) {
   EXPECT_EQ(sim::resolve_machine("t3d", 4).name, "Cray-T3D");
   EXPECT_EQ(sim::resolve_machine("t3e", 8).name, "Cray-T3E");
   const auto h = sim::resolve_machine("hier4x8", 16);
-  EXPECT_TRUE(h.hierarchical());
+  EXPECT_EQ(h.topology.nodes, 4);
   EXPECT_EQ(h.processors, 16);
   EXPECT_THROW(sim::resolve_machine("t3f", 4), CheckError);
   EXPECT_THROW(sim::resolve_machine("/nonexistent/machine.json", 4),
@@ -195,13 +208,12 @@ TEST(MachineTopology, ResolveJsonSpecFile) {
   }
   const auto m = sim::resolve_machine(path, 8);
   EXPECT_EQ(m.name, "test-cluster");
-  EXPECT_TRUE(m.hierarchical());
   EXPECT_EQ(m.processors, 8);
   EXPECT_EQ(m.blas3_rate, 400e6);
   EXPECT_EQ(m.mapping, sim::GridMapping::kRoundRobin);
   EXPECT_EQ(m.topology.nodes, 2);
-  EXPECT_EQ(m.latency, 4e-6);    // network link
-  EXPECT_EQ(m.bandwidth, 3e8);
+  EXPECT_EQ(m.topology.network_link.latency, 4e-6);
+  EXPECT_EQ(m.topology.network_link.bandwidth, 3e8);
   EXPECT_EQ(m.rank_to_pe.size(), 8u);
 
   // Flat spec.
@@ -211,8 +223,9 @@ TEST(MachineTopology, ResolveJsonSpecFile) {
     out << R"({"name": "flat-lab", "latency": 2e-6, "bandwidth": 1e8})";
   }
   const auto fm = sim::resolve_machine(flat_path, 4);
-  EXPECT_FALSE(fm.hierarchical());
-  EXPECT_EQ(fm.latency, 2e-6);
+  EXPECT_EQ(fm.topology.nodes, 1);
+  EXPECT_EQ(fm.topology.pes(), 4);
+  EXPECT_EQ(fm.comm_seconds_between(0, 3, 100.0), 2e-6 + 100.0 / 1e8);
 
   // A spec with neither topology nor flat costs is rejected.
   const std::string bad_path = ::testing::TempDir() + "machine_bad.json";
@@ -236,10 +249,21 @@ TEST(MachineTopology, MachineJsonMetadataRoundTrips) {
   EXPECT_EQ(doc.at("mapping").as_string(), "topology");
   EXPECT_EQ(doc.at("rank_to_pe").items.size(), 16u);
 
+  // A flat machine renders in the same form: one node of p PEs whose
+  // three links carry the flat latency and bandwidth.
   const auto flat = util::parse_json(
       sim::machine_json(sim::MachineModel::cray_t3d(4)));
-  EXPECT_EQ(flat.at("topology").kind, util::JsonValue::Kind::kNull);
-  EXPECT_EQ(flat.at("latency").as_number(), 2.7e-6);
+  const util::JsonValue& topo = flat.at("topology");
+  EXPECT_EQ(topo.at("nodes").as_number(), 1.0);
+  EXPECT_EQ(topo.at("sockets_per_node").as_number(), 1.0);
+  EXPECT_EQ(topo.at("pes_per_socket").as_number(), 4.0);
+  for (const char* link : {"socket", "node", "network"}) {
+    EXPECT_EQ(topo.at(link).at("latency").as_number(), 2.7e-6) << link;
+    EXPECT_EQ(topo.at(link).at("bandwidth").as_number(), 126e6) << link;
+  }
+  EXPECT_EQ(flat.at("mapping").as_string(), "topology");
+  EXPECT_EQ(flat.at("rank_to_pe").items.size(), 4u);
+  EXPECT_FALSE(flat.has("latency"));
 }
 
 TEST(MachineTopology, JsonParserBasics) {
@@ -263,7 +287,6 @@ TEST(MachineTopology, JsonParserBasics) {
 TEST(MachineTopology, WithGridRederivesPlacement) {
   const auto m = sim::MachineModel::hier_cluster(16);
   const auto tall = m.with_grid(sim::Grid{16, 1});
-  ASSERT_TRUE(tall.hierarchical());
   ASSERT_EQ(tall.rank_to_pe.size(), 16u);
   // One 16-rank column team: topology-aware packs ranks 0..15 onto
   // consecutive PEs.

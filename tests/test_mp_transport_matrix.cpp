@@ -145,7 +145,7 @@ TEST(MpTransportMatrix, TracedProcRunPassesValidatorUnderHierarchicalModel) {
   const Fixture f = Fixture::make(100, 4, 31, 8, 4);
   const auto ref = f.sequential();
   const sim::MachineModel m = sim::MachineModel::hier_cluster(4);
-  ASSERT_TRUE(m.hierarchical());
+  ASSERT_GT(m.topology.nodes, 1);
   const sim::ParallelProgram prog =
       build_2d_program(*f.layout, m, /*async=*/true);
 

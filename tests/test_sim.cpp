@@ -14,8 +14,8 @@ MachineModel unit_machine(int p, Grid g = {}) {
   m.processors = p;
   m.grid = g.size() == p ? g : Grid{1, p};
   m.blas1_rate = m.blas2_rate = m.blas3_rate = 1.0;  // seconds == flops
-  m.latency = 0.5;
-  m.bandwidth = 2.0;         // bytes per second
+  // 0.5 s latency, 2 bytes per second on the one link.
+  m.topology = Topology::flat(p, {0.5, 2.0});
   m.task_overhead = 0.0;     // exact arithmetic in these unit tests
   return m;
 }
@@ -37,7 +37,7 @@ TEST(Machine, CrayPresetsMatchPaperConstants) {
   const auto t3d = MachineModel::cray_t3d(64);
   EXPECT_DOUBLE_EQ(t3d.blas3_rate, 103e6);
   EXPECT_DOUBLE_EQ(t3d.blas2_rate, 85e6);
-  EXPECT_DOUBLE_EQ(t3d.bandwidth, 126e6);
+  EXPECT_DOUBLE_EQ(t3d.topology.network_link.bandwidth, 126e6);
   const auto t3e = MachineModel::cray_t3e(128);
   EXPECT_DOUBLE_EQ(t3e.blas3_rate, 388e6);
   EXPECT_DOUBLE_EQ(t3e.blas2_rate, 255e6);

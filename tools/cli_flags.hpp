@@ -1,0 +1,117 @@
+// Command-line flags the tools share: where the matrix comes from, how
+// the solver analyses it, and the one strict reader for numeric values.
+//
+// A numeric flag value must parse completely (std::from_chars over the
+// whole string, finite for reals); anything else exits 2 naming the
+// flag and the value, so `--scale=x` or `--ranks=abc` is an error
+// instead of a silent 0.
+#pragma once
+
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <system_error>
+#include <type_traits>
+
+#include "matrix/generators.hpp"
+#include "matrix/io.hpp"
+#include "matrix/suite.hpp"
+#include "solve/solver.hpp"
+
+namespace sstar::cli {
+
+/// `value` read as a T in full, or exit 2 naming `flag` and `value`.
+template <class T>
+T number(const char* flag, const std::string& value) {
+  T out{};
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, out);
+  bool ok = !value.empty() && ec == std::errc() && end == last;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
+  if (!ok) {
+    std::fprintf(stderr, "error: %s: '%s' is not a valid number\n", flag,
+                 value.c_str());
+    std::exit(2);
+  }
+  return out;
+}
+
+/// The text after `prefix` when `arg` starts with it.
+inline std::optional<std::string> flag_value(const std::string& arg,
+                                             const char* prefix) {
+  const std::string p(prefix);
+  if (arg.rfind(p, 0) != 0) return std::nullopt;
+  return arg.substr(p.size());
+}
+
+/// --ordering=mindeg|nd|rcm|natural, or exit 2.
+inline SolverOptions::Ordering ordering(const std::string& value) {
+  if (value == "mindeg") return SolverOptions::Ordering::kMinDegreeAtA;
+  if (value == "nd") return SolverOptions::Ordering::kNestedDissection;
+  if (value == "rcm") return SolverOptions::Ordering::kRcm;
+  if (value != "natural") {
+    std::fprintf(stderr, "unknown ordering %s\n", value.c_str());
+    std::exit(2);
+  }
+  return SolverOptions::Ordering::kNatural;
+}
+
+/// --alpha=A, a threshold-pivoting policy in (0, 1], or exit 2.
+inline PivotPolicy alpha(const std::string& value) {
+  PivotPolicy policy;
+  policy.threshold = number<double>("--alpha", value);
+  if (!policy.valid()) {
+    std::fprintf(stderr, "--alpha must be in (0, 1]\n");
+    std::exit(2);
+  }
+  return policy;
+}
+
+/// The matrix source and solver flags every tool takes: --suite=NAME
+/// --scale=S --grid=N --seed=S --max-block=N --amalg=N. Tools that take
+/// a file set `path` from their positional argument.
+struct MatrixFlags {
+  std::string path;
+  std::string suite;
+  double scale = 1.0;
+  int grid = 0;  ///< 0: the tool's default stencil size
+  std::uint64_t seed = 1;
+  SolverOptions opt;
+
+  /// Consume `arg` if it is one of the shared flags.
+  bool parse(const std::string& arg) {
+    if (auto v = flag_value(arg, "--suite=")) {
+      suite = *v;
+    } else if (auto v = flag_value(arg, "--scale=")) {
+      scale = number<double>("--scale", *v);
+    } else if (auto v = flag_value(arg, "--grid=")) {
+      grid = number<int>("--grid", *v);
+    } else if (auto v = flag_value(arg, "--seed=")) {
+      seed = number<std::uint64_t>("--seed", *v);
+    } else if (auto v = flag_value(arg, "--max-block=")) {
+      opt.max_block = number<int>("--max-block", *v);
+    } else if (auto v = flag_value(arg, "--amalg=")) {
+      opt.amalgamation = number<int>("--amalg", *v);
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  /// The file, else the suite replica, else a five-point stencil of
+  /// `grid` (or `default_grid`) squared unknowns.
+  SparseMatrix load(int default_grid) const {
+    if (!path.empty()) return io::read_matrix_file(path);
+    if (!suite.empty()) return gen::suite_entry(suite).generate(scale, seed);
+    gen::ValueOptions vo;
+    vo.seed = seed;
+    const int g = grid != 0 ? grid : default_grid;
+    return gen::stencil5(g, g, 0.1, vo);
+  }
+};
+
+}  // namespace sstar::cli

@@ -25,27 +25,25 @@
 // auditor pinpoints every one at the exact rank/task/op, printing the
 // counterexample wait-for cycle for the deadlock case.
 //
-// Flags: --suite=NAME --scale=S --grid=N --seed=S --ordering=... as in
-//        sstar_solve_cli, --max-block=N --amalg=N, --programs
+// Flags: --suite=NAME --scale=S --grid=N --seed=S --ordering=...
+//        --max-block=N --amalg=N (tools/cli_flags.hpp; a numeric value
+//        that does not parse exits 2), --programs
 //        --procs=P, --dynamic --threads=T, --self-test [--drop-edge=I],
 //        --comm, --comm-self-test,
 //        --verbose (print every violation, not just the first few)
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "analysis/audit.hpp"
 #include "analysis/comm_audit.hpp"
+#include "cli_flags.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
 #include "core/task_graph.hpp"
 #include "exec/lu_real.hpp"
-#include "matrix/generators.hpp"
-#include "matrix/io.hpp"
-#include "matrix/suite.hpp"
 #include "sim/comm_plan.hpp"
 #include "solve/solver.hpp"
 #include "util/check.hpp"
@@ -256,11 +254,7 @@ int comm_self_test(const BlockLayout& layout, int procs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string matrix_path, suite_name;
-  double scale = 1.0;
-  int grid = 0;
-  std::uint64_t seed = 1;
-  SolverOptions opt;
+  cli::MatrixFlags in;
   bool programs = false;
   int procs = 4;
   bool dynamic = false;
@@ -273,40 +267,18 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--suite=", 0) == 0) {
-      suite_name = arg.substr(8);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::atof(arg.c_str() + 8);
-    } else if (arg.rfind("--grid=", 0) == 0) {
-      grid = std::atoi(arg.c_str() + 7);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(arg.c_str() + 7));
+    if (in.parse(arg)) {
+      continue;
     } else if (arg.rfind("--ordering=", 0) == 0) {
-      const std::string v = arg.substr(11);
-      if (v == "mindeg")
-        opt.ordering = SolverOptions::Ordering::kMinDegreeAtA;
-      else if (v == "nd")
-        opt.ordering = SolverOptions::Ordering::kNestedDissection;
-      else if (v == "rcm")
-        opt.ordering = SolverOptions::Ordering::kRcm;
-      else if (v == "natural")
-        opt.ordering = SolverOptions::Ordering::kNatural;
-      else {
-        std::fprintf(stderr, "unknown ordering %s\n", v.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--max-block=", 0) == 0) {
-      opt.max_block = std::atoi(arg.c_str() + 12);
-    } else if (arg.rfind("--amalg=", 0) == 0) {
-      opt.amalgamation = std::atoi(arg.c_str() + 8);
+      in.opt.ordering = cli::ordering(arg.substr(11));
     } else if (arg == "--programs") {
       programs = true;
     } else if (arg.rfind("--procs=", 0) == 0) {
-      procs = std::atoi(arg.c_str() + 8);
+      procs = cli::number<int>("--procs", arg.substr(8));
     } else if (arg == "--dynamic") {
       dynamic = true;
     } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(arg.c_str() + 10);
+      threads = cli::number<int>("--threads", arg.substr(10));
     } else if (arg == "--comm") {
       comm = true;
     } else if (arg == "--comm-self-test") {
@@ -315,40 +287,32 @@ int main(int argc, char** argv) {
       run_self_test = true;
     } else if (arg.rfind("--drop-edge=", 0) == 0) {
       run_self_test = true;
-      drop_edge = std::atoi(arg.c_str() + 12);
+      drop_edge = cli::number<int>("--drop-edge", arg.substr(12));
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return 2;
-    } else if (matrix_path.empty()) {
-      matrix_path = arg;
+    } else if (in.path.empty()) {
+      in.path = arg;
     } else {
       std::fprintf(stderr, "unexpected argument %s\n", arg.c_str());
       return 2;
     }
   }
-  if (matrix_path.empty() && suite_name.empty() && grid == 0) grid = 24;
 
   try {
-    SparseMatrix a = [&]() -> SparseMatrix {
-      if (!matrix_path.empty()) return io::read_matrix_file(matrix_path);
-      if (!suite_name.empty())
-        return gen::suite_entry(suite_name).generate(scale, seed);
-      gen::ValueOptions vo;
-      vo.seed = seed;
-      return gen::stencil5(grid, grid, 0.1, vo);
-    }();
+    SparseMatrix a = in.load(24);
     std::printf("matrix: n = %d, nnz = %lld\n", a.rows(),
                 static_cast<long long>(a.nnz()));
     SSTAR_CHECK_MSG(a.rows() == a.cols(), "matrix must be square");
 
-    SolverSetup setup = prepare(a, opt);
+    SolverSetup setup = prepare(a, in.opt);
     const BlockLayout& layout = *setup.layout;
     std::printf("layout: %d column blocks\n", layout.num_blocks());
 
-    if (run_self_test) return self_test(layout, drop_edge, seed);
-    if (run_comm_self_test) return comm_self_test(layout, procs, seed);
+    if (run_self_test) return self_test(layout, drop_edge, in.seed);
+    if (run_comm_self_test) return comm_self_test(layout, procs, in.seed);
 
     int failures = 0;
     if (comm) failures += comm_audit(layout, procs, verbose);

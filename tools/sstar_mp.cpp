@@ -38,7 +38,8 @@
 //     block access sets (exit 1 on a conflicting one).
 //
 // Flags: --suite=NAME --scale=S --grid=N --seed=S --ordering=... and
-//        --max-block=N --amalg=N as in sstar_solve_cli;
+//        --max-block=N --amalg=N (tools/cli_flags.hpp; a numeric value
+//        that does not parse exits 2);
 //        --ranks=P, --mapping=1d|2d, --schedule=ca|graph (1D),
 //        --sync (2D barrier variant), --shape=RxC (2D grid shape),
 //        --alpha=A (threshold-pivoting policy, (0,1]; 1.0 = exact
@@ -61,7 +62,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -69,13 +69,11 @@
 #include "analysis/audit.hpp"
 #include "analysis/comm_audit.hpp"
 #include "blas/kernel_backend.hpp"
+#include "cli_flags.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
 #include "exec/lu_mp.hpp"
 #include "exec/lu_real.hpp"
-#include "matrix/generators.hpp"
-#include "matrix/io.hpp"
-#include "matrix/suite.hpp"
 #include "sim/machine_spec.hpp"
 #include "sim/memory_model.hpp"
 #include "solve/solver.hpp"
@@ -89,11 +87,8 @@
 using namespace sstar;
 
 int main(int argc, char** argv) {
-  std::string matrix_path, suite_name;
-  double scale = 1.0;
-  int grid = 0;
-  std::uint64_t seed = 1;
-  SolverOptions opt;
+  cli::MatrixFlags in;
+  SolverOptions& opt = in.opt;
   int ranks = 4;
   std::string mapping = "1d";
   std::string schedule = "ca";
@@ -108,34 +103,12 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--suite=", 0) == 0) {
-      suite_name = arg.substr(8);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::atof(arg.c_str() + 8);
-    } else if (arg.rfind("--grid=", 0) == 0) {
-      grid = std::atoi(arg.c_str() + 7);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(arg.c_str() + 7));
+    if (in.parse(arg)) {
+      continue;
     } else if (arg.rfind("--ordering=", 0) == 0) {
-      const std::string v = arg.substr(11);
-      if (v == "mindeg")
-        opt.ordering = SolverOptions::Ordering::kMinDegreeAtA;
-      else if (v == "nd")
-        opt.ordering = SolverOptions::Ordering::kNestedDissection;
-      else if (v == "rcm")
-        opt.ordering = SolverOptions::Ordering::kRcm;
-      else if (v == "natural")
-        opt.ordering = SolverOptions::Ordering::kNatural;
-      else {
-        std::fprintf(stderr, "unknown ordering %s\n", v.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--max-block=", 0) == 0) {
-      opt.max_block = std::atoi(arg.c_str() + 12);
-    } else if (arg.rfind("--amalg=", 0) == 0) {
-      opt.amalgamation = std::atoi(arg.c_str() + 8);
+      opt.ordering = cli::ordering(arg.substr(11));
     } else if (arg.rfind("--ranks=", 0) == 0) {
-      ranks = std::atoi(arg.c_str() + 8);
+      ranks = cli::number<int>("--ranks", arg.substr(8));
     } else if (arg.rfind("--mapping=", 0) == 0) {
       mapping = arg.substr(10);
     } else if (arg.rfind("--schedule=", 0) == 0) {
@@ -151,16 +124,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--shape wants RxC, e.g. --shape=2x4\n");
         return 2;
       }
-      shape.rows = std::atoi(v.substr(0, x).c_str());
-      shape.cols = std::atoi(v.substr(x + 1).c_str());
+      shape.rows = cli::number<int>("--shape", v.substr(0, x));
+      shape.cols = cli::number<int>("--shape", v.substr(x + 1));
     } else if (arg.rfind("--alpha=", 0) == 0) {
-      opt.pivot.threshold = std::atof(arg.c_str() + 8);
-      if (!opt.pivot.valid()) {
-        std::fprintf(stderr, "--alpha must be in (0, 1]\n");
-        return 2;
-      }
+      opt.pivot = cli::alpha(arg.substr(8));
     } else if (arg.rfind("--watchdog=", 0) == 0) {
-      watchdog = std::atof(arg.c_str() + 11);
+      watchdog = cli::number<double>("--watchdog", arg.substr(11));
     } else if (arg == "--audit") {
       audit = true;
     } else if (arg == "--memory") {
@@ -174,14 +143,13 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return 2;
-    } else if (matrix_path.empty()) {
-      matrix_path = arg;
+    } else if (in.path.empty()) {
+      in.path = arg;
     } else {
       std::fprintf(stderr, "unexpected argument %s\n", arg.c_str());
       return 2;
     }
   }
-  if (matrix_path.empty() && suite_name.empty() && grid == 0) grid = 24;
   if (mapping != "1d" && mapping != "2d") {
     std::fprintf(stderr, "--mapping must be 1d or 2d\n");
     return 2;
@@ -211,14 +179,7 @@ int main(int argc, char** argv) {
 #endif
 
   try {
-    SparseMatrix a = [&]() -> SparseMatrix {
-      if (!matrix_path.empty()) return io::read_matrix_file(matrix_path);
-      if (!suite_name.empty())
-        return gen::suite_entry(suite_name).generate(scale, seed);
-      gen::ValueOptions vo;
-      vo.seed = seed;
-      return gen::stencil5(grid, grid, 0.1, vo);
-    }();
+    SparseMatrix a = in.load(24);
     std::printf("matrix: n = %d, nnz = %lld\n", a.rows(),
                 static_cast<long long>(a.nnz()));
     std::printf("kernel backend: %s\n", blas::kernel_backend_summary().c_str());
@@ -413,7 +374,7 @@ int main(int argc, char** argv) {
     }
 
     // End-to-end solve on the merged factors.
-    Rng rng(seed);
+    Rng rng(in.seed);
     std::vector<double> b(static_cast<std::size_t>(layout.n()));
     for (double& x : b) x = rng.uniform(-1.0, 1.0);
     const std::vector<double> x = mp.solve(b);

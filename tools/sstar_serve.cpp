@@ -18,8 +18,10 @@
 // edges, levels, average parallelism) and runs --verify.
 //
 // Flags: --suite=NAME --scale=S --grid=N --seed=S --max-block=N
-//        --amalg=N (default SolverOptions') --threads=a,b,c (default
-//        1,2,4,8)
+//        --amalg=N (default SolverOptions'; tools/cli_flags.hpp, a
+//        numeric value that does not parse exits 2; an input the
+//        library rejects exits 1 with "error: ...")
+//        --threads=a,b,c (default 1,2,4,8)
 //        --widths=a,b,c (default 1,3,8,32) --verbose
 //        --alpha=A (threshold-pivoting policy in (0,1] for the served
 //        factorization; the summary line reports the active policy,
@@ -29,15 +31,13 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
 #include "analysis/audit.hpp"
 #include "analysis/reachability.hpp"
-#include "matrix/generators.hpp"
-#include "matrix/suite.hpp"
+#include "cli_flags.hpp"
 #include "serve/factorization.hpp"
 #include "serve/session.hpp"
 #include "util/check.hpp"
@@ -47,12 +47,12 @@ using namespace sstar;
 
 namespace {
 
-std::vector<int> parse_int_list(const std::string& s) {
+std::vector<int> parse_int_list(const char* flag, const std::string& s) {
   std::vector<int> out;
   std::string cur;
   for (const char c : s + ",") {
     if (c == ',') {
-      if (!cur.empty()) out.push_back(std::atoi(cur.c_str()));
+      if (!cur.empty()) out.push_back(cli::number<int>(flag, cur));
       cur.clear();
     } else {
       cur += c;
@@ -146,11 +146,7 @@ int self_test(const SolveGraph& graph, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string suite_name;
-  double scale = 1.0;
-  int grid = 16;
-  std::uint64_t seed = 1;
-  SolverOptions opt;  // --max-block, --amalg and --alpha override it
+  cli::MatrixFlags in;  // --max-block, --amalg and --alpha set in.opt
   std::vector<int> threads = {1, 2, 4, 8};
   std::vector<int> widths = {1, 3, 8, 32};
   bool do_verify = false, do_audit = false, do_self_test = false;
@@ -158,18 +154,10 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto val = [&arg](const char* k) {
-      return arg.substr(std::strlen(k));
-    };
-    if (arg.rfind("--suite=", 0) == 0) suite_name = val("--suite=");
-    else if (arg.rfind("--scale=", 0) == 0) scale = std::atof(val("--scale=").c_str());
-    else if (arg.rfind("--grid=", 0) == 0) grid = std::atoi(val("--grid=").c_str());
-    else if (arg.rfind("--seed=", 0) == 0) seed = std::strtoull(val("--seed=").c_str(), nullptr, 10);
-    else if (arg.rfind("--max-block=", 0) == 0) opt.max_block = std::atoi(val("--max-block=").c_str());
-    else if (arg.rfind("--amalg=", 0) == 0) opt.amalgamation = std::atoi(val("--amalg=").c_str());
-    else if (arg.rfind("--alpha=", 0) == 0) opt.pivot.threshold = std::atof(val("--alpha=").c_str());
-    else if (arg.rfind("--threads=", 0) == 0) threads = parse_int_list(val("--threads="));
-    else if (arg.rfind("--widths=", 0) == 0) widths = parse_int_list(val("--widths="));
+    if (in.parse(arg)) continue;
+    if (arg.rfind("--alpha=", 0) == 0) in.opt.pivot = cli::alpha(arg.substr(8));
+    else if (arg.rfind("--threads=", 0) == 0) threads = parse_int_list("--threads", arg.substr(10));
+    else if (arg.rfind("--widths=", 0) == 0) widths = parse_int_list("--widths", arg.substr(9));
     else if (arg == "--verify") do_verify = true;
     else if (arg == "--audit") do_audit = true;
     else if (arg == "--self-test") do_self_test = true;
@@ -181,42 +169,37 @@ int main(int argc, char** argv) {
   }
   if (!do_verify && !do_audit && !do_self_test) do_verify = true;
 
-  const SparseMatrix a = [&] {
-    if (!suite_name.empty())
-      return gen::suite_entry(suite_name).generate(scale, seed);
-    gen::ValueOptions vo;
-    vo.seed = seed;
-    return gen::stencil5(grid, grid, 0.1, vo);
-  }();
+  try {
+    const SparseMatrix a = in.load(16);
+    const auto factor = serve::Factorization::create(a, in.opt);
+    const SolveGraph& graph = factor->graph();
+    std::printf(
+        "matrix n=%d  blocks=%d  solve DAG: %d tasks, %zu edges, %d levels, "
+        "avg parallelism %.2f\n",
+        factor->n(), graph.num_blocks(), graph.num_tasks(),
+        graph.edges().size(), graph.num_levels(),
+        graph.average_parallelism());
+    std::printf("pivot policy: %s  growth %.3e  relaxed pivots %d\n",
+                in.opt.pivot.describe().c_str(),
+                factor->solver().numeric().growth_factor(),
+                factor->solver().stats().relaxed_pivots);
 
-  if (!opt.pivot.valid()) {
-    std::fprintf(stderr, "--alpha must be in (0, 1]\n");
-    return 2;
+    int rc = 0;
+    if (do_audit) {
+      const auto report = analysis::audit_solve_graph(graph);
+      std::printf("%s\n", report.summary().c_str());
+      const std::size_t show = verbose ? report.violations.size()
+                                       : std::min<std::size_t>(
+                                             report.violations.size(), 5);
+      for (std::size_t v = 0; v < show; ++v)
+        std::printf("  !! %s\n", report.violations[v].message().c_str());
+      if (!report.ok()) rc = 1;
+    }
+    if (do_self_test && rc == 0) rc = self_test(graph, in.seed);
+    if (do_verify && rc == 0) rc = verify(factor, threads, widths, in.seed);
+    return rc;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
-  const auto factor = serve::Factorization::create(a, opt);
-  const SolveGraph& graph = factor->graph();
-  std::printf(
-      "matrix n=%d  blocks=%d  solve DAG: %d tasks, %zu edges, %d levels, "
-      "avg parallelism %.2f\n",
-      factor->n(), graph.num_blocks(), graph.num_tasks(),
-      graph.edges().size(), graph.num_levels(), graph.average_parallelism());
-  std::printf("pivot policy: %s  growth %.3e  relaxed pivots %d\n",
-              opt.pivot.describe().c_str(),
-              factor->solver().numeric().growth_factor(),
-              factor->solver().stats().relaxed_pivots);
-
-  int rc = 0;
-  if (do_audit) {
-    const auto report = analysis::audit_solve_graph(graph);
-    std::printf("%s\n", report.summary().c_str());
-    const std::size_t show = verbose ? report.violations.size()
-                                     : std::min<std::size_t>(
-                                           report.violations.size(), 5);
-    for (std::size_t v = 0; v < show; ++v)
-      std::printf("  !! %s\n", report.violations[v].message().c_str());
-    if (!report.ok()) rc = 1;
-  }
-  if (do_self_test && rc == 0) rc = self_test(graph, seed);
-  if (do_verify && rc == 0) rc = verify(factor, threads, widths, seed);
-  return rc;
 }
