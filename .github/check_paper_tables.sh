@@ -6,7 +6,7 @@
 # and "host GPLU", are wall-clock times on the host, so both sides are
 # cut before them. The benches that write JSON by default rewrite
 # results/bench_topology.json and results/bench_ablation_memory.json in
-# place; git must then see them unchanged.
+# place; both must parse as JSON and git must then see them unchanged.
 #
 # Usage, from the repo root after a Release build:
 #   sh .github/check_paper_tables.sh [BUILD_DIR]     (default: build)
@@ -37,6 +37,9 @@ cut -c "1-$((col - 1))" results/bench_table2.txt > "$out/want_table2.txt"
 cut -c "1-$((col - 1))" "$out/bench_table2.txt" > "$out/got_table2.txt"
 diff -u "$out/want_table2.txt" "$out/got_table2.txt" || status=1
 
+for j in results/bench_topology.json results/bench_ablation_memory.json; do
+  python3 -m json.tool "$j" > /dev/null || status=1
+done
 git diff --exit-code -- results/bench_topology.json \
   results/bench_ablation_memory.json || status=1
 

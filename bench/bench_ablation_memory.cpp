@@ -19,8 +19,6 @@
 // override with --json=PATH).
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -32,66 +30,15 @@
 
 using namespace sstar;
 
-namespace {
-
-struct MeasuredRun {
-  std::string program;  // "1d-graph" or "2d-async"
-  int ranks = 0;
-  long long max_rank_peak_bytes = 0;   // most loaded rank, measured
-  long long total_peak_bytes = 0;      // sum over ranks, measured
-  long long predicted_total_bytes = 0; // refcount-replay prediction
-  bool exact = false;                  // measured == predicted, per rank
-};
-
-struct MatrixEntry {
-  std::string name;
-  int n = 0;
-  long long sequential_store_bytes = 0;
-  std::vector<MeasuredRun> runs;
-};
-
-void write_json(const std::string& path,
-                const std::vector<MatrixEntry>& entries) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n  \"bench\": \"ablation_memory\",\n  \"matrices\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const MatrixEntry& m = entries[i];
-    out << "    {\"name\": \"" << m.name << "\", \"n\": " << m.n
-        << ", \"sequential_store_bytes\": " << m.sequential_store_bytes
-        << ", \"runs\": [\n";
-    for (std::size_t r = 0; r < m.runs.size(); ++r) {
-      const MeasuredRun& run = m.runs[r];
-      out << "      {\"program\": \"" << run.program
-          << "\", \"ranks\": " << run.ranks
-          << ", \"max_rank_peak_bytes\": " << run.max_rank_peak_bytes
-          << ", \"total_peak_bytes\": " << run.total_peak_bytes
-          << ", \"predicted_total_bytes\": " << run.predicted_total_bytes
-          << ", \"prediction_exact\": " << (run.exact ? "true" : "false")
-          << "}" << (r + 1 < m.runs.size() ? "," : "") << "\n";
-    }
-    out << "    ]}" << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("JSON written to %s\n", path.c_str());
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const auto opt = bench::Options::parse(argc, argv);
   bench::print_preamble("Ablation — space scalability, 1D vs 2D (§5.2)",
                         opt);
 
-  std::vector<MatrixEntry> entries;
+  // The results document is written as the runs complete.
+  util::JsonWriter json;
+  json.begin_object().field("bench", "ablation_memory").key("matrices");
+  json.begin_array();
   for (const auto& name : opt.select({"goodwin", "ex11", "sherman5"})) {
     const auto p = bench::prepare_matrix(name, opt, false);
     const auto& lay = *p.setup.layout;
@@ -122,17 +69,16 @@ int main(int argc, char** argv) {
     table.print();
 
     // Measured MP runs: real DistBlockStore footprints at small P.
-    MatrixEntry entry;
-    entry.name = name;
-    entry.n = p.order;
     SStarNumeric seq(lay);
     seq.assemble(p.setup.permuted);
     seq.factorize();
-    entry.sequential_store_bytes = seq.data().size() * 8;
+    const long long seq_bytes = seq.data().size() * 8;
+    json.begin_object().field("name", name).field("n", p.order);
+    json.field("sequential_store_bytes", seq_bytes).key("runs").begin_array();
 
     TextTable measured(name + ": MEASURED per-rank peak store bytes "
                        "(owned + panel cache), sequential packed = " +
-                       fmt_count(entry.sequential_store_bytes));
+                       fmt_count(seq_bytes));
     measured.set_header({"program", "P", "max rank peak", "total peak",
                          "total/seq", "prediction"});
     for (const int np : {2, 4, 8}) {
@@ -152,35 +98,35 @@ int main(int argc, char** argv) {
         const exec::MpStats st =
             exec::execute_program_mp(prog, p.setup.permuted, mp);
 
-        MeasuredRun run;
-        run.program = v.label;
-        run.ranks = np;
-        run.exact = true;
+        // Most loaded rank and sum over ranks, measured; `exact` when
+        // every rank's peak equals the refcount-replay prediction.
+        long long max_peak = 0, total_peak = 0;
+        bool exact = true;
         for (std::size_t r = 0; r < st.memory.size(); ++r) {
-          run.max_rank_peak_bytes =
-              std::max<long long>(run.max_rank_peak_bytes,
-                                  st.memory[r].peak_bytes);
-          run.total_peak_bytes += st.memory[r].peak_bytes;
-          run.exact =
-              run.exact && st.memory[r].peak_bytes == pred.ranks[r].peak_bytes;
+          max_peak = std::max<long long>(max_peak, st.memory[r].peak_bytes);
+          total_peak += st.memory[r].peak_bytes;
+          exact = exact && st.memory[r].peak_bytes == pred.ranks[r].peak_bytes;
         }
-        run.predicted_total_bytes = pred.total_peak_bytes();
 
         measured.add_row(
-            {v.label, std::to_string(np),
-             fmt_count(run.max_rank_peak_bytes),
-             fmt_count(run.total_peak_bytes),
-             fmt_double(static_cast<double>(run.total_peak_bytes) /
-                            static_cast<double>(entry.sequential_store_bytes),
+            {v.label, std::to_string(np), fmt_count(max_peak),
+             fmt_count(total_peak),
+             fmt_double(static_cast<double>(total_peak) /
+                            static_cast<double>(seq_bytes),
                         2),
-             run.exact ? "exact" : "MISMATCH"});
-        entry.runs.push_back(std::move(run));
+             exact ? "exact" : "MISMATCH"});
+        json.begin_object().field("program", v.label).field("ranks", np);
+        json.field("max_rank_peak_bytes", max_peak);
+        json.field("total_peak_bytes", total_peak);
+        json.field("predicted_total_bytes", pred.total_peak_bytes());
+        json.field("prediction_exact", exact).end_object();
       }
     }
+    json.end_array().end_object();
     measured.print();
     std::printf("\n");
-    entries.push_back(std::move(entry));
   }
+  json.end_array().end_object();
   std::printf(
       "paper shape: 2D max data tracks S1/P (space-scalable); 1D data "
       "distribution is lumpier and its buffers grow with the overlap "
@@ -189,8 +135,6 @@ int main(int argc, char** argv) {
       "distribution, and 'exact' states the refcount-replay prediction "
       "matched the measured peaks bit-for-bit.\n");
 
-  write_json(opt.json_path.empty() ? "results/bench_ablation_memory.json"
-                                   : opt.json_path,
-             entries);
+  bench::write_results("ablation_memory", opt.json_path, json);
   return 0;
 }

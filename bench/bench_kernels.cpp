@@ -13,7 +13,8 @@
 // tiles.
 //
 // Output: a text table on stdout and machine-readable JSON (default
-// results/bench_kernels.json, override with --json=<path>).
+// results/bench_kernels.json, override with --json=<path>, the one
+// flag).
 //
 // Methodology: each (kernel, shape, backend) cell runs enough
 // iterations to fill ~80 ms, takes the BEST of 3 timed repetitions
@@ -22,11 +23,11 @@
 // matching how Update(k, j) reuses a supernode panel.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "blas/kernel_backend.hpp"
+#include "common.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -87,10 +88,15 @@ double measure_gflops(double flops, F&& body) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "results/bench_kernels.json";
+  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
+    if (arg.rfind("--json=", 0) == 0) {
+      json_path = arg.substr(7);
+    } else {
+      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      return 2;
+    }
   }
 
   const auto backends = blas::supported_kernel_backends();
@@ -174,26 +180,16 @@ int main(int argc, char** argv) {
   std::printf("best DGEMM speedup vs scalar (mid/large tiles): %.2fx\n",
               best_gemm_speedup);
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  sstar::util::JsonWriter w;
+  w.begin_object().field("backends", blas::kernel_backend_summary());
+  w.field("best_dgemm_speedup_midlarge", best_gemm_speedup).key("cells");
+  w.begin_array();
+  for (const Cell& c : cells) {
+    w.begin_object().field("kernel", c.kernel).field("shape", c.shape);
+    w.field("backend", c.backend).field("gflops", c.gflops);
+    w.field("speedup_vs_scalar", c.speedup).end_object();
   }
-  std::fprintf(f, "{\n  \"backends\": \"%s\",\n",
-               blas::kernel_backend_summary().c_str());
-  std::fprintf(f, "  \"best_dgemm_speedup_midlarge\": %.4f,\n",
-               best_gemm_speedup);
-  std::fprintf(f, "  \"cells\": [\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"shape\": \"%s\", \"backend\": "
-                 "\"%s\", \"gflops\": %.4f, \"speedup_vs_scalar\": %.4f}%s\n",
-                 c.kernel.c_str(), c.shape.c_str(), c.backend.c_str(),
-                 c.gflops, c.speedup, i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("JSON written to %s\n", json_path.c_str());
+  w.end_array().end_object();
+  sstar::bench::write_results("kernels", json_path, w);
   return 0;
 }

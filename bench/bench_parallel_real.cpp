@@ -15,8 +15,6 @@
 // --trace=PATH (one Chrome trace_event JSON per matrix x thread-count
 // run, tag inserted before the extension).
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -26,70 +24,6 @@
 #include "trace/trace.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
-
-namespace sstar::bench {
-namespace {
-
-struct Run {
-  int threads = 0;
-  double seconds = 0.0;
-  double speedup = 0.0;
-  double efficiency = 0.0;
-  long long steals = 0;
-  bool identical = false;
-};
-
-struct MatrixResult {
-  std::string name;
-  int n = 0;
-  double sequential_seconds = 0.0;
-  std::vector<Run> runs;
-};
-
-void write_json(const std::string& path,
-                const std::vector<MatrixResult>& results) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  auto num = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return std::string(buf);
-  };
-  out << "{\n  \"bench\": \"parallel_real\",\n";
-  out << "  \"hardware_threads\": " << exec::default_thread_count() << ",\n";
-  out << "  \"matrices\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const MatrixResult& m = results[i];
-    out << "    {\"name\": \"" << m.name << "\", \"n\": " << m.n
-        << ", \"sequential_seconds\": " << num(m.sequential_seconds)
-        << ", \"runs\": [\n";
-    for (std::size_t r = 0; r < m.runs.size(); ++r) {
-      const Run& run = m.runs[r];
-      out << "      {\"threads\": " << run.threads
-          << ", \"seconds\": " << num(run.seconds)
-          << ", \"speedup\": " << num(run.speedup)
-          << ", \"efficiency\": " << num(run.efficiency)
-          << ", \"steals\": " << run.steals
-          << ", \"identical_to_sequential\": "
-          << (run.identical ? "true" : "false") << "}"
-          << (r + 1 < m.runs.size() ? "," : "") << "\n";
-    }
-    out << "    ]}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("JSON written to %s\n", path.c_str());
-}
-
-}  // namespace
-}  // namespace sstar::bench
 
 int main(int argc, char** argv) {
   using namespace sstar;
@@ -125,27 +59,26 @@ int main(int argc, char** argv) {
   header.push_back("bitwise");
   table.set_header(std::move(header));
 
-  std::vector<MatrixResult> results;
+  // The results document is written as the runs complete.
+  util::JsonWriter json;
+  json.begin_object().field("bench", "parallel_real");
+  json.field("hardware_threads", exec::default_thread_count());
+  json.key("matrices").begin_array();
   for (const std::string& name : names) {
     const Prepared p = prepare_matrix(name, opt, /*need_gplu=*/false);
     const BlockLayout& lay = *p.setup.layout;
     const LuTaskGraph graph(lay);
 
-    MatrixResult mr;
-    mr.name = name;
-    mr.n = p.order;
-
     // Sequential reference: the plain right-looking loop, no executor.
     SStarNumeric ref(lay);
     ref.assemble(p.setup.permuted);
-    {
-      const WallTimer t;
-      ref.factorize();
-      mr.sequential_seconds = t.seconds();
-    }
+    const WallTimer timer;
+    ref.factorize();
+    const double seq_seconds = timer.seconds();
+    json.begin_object().field("name", name).field("n", p.order);
+    json.field("sequential_seconds", seq_seconds).key("runs").begin_array();
 
-    std::vector<std::string> row{matrix_label(p),
-                                 fmt_double(mr.sequential_seconds, 3)};
+    std::vector<std::string> row{matrix_label(p), fmt_double(seq_seconds, 3)};
     double base_seconds = 0.0;
     bool all_identical = true;
     for (const int nt : thread_counts) {
@@ -160,24 +93,22 @@ int main(int argc, char** argv) {
                     collector.take(), "worker");
       }
 
-      Run run;
-      run.threads = nt;
-      run.seconds = st.seconds;
       if (base_seconds == 0.0) base_seconds = st.seconds;
-      run.speedup = st.seconds > 0.0 ? base_seconds / st.seconds : 0.0;
-      run.efficiency = st.efficiency();
-      run.steals = st.steals;
-      run.identical = exec::factors_bitwise_equal(ref, num);
-      all_identical = all_identical && run.identical;
-      mr.runs.push_back(run);
-
-      row.push_back(fmt_double(run.seconds, 3));
-      row.push_back(fmt_double(run.speedup, 2));
+      const double speedup = st.seconds > 0.0 ? base_seconds / st.seconds : 0.0;
+      const bool identical = exec::factors_bitwise_equal(ref, num);
+      all_identical = all_identical && identical;
+      row.push_back(fmt_double(st.seconds, 3));
+      row.push_back(fmt_double(speedup, 2));
+      json.begin_object().field("threads", nt);
+      json.field("seconds", st.seconds).field("speedup", speedup);
+      json.field("efficiency", st.efficiency()).field("steals", st.steals);
+      json.field("identical_to_sequential", identical).end_object();
     }
+    json.end_array().end_object();
     row.push_back(all_identical ? "ok" : "MISMATCH");
     table.add_row(std::move(row));
-    results.push_back(std::move(mr));
   }
+  json.end_array().end_object();
 
   table.set_footnote(
       "xN = speedup over the 1st listed thread count's executor run; "
@@ -186,8 +117,6 @@ int main(int argc, char** argv) {
       std::to_string(exec::default_thread_count()) + ").");
   table.print();
 
-  write_json(opt.json_path.empty() ? "results/bench_parallel_real.json"
-                                   : opt.json_path,
-             results);
+  write_results("parallel_real", opt.json_path, json);
   return 0;
 }

@@ -37,14 +37,12 @@
 // minimum taken; default 3), --json=PATH.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "analysis/critical_path.hpp"
 #include "analysis/sim_trace.hpp"
+#include "cli/flags.hpp"
 #include "common.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
@@ -104,67 +102,45 @@ const ExecRun* find_run(const AlphaResult& ar, const char* exec_name) {
   return nullptr;
 }
 
-void write_json(const std::string& path, const std::vector<double>& alphas,
+void write_json(const Options& opt, const std::vector<double>& alphas,
                 int sim_procs, const std::vector<MatrixResult>& results) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  auto num = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return std::string(buf);
-  };
-  out << "{\n  \"bench\": \"pivot\",\n  \"alphas\": [";
-  for (std::size_t i = 0; i < alphas.size(); ++i)
-    out << num(alphas[i]) << (i + 1 < alphas.size() ? ", " : "");
-  out << "],\n  \"sim_procs\": " << sim_procs << ",\n";
   int ge20 = 0;
   for (const MatrixResult& m : results)
     if (m.best_cp_reduction >= 0.20) ++ge20;
-  out << "  \"matrices_with_cp_reduction_ge_20pct\": " << ge20 << ",\n";
-  out << "  \"matrices\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const MatrixResult& m = results[i];
-    out << "    {\"name\": \"" << m.name << "\", \"n\": " << m.n
-        << ", \"max_block\": " << m.max_block
-        << ", \"best_cp_reduction\": " << num(m.best_cp_reduction)
-        << ", \"alphas\": [\n";
-    for (std::size_t a = 0; a < m.alphas.size(); ++a) {
-      const AlphaResult& ar = m.alphas[a];
-      out << "      {\"alpha\": " << num(ar.alpha)
-          << ", \"relaxed_pivots\": " << ar.relaxed_pivots
-          << ", \"off_diagonal_pivots\": " << ar.off_diagonal_pivots
-          << ", \"growth_factor\": " << num(ar.growth_factor)
-          << ", \"pivot_ratio\": " << num(ar.pivot_ratio)
-          << ", \"sim_critical_path_seconds\": " << num(ar.sim_cp)
-          << ", \"backward_error\": " << num(ar.backward_error)
-          << ", \"refine_steps\": " << ar.refine_steps
-          << ", \"refactorizations\": " << ar.refactorizations
-          << ", \"alpha_used\": " << num(ar.alpha_used)
-          << ", \"gate_passed\": " << (ar.gate_passed ? "true" : "false")
-          << ", \"runs\": [";
-      for (std::size_t r = 0; r < ar.runs.size(); ++r) {
-        const ExecRun& run = ar.runs[r];
-        out << "{\"executor\": \"" << run.executor
-            << "\", \"critical_path_seconds\": " << num(run.cp_seconds)
-            << ", \"makespan\": " << num(run.makespan)
-            << ", \"bitwise_vs_sequential\": "
-            << (run.bitwise ? "true" : "false") << "}"
-            << (r + 1 < ar.runs.size() ? ", " : "");
+  util::JsonWriter w;
+  w.begin_object().field("bench", "pivot").field("alphas", alphas);
+  w.field("sim_procs", sim_procs);
+  w.field("matrices_with_cp_reduction_ge_20pct", ge20).key("matrices");
+  w.begin_array();
+  for (const MatrixResult& m : results) {
+    w.begin_object().field("name", m.name).field("n", m.n);
+    w.field("max_block", m.max_block);
+    w.field("best_cp_reduction", m.best_cp_reduction).key("alphas");
+    w.begin_array();
+    for (const AlphaResult& ar : m.alphas) {
+      w.begin_object().field("alpha", ar.alpha);
+      w.field("relaxed_pivots", ar.relaxed_pivots);
+      w.field("off_diagonal_pivots", ar.off_diagonal_pivots);
+      w.field("growth_factor", ar.growth_factor);
+      w.field("pivot_ratio", ar.pivot_ratio);
+      w.field("sim_critical_path_seconds", ar.sim_cp);
+      w.field("backward_error", ar.backward_error);
+      w.field("refine_steps", ar.refine_steps);
+      w.field("refactorizations", ar.refactorizations);
+      w.field("alpha_used", ar.alpha_used).field("gate_passed", ar.gate_passed);
+      w.key("runs").begin_array();
+      for (const ExecRun& run : ar.runs) {
+        w.begin_object().field("executor", run.executor);
+        w.field("critical_path_seconds", run.cp_seconds);
+        w.field("makespan", run.makespan);
+        w.field("bitwise_vs_sequential", run.bitwise).end_object();
       }
-      out << "]}" << (a + 1 < m.alphas.size() ? "," : "") << "\n";
+      w.end_array().end_object();
     }
-    out << "    ]}" << (i + 1 < results.size() ? "," : "") << "\n";
+    w.end_array().end_object();
   }
-  out << "  ]\n}\n";
-  std::printf("JSON written to %s\n", path.c_str());
+  w.end_array().end_object();
+  write_results("pivot", opt.json_path, w);
 }
 
 }  // namespace
@@ -183,23 +159,14 @@ int main(int argc, char** argv) {
   rest.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--alphas=", 0) == 0) {
-      alphas.clear();
-      std::string cur;
-      for (const char c : arg.substr(9) + ",") {
-        if (c == ',') {
-          if (!cur.empty()) alphas.push_back(std::atof(cur.c_str()));
-          cur.clear();
-        } else {
-          cur += c;
-        }
-      }
-    } else if (arg.rfind("--ranks=", 0) == 0) {
-      ranks = std::atoi(arg.c_str() + 8);
-    } else if (arg.rfind("--procs=", 0) == 0) {
-      procs = std::max(1, std::atoi(arg.c_str() + 8));
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      reps = std::max(1, std::atoi(arg.c_str() + 7));
+    if (auto v = cli::flag_value(arg, "--alphas=")) {
+      alphas = cli::list<double>("--alphas", *v);
+    } else if (auto v = cli::flag_value(arg, "--ranks=")) {
+      ranks = cli::number<int>("--ranks", *v);
+    } else if (auto v = cli::flag_value(arg, "--procs=")) {
+      procs = std::max(1, cli::number<int>("--procs", *v));
+    } else if (auto v = cli::flag_value(arg, "--reps=")) {
+      reps = std::max(1, cli::number<int>("--reps", *v));
     } else {
       rest.push_back(argv[i]);
     }
@@ -437,8 +404,6 @@ int main(int argc, char** argv) {
     results.push_back(std::move(mr));
   }
 
-  write_json(opt.json_path.empty() ? "results/bench_pivot.json"
-                                   : opt.json_path,
-             alphas, procs, results);
+  write_json(opt, alphas, procs, results);
   return 0;
 }

@@ -16,10 +16,11 @@
 // with --json=PATH).
 //
 // Flags: --json=PATH --grid=N (default 40) --suite=NAME --scale=S
-//        --seed=S --requests=N (default 200) --clients=a,b,c
-//        (default 1,2,4) --widths=a,b (default 1,32)
+//        --seed=S (cli/flags.hpp) --requests=N (default 200)
+//        --clients=a,b,c (default 1,2,4) --widths=a,b (default 1,32)
 //        --session-threads=T (DAG workers per sweep, default 1)
-//        --utilization=F (open-loop offered load, default 0.7)
+//        --utilization=F (open-loop offered load, default 0.7). A value
+//        that does not parse, a count below 1 or an empty list exits 2.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -27,14 +28,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "matrix/generators.hpp"
-#include "matrix/suite.hpp"
+#include "cli/flags.hpp"
+#include "common.hpp"
 #include "serve/factorization.hpp"
 #include "serve/session.hpp"
 #include "util/rng.hpp"
@@ -43,20 +42,6 @@
 using namespace sstar;
 
 namespace {
-
-std::vector<int> parse_int_list(const std::string& s) {
-  std::vector<int> out;
-  std::string cur;
-  for (const char c : s + ",") {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(std::atoi(cur.c_str()));
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  return out;
-}
 
 std::vector<double> random_panel(int n, int nrhs, std::uint64_t seed) {
   Rng rng(seed);
@@ -183,63 +168,54 @@ OpenLoop run_open_loop(const std::shared_ptr<const serve::Factorization>& factor
   return out;
 }
 
-void write_json(const std::string& path, const std::string& matrix_desc,
+void write_json(const std::string& json_path, const std::string& matrix_desc,
                 int n, const std::vector<ClosedLoop>& closed,
                 double multi_rhs_speedup, const std::vector<OpenLoop>& open) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
+  util::JsonWriter w;
+  w.begin_object().field("bench", "serve").field("matrix", matrix_desc);
+  w.field("n", n).key("closed_loop").begin_array();
+  for (const ClosedLoop& c : closed) {
+    w.begin_object().field("width", c.width).field("requests", c.requests);
+    w.field("seconds", c.seconds).field("solves_per_sec", c.solves_per_sec);
+    w.field("columns_per_sec", c.columns_per_sec).end_object();
   }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
+  w.end_array();
+  w.field("multi_rhs_speedup_width" + std::to_string(closed.back().width),
+          multi_rhs_speedup);
+  w.key("open_loop").begin_array();
+  for (const OpenLoop& o : open) {
+    w.begin_object().field("width", o.width).field("clients", o.clients);
+    w.field("requests", o.requests);
+    w.field("offered_rate_per_sec", o.offered_rate);
+    w.field("seconds", o.seconds).field("solves_per_sec", o.solves_per_sec);
+    w.field("p50_ms", o.p50_ms).field("p99_ms", o.p99_ms);
+    w.key("per_thread").begin_array();
+    for (const ThreadShare& t : o.per_thread) {
+      w.begin_object().field("requests", t.requests);
+      w.field("busy_seconds", t.busy_seconds).end_object();
+    }
+    w.end_array().end_object();
   }
-  auto num = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return std::string(buf);
-  };
-  out << "{\n  \"bench\": \"serve\",\n  \"matrix\": \"" << matrix_desc
-      << "\",\n  \"n\": " << n << ",\n  \"closed_loop\": [\n";
-  for (std::size_t i = 0; i < closed.size(); ++i) {
-    const ClosedLoop& c = closed[i];
-    out << "    {\"width\": " << c.width << ", \"requests\": " << c.requests
-        << ", \"seconds\": " << num(c.seconds)
-        << ", \"solves_per_sec\": " << num(c.solves_per_sec)
-        << ", \"columns_per_sec\": " << num(c.columns_per_sec) << "}"
-        << (i + 1 < closed.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"multi_rhs_speedup_width" << closed.back().width
-      << "\": " << num(multi_rhs_speedup) << ",\n  \"open_loop\": [\n";
-  for (std::size_t i = 0; i < open.size(); ++i) {
-    const OpenLoop& o = open[i];
-    out << "    {\"width\": " << o.width << ", \"clients\": " << o.clients
-        << ", \"requests\": " << o.requests
-        << ", \"offered_rate_per_sec\": " << num(o.offered_rate)
-        << ", \"seconds\": " << num(o.seconds)
-        << ", \"solves_per_sec\": " << num(o.solves_per_sec)
-        << ", \"p50_ms\": " << num(o.p50_ms)
-        << ", \"p99_ms\": " << num(o.p99_ms) << ",\n     \"per_thread\": [";
-    for (std::size_t w = 0; w < o.per_thread.size(); ++w)
-      out << "{\"requests\": " << o.per_thread[w].requests
-          << ", \"busy_seconds\": " << num(o.per_thread[w].busy_seconds)
-          << "}" << (w + 1 < o.per_thread.size() ? ", " : "");
-    out << "]}" << (i + 1 < open.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("JSON written to %s\n", path.c_str());
+  w.end_array().end_object();
+  bench::write_results("serve", json_path, w);
+}
+
+// Exit 2 naming `flag` unless `ok`.
+void require(bool ok, const char* flag, const char* what) {
+  if (ok) return;
+  std::fprintf(stderr, "error: %s must be %s\n", flag, what);
+  std::exit(2);
+}
+
+bool all_positive(const std::vector<int>& v) {
+  return !v.empty() && *std::min_element(v.begin(), v.end()) > 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "results/bench_serve.json";
-  std::string suite_name;
-  double scale = 1.0;
-  int grid = 40;
-  std::uint64_t seed = 1;
+  std::string json_path;
+  cli::MatrixFlags in;
   int requests = 200;
   int session_threads = 1;
   double utilization = 0.7;
@@ -248,33 +224,25 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    else if (arg.rfind("--suite=", 0) == 0) suite_name = arg.substr(8);
-    else if (arg.rfind("--scale=", 0) == 0) scale = std::atof(arg.substr(8).c_str());
-    else if (arg.rfind("--grid=", 0) == 0) grid = std::atoi(arg.substr(7).c_str());
-    else if (arg.rfind("--seed=", 0) == 0) seed = std::strtoull(arg.substr(7).c_str(), nullptr, 10);
-    else if (arg.rfind("--requests=", 0) == 0) requests = std::atoi(arg.substr(11).c_str());
-    else if (arg.rfind("--clients=", 0) == 0) clients = parse_int_list(arg.substr(10));
-    else if (arg.rfind("--widths=", 0) == 0) widths = parse_int_list(arg.substr(9));
-    else if (arg.rfind("--session-threads=", 0) == 0) session_threads = std::atoi(arg.substr(18).c_str());
-    else if (arg.rfind("--utilization=", 0) == 0) utilization = std::atof(arg.substr(14).c_str());
+    if (in.parse_source(arg)) continue;
+    if (auto v = cli::flag_value(arg, "--json=")) json_path = *v;
+    else if (auto v = cli::flag_value(arg, "--requests=")) requests = cli::number<int>("--requests", *v);
+    else if (auto v = cli::flag_value(arg, "--clients=")) clients = cli::list<int>("--clients", *v);
+    else if (auto v = cli::flag_value(arg, "--widths=")) widths = cli::list<int>("--widths", *v);
+    else if (auto v = cli::flag_value(arg, "--session-threads=")) session_threads = cli::number<int>("--session-threads", *v);
+    else if (auto v = cli::flag_value(arg, "--utilization=")) utilization = cli::number<double>("--utilization", *v);
     else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
     }
   }
+  require(requests >= 1, "--requests", "at least 1");
+  require(all_positive(clients), "--clients", "a list of positive counts");
+  require(all_positive(widths), "--widths", "a list of positive widths");
+  require(utilization > 0.0, "--utilization", "positive");
 
-  const SparseMatrix a = [&] {
-    if (!suite_name.empty())
-      return gen::suite_entry(suite_name).generate(scale, seed);
-    gen::ValueOptions vo;
-    vo.seed = seed;
-    return gen::stencil5(grid, grid, 0.1, vo);
-  }();
-  const std::string matrix_desc =
-      suite_name.empty() ? "stencil5 " + std::to_string(grid) + "x" +
-                               std::to_string(grid)
-                         : suite_name;
+  const SparseMatrix a = in.load(40);
+  const std::string matrix_desc = in.describe(40);
 
   const WallTimer factor_timer;
   const auto factor = serve::Factorization::create(a);
@@ -286,7 +254,7 @@ int main(int argc, char** argv) {
   std::vector<ClosedLoop> closed;
   for (const int w : widths)
     closed.push_back(
-        run_closed_loop(factor, w, requests, session_threads, seed + 10));
+        run_closed_loop(factor, w, requests, session_threads, in.seed + 10));
   const double multi_rhs_speedup =
       closed.back().columns_per_sec / closed.front().columns_per_sec;
   std::printf("\nclosed loop (%d requests per width):\n", requests);
@@ -309,7 +277,7 @@ int main(int argc, char** argv) {
     for (const int cl : clients) {
       open.push_back(run_open_loop(factor, w, cl, requests, session_threads,
                                    per_solve, utilization,
-                                   seed + 100 + static_cast<std::uint64_t>(cl)));
+                                   in.seed + 100 + static_cast<std::uint64_t>(cl)));
       const OpenLoop& o = open.back();
       std::printf("  %5d %7d %12.1f %12.1f %9.3f %9.3f\n", o.width, o.clients,
                   o.offered_rate, o.solves_per_sec, o.p50_ms, o.p99_ms);

@@ -27,8 +27,6 @@
 // populated); --machine=PRESET|FILE.json (default hier4x8) must name a
 // hierarchical machine for the comparison to be meaningful.
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,67 +41,6 @@
 
 namespace sstar::bench {
 namespace {
-
-struct Run {
-  int ranks = 0;
-  std::string grid;          // "RxC"
-  double topo_cp = 0.0;      // realized CP, topology-aware placement
-  double rr_cp = 0.0;        // realized CP, round-robin placement
-  double topo_gap = 0.0;     // non-compute seconds on the topo CP
-  double rr_gap = 0.0;       // non-compute seconds on the round-robin CP
-  double speedup() const { return topo_cp > 0.0 ? rr_cp / topo_cp : 0.0; }
-};
-
-struct MatrixResult {
-  std::string name;
-  int n = 0;
-  std::vector<Run> runs;
-};
-
-void write_json(const std::string& path, const std::string& machine_spec,
-                const std::vector<std::pair<int, std::string>>& machines,
-                const std::vector<MatrixResult>& results) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  auto num = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return std::string(buf);
-  };
-  out << "{\n  \"bench\": \"topology\",\n  \"machine_spec\": \""
-      << machine_spec << "\",\n  \"machines\": {";
-  for (std::size_t i = 0; i < machines.size(); ++i)
-    out << (i ? ", " : "") << "\"" << machines[i].first
-        << "\": " << machines[i].second;
-  out << "},\n  \"matrices\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const MatrixResult& m = results[i];
-    out << "    {\"name\": \"" << m.name << "\", \"n\": " << m.n
-        << ", \"runs\": [\n";
-    for (std::size_t r = 0; r < m.runs.size(); ++r) {
-      const Run& run = m.runs[r];
-      out << "      {\"ranks\": " << run.ranks << ", \"grid\": \""
-          << run.grid << "\", \"topology_aware_cp_seconds\": "
-          << num(run.topo_cp)
-          << ", \"round_robin_cp_seconds\": " << num(run.rr_cp)
-          << ", \"topology_aware_cp_gap_seconds\": " << num(run.topo_gap)
-          << ", \"round_robin_cp_gap_seconds\": " << num(run.rr_gap)
-          << ", \"speedup\": " << num(run.speedup()) << "}"
-          << (r + 1 < m.runs.size() ? "," : "") << "\n";
-    }
-    out << "    ]}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("JSON written to %s\n", path.c_str());
-}
 
 // Simulated realized critical path of the 2D async program under the
 // given (placement-carrying) machine.
@@ -133,52 +70,56 @@ int main(int argc, char** argv) {
 
   print_preamble(
       "Rank placement on a hierarchical machine (" + machine_spec + ")", opt);
-  std::vector<std::pair<int, std::string>> machines;
+  // The results document is written as the runs complete.
+  util::JsonWriter json;
+  json.begin_object().field("bench", "topology");
+  json.field("machine_spec", machine_spec).key("machines").begin_object();
   for (const int ranks : rank_counts) {
     const sim::MachineModel m = sim::resolve_machine(machine_spec, ranks);
     std::printf("machine (%d ranks): %s\n", ranks, m.describe().c_str());
-    machines.emplace_back(ranks, sim::machine_json(m));
+    json.key(std::to_string(ranks));
+    sim::write_machine(json, m);
   }
+  json.end_object().key("matrices").begin_array();
 
   TextTable table("bench_topology — topology-aware vs round-robin placement");
   table.set_header({"matrix", "ranks", "grid", "topo CP s", "rr CP s",
                     "topo gap s", "rr gap s", "rr/topo"});
 
-  std::vector<MatrixResult> results;
   int placements_won = 0, comparisons = 0;
   for (const std::string& name : names) {
     const Prepared p = prepare_matrix(name, opt, /*need_gplu=*/false);
     const BlockLayout& lay = *p.setup.layout;
-
-    MatrixResult mr;
-    mr.name = name;
-    mr.n = p.order;
+    json.begin_object().field("name", name).field("n", p.order);
+    json.key("runs").begin_array();
     for (const int ranks : rank_counts) {
       const sim::MachineModel base =
           sim::resolve_machine(machine_spec, ranks);
-      const sim::MachineModel topo =
-          base.with_mapping(sim::GridMapping::kTopologyAware);
-      const sim::MachineModel rr =
-          base.with_mapping(sim::GridMapping::kRoundRobin);
-
-      Run run;
-      run.ranks = ranks;
-      run.grid = std::to_string(base.grid.rows) + "x" +
-                 std::to_string(base.grid.cols);
-      std::tie(run.topo_cp, run.topo_gap) = simulated_cp(lay, topo);
-      std::tie(run.rr_cp, run.rr_gap) = simulated_cp(lay, rr);
+      const std::string grid = std::to_string(base.grid.rows) + "x" +
+                               std::to_string(base.grid.cols);
+      // Realized CP and its non-compute seconds under each placement.
+      const auto [topo_cp, topo_gap] = simulated_cp(
+          lay, base.with_mapping(sim::GridMapping::kTopologyAware));
+      const auto [rr_cp, rr_gap] = simulated_cp(
+          lay, base.with_mapping(sim::GridMapping::kRoundRobin));
+      const double speedup = topo_cp > 0.0 ? rr_cp / topo_cp : 0.0;
       ++comparisons;
-      if (run.topo_cp < run.rr_cp) ++placements_won;
+      if (topo_cp < rr_cp) ++placements_won;
 
-      table.add_row({matrix_label(p), std::to_string(ranks), run.grid,
-                     fmt_double(run.topo_cp, 4), fmt_double(run.rr_cp, 4),
-                     fmt_double(run.topo_gap, 4),
-                     fmt_double(run.rr_gap, 4),
-                     fmt_double(run.speedup(), 2)});
-      mr.runs.push_back(std::move(run));
+      table.add_row({matrix_label(p), std::to_string(ranks), grid,
+                     fmt_double(topo_cp, 4), fmt_double(rr_cp, 4),
+                     fmt_double(topo_gap, 4), fmt_double(rr_gap, 4),
+                     fmt_double(speedup, 2)});
+      json.begin_object().field("ranks", ranks).field("grid", grid);
+      json.field("topology_aware_cp_seconds", topo_cp);
+      json.field("round_robin_cp_seconds", rr_cp);
+      json.field("topology_aware_cp_gap_seconds", topo_gap);
+      json.field("round_robin_cp_gap_seconds", rr_gap);
+      json.field("speedup", speedup).end_object();
     }
-    results.push_back(std::move(mr));
+    json.end_array().end_object();
   }
+  json.end_array().end_object();
 
   table.set_footnote(
       "Same 2D async SPMD program simulated on the same hierarchical "
@@ -188,8 +129,6 @@ int main(int argc, char** argv) {
   std::printf("topology-aware placement faster on %d of %d runs\n",
               placements_won, comparisons);
 
-  write_json(opt.json_path.empty() ? "results/bench_topology.json"
-                                   : opt.json_path,
-             machine_spec, machines, results);
+  write_results("topology", opt.json_path, json);
   return 0;
 }

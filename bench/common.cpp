@@ -2,10 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include "cli/flags.hpp"
 #include "trace/export.hpp"
 #include "util/check.hpp"
 
@@ -15,37 +15,27 @@ Options Options::parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> std::optional<std::string> {
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(std::strlen(prefix));
-      return std::nullopt;
-    };
     if (arg == "--full") {
       opt.full = true;
-    } else if (auto v = value("--scale=")) {
-      opt.scale_override = std::atof(v->c_str());
-    } else if (auto v = value("--seed=")) {
-      opt.seed = std::strtoull(v->c_str(), nullptr, 10);
-    } else if (auto v = value("--max-block=")) {
-      opt.max_block = std::atoi(v->c_str());
-    } else if (auto v = value("--amalg=")) {
-      opt.amalg = std::atoi(v->c_str());
-    } else if (auto v = value("--matrices=")) {
-      std::stringstream ss(*v);
-      std::string name;
-      while (std::getline(ss, name, ','))
-        if (!name.empty()) opt.only.push_back(name);
-    } else if (auto v = value("--threads=")) {
-      std::stringstream ss(*v);
-      std::string t;
-      while (std::getline(ss, t, ','))
-        if (!t.empty()) opt.threads.push_back(std::atoi(t.c_str()));
-    } else if (auto v = value("--json=")) {
+    } else if (auto v = cli::flag_value(arg, "--scale=")) {
+      opt.scale_override = cli::number<double>("--scale", *v);
+    } else if (auto v = cli::flag_value(arg, "--seed=")) {
+      opt.seed = cli::number<std::uint64_t>("--seed", *v);
+    } else if (auto v = cli::flag_value(arg, "--max-block=")) {
+      opt.max_block = cli::number<int>("--max-block", *v);
+    } else if (auto v = cli::flag_value(arg, "--amalg=")) {
+      opt.amalg = cli::number<int>("--amalg", *v);
+    } else if (auto v = cli::flag_value(arg, "--matrices=")) {
+      opt.only = cli::list<std::string>("--matrices", *v);
+    } else if (auto v = cli::flag_value(arg, "--threads=")) {
+      opt.threads = cli::list<int>("--threads", *v);
+    } else if (auto v = cli::flag_value(arg, "--json=")) {
       opt.json_path = *v;
-    } else if (auto v = value("--trace=")) {
+    } else if (auto v = cli::flag_value(arg, "--trace=")) {
       opt.trace_path = *v;
-    } else if (auto v = value("--machine=")) {
+    } else if (auto v = cli::flag_value(arg, "--machine=")) {
       opt.machine = *v;
-    } else if (auto v = value("--transport=")) {
+    } else if (auto v = cli::flag_value(arg, "--transport=")) {
       opt.transport = *v;
       if (opt.transport != "inproc" && opt.transport != "proc") {
         std::fprintf(stderr, "--transport must be inproc or proc\n");
@@ -57,8 +47,6 @@ Options Options::parse(int argc, char** argv) {
           "--matrices=a,b,c --threads=1,2,4 --json=PATH --trace=PATH "
           "--machine=PRESET|FILE.json --transport=inproc|proc\n");
       std::exit(0);
-    } else if (arg.rfind("--benchmark", 0) == 0) {
-      // google-benchmark flags pass through (bench_kernels).
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       std::exit(2);
@@ -145,14 +133,30 @@ std::string trace_file_for(const std::string& base, const std::string& tag) {
 void write_trace(const std::string& base, const std::string& tag,
                  const trace::Trace& tr, const std::string& lane_name) {
   const std::string path = trace_file_for(base, tag);
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
+  try {
+    trace::save_chrome_trace(path, tr, lane_name);
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(1);
   }
-  out << trace::chrome_trace_json(tr, lane_name);
   std::printf("trace (%zu events) written to %s\n", tr.events.size(),
               path.c_str());
+}
+
+void write_results(const std::string& bench, const std::string& json_path,
+                   const util::JsonWriter& doc) {
+  const std::filesystem::path path =
+      json_path.empty() ? "results/bench_" + bench + ".json" : json_path;
+  std::error_code ec;
+  if (path.has_parent_path())
+    std::filesystem::create_directories(path.parent_path(), ec);
+  std::ofstream out(path);
+  out << doc.str() << '\n' << std::flush;
+  if (!out) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
+  std::printf("JSON written to %s\n", path.c_str());
 }
 
 }  // namespace sstar::bench

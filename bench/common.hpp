@@ -5,7 +5,8 @@
 // the paper's shape, with the paper's own numbers alongside where the
 // provided text preserves them legibly.
 //
-// Flags (all optional):
+// Flags (all optional; numbers and lists are read by cli/flags.hpp, so
+// a value that does not parse exits 2 naming the flag):
 //   --full            run replicas at full published sizes
 //   --scale=<f>       override the scale of every matrix
 //   --seed=<n>        generator seed (default 1)
@@ -13,7 +14,9 @@
 //   --amalg=<n>       amalgamation factor r (default 4)
 //   --matrices=a,b,c  restrict to the named suite matrices
 //   --threads=1,2,4   thread counts for real-execution benches
-//   --json=<path>     machine-readable output path (benches that emit it)
+//   --json=<path>     results file of the benches that write one
+//                     (default results/bench_<name>.json; see
+//                     write_results)
 //   --trace=<path>    Chrome trace_event JSON of each executor run
 //                     (real-execution benches; one file per run, the
 //                     run tag inserted before the extension)
@@ -32,6 +35,7 @@
 #include "matrix/suite.hpp"
 #include "solve/solver.hpp"
 #include "trace/trace.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace sstar::bench {
@@ -92,8 +96,16 @@ void print_preamble(const std::string& what, const Options& opt);
 std::string trace_file_for(const std::string& base, const std::string& tag);
 
 /// Write the trace as Chrome trace_event JSON to
-/// trace_file_for(base, tag) and print where it went.
+/// trace_file_for(base, tag) and print where it went; a file that
+/// cannot be written is an error naming it (exit 1).
 void write_trace(const std::string& base, const std::string& tag,
                  const trace::Trace& tr, const std::string& lane_name);
+
+/// Write a bench's results document to `json_path`, or to
+/// results/bench_<bench>.json when that is empty, creating its
+/// directory, and print "JSON written to PATH". A file that cannot be
+/// written is an error naming it (exit 1).
+void write_results(const std::string& bench, const std::string& json_path,
+                   const util::JsonWriter& doc);
 
 }  // namespace sstar::bench

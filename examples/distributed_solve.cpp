@@ -7,10 +7,10 @@
 //
 //   ./example_distributed_solve [scale]   (default 0.25)
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "baseline/gplu.hpp"
+#include "cli/flags.hpp"
 #include "core/lu_2d.hpp"
 #include "exec/lu_real.hpp"
 #include "matrix/suite.hpp"
@@ -20,7 +20,8 @@
 using namespace sstar;
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.25;
+  const double scale =
+      argc > 1 ? cli::number<double>("scale", argv[1]) : 0.25;
   const auto a = gen::suite_entry("goodwin").generate(scale, /*seed=*/1);
   std::printf("goodwin replica at scale %.2f: n = %d, nnz = %lld\n", scale,
               a.rows(), (long long)a.nnz());

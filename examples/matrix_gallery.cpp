@@ -4,8 +4,8 @@
 //
 //   ./example_matrix_gallery [scale] [export-name export-path.mtx]
 #include <cstdio>
-#include <cstdlib>
 
+#include "cli/flags.hpp"
 #include "matrix/io.hpp"
 #include "matrix/pattern_ops.hpp"
 #include "matrix/suite.hpp"
@@ -15,7 +15,8 @@
 using namespace sstar;
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.1;
+  const double scale =
+      argc > 1 ? cli::number<double>("scale", argv[1]) : 0.1;
 
   TextTable table("benchmark suite replicas at scale " +
                   fmt_double(scale, 2));

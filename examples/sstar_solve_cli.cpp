@@ -10,13 +10,14 @@
 // against b = A * ones.
 //
 // Flags: --ordering=mindeg|nd|rcm|natural  --max-block=N  --amalg=N
-//        --equilibrate  --no-refine  --write-solution=PATH
+//        --equilibrate  --no-refine  --write-solution=PATH. A numeric
+//        value that does not parse, or an unknown flag, exits 2.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "blas/kernel_backend.hpp"
+#include "cli/flags.hpp"
 #include "matrix/hb_io.hpp"
 #include "matrix/io.hpp"
 #include "util/check.hpp"
@@ -42,30 +43,19 @@ int main(int argc, char** argv) {
   bool refine = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--ordering=", 0) == 0) {
-      const std::string v = arg.substr(11);
-      if (v == "mindeg")
-        opt.ordering = SolverOptions::Ordering::kMinDegreeAtA;
-      else if (v == "nd")
-        opt.ordering = SolverOptions::Ordering::kNestedDissection;
-      else if (v == "rcm")
-        opt.ordering = SolverOptions::Ordering::kRcm;
-      else if (v == "natural")
-        opt.ordering = SolverOptions::Ordering::kNatural;
-      else {
-        std::fprintf(stderr, "unknown ordering %s\n", v.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--max-block=", 0) == 0) {
-      opt.max_block = std::atoi(arg.c_str() + 12);
-    } else if (arg.rfind("--amalg=", 0) == 0) {
-      opt.amalgamation = std::atoi(arg.c_str() + 8);
+    if (cli::solver_flag(arg, opt)) {
+      continue;
+    } else if (auto v = cli::flag_value(arg, "--ordering=")) {
+      opt.ordering = cli::ordering(*v);
     } else if (arg == "--equilibrate") {
       opt.equilibrate = true;
     } else if (arg == "--no-refine") {
       refine = false;
-    } else if (arg.rfind("--write-solution=", 0) == 0) {
-      solution_path = arg.substr(17);
+    } else if (auto v = cli::flag_value(arg, "--write-solution=")) {
+      solution_path = *v;
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+      return 2;
     } else if (matrix_path.empty()) {
       matrix_path = arg;
     } else if (rhs_path.empty()) {

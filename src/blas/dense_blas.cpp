@@ -31,23 +31,6 @@ void dscal(int n, double alpha, double* x, int incx) {
   flop_counter().blas1 += static_cast<std::uint64_t>(n > 0 ? n : 0);
 }
 
-void daxpy(int n, double alpha, const double* x, double* y, int incx,
-           int incy) {
-  for (int i = 0; i < n; ++i)
-    y[static_cast<std::ptrdiff_t>(i) * incy] +=
-        alpha * x[static_cast<std::ptrdiff_t>(i) * incx];
-  flop_counter().blas1 += 2ULL * static_cast<std::uint64_t>(n > 0 ? n : 0);
-}
-
-double ddot(int n, const double* x, const double* y, int incx, int incy) {
-  double acc = 0.0;
-  for (int i = 0; i < n; ++i)
-    acc += x[static_cast<std::ptrdiff_t>(i) * incx] *
-           y[static_cast<std::ptrdiff_t>(i) * incy];
-  flop_counter().blas1 += 2ULL * static_cast<std::uint64_t>(n > 0 ? n : 0);
-  return acc;
-}
-
 void dswap(int n, double* x, double* y, int incx, int incy) {
   for (int i = 0; i < n; ++i) {
     const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(i) * incx;

@@ -25,14 +25,6 @@ int idamax(int n, const double* x, int incx = 1);
 /// x *= alpha.
 void dscal(int n, double alpha, double* x, int incx = 1);
 
-/// y += alpha * x.
-void daxpy(int n, double alpha, const double* x, double* y, int incx = 1,
-           int incy = 1);
-
-/// Dot product xᵀy.
-double ddot(int n, const double* x, const double* y, int incx = 1,
-            int incy = 1);
-
 /// Swap vectors x and y.
 void dswap(int n, double* x, double* y, int incx = 1, int incy = 1);
 

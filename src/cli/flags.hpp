@@ -1,5 +1,6 @@
-// Command-line flags the tools share: where the matrix comes from, how
-// the solver analyses it, and the one strict reader for numeric values.
+// Command-line flags the tools, benches and examples share: where the
+// matrix comes from, how the solver analyses it, and the one strict
+// reader for numeric values and comma-separated lists.
 //
 // A numeric flag value must parse completely (std::from_chars over the
 // whole string, finite for reals); anything else exits 2 naming the
@@ -7,6 +8,7 @@
 // instead of a silent 0.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <string>
 #include <system_error>
 #include <type_traits>
+#include <vector>
 
 #include "matrix/generators.hpp"
 #include "matrix/io.hpp"
@@ -36,6 +39,25 @@ T number(const char* flag, const std::string& value) {
     std::fprintf(stderr, "error: %s: '%s' is not a valid number\n", flag,
                  value.c_str());
     std::exit(2);
+  }
+  return out;
+}
+
+/// `value` split at commas, empty items skipped: strings as they are,
+/// anything else read with number<T>(flag, item).
+template <class T>
+std::vector<T> list(const char* flag, const std::string& value) {
+  std::vector<T> out;
+  for (std::size_t begin = 0; begin <= value.size();) {
+    const std::size_t end = std::min(value.find(',', begin), value.size());
+    const std::string item = value.substr(begin, end - begin);
+    if (!item.empty()) {
+      if constexpr (std::is_same_v<T, std::string>)
+        out.push_back(item);
+      else
+        out.push_back(number<T>(flag, item));
+    }
+    begin = end + 1;
   }
   return out;
 }
@@ -71,6 +93,19 @@ inline PivotPolicy alpha(const std::string& value) {
   return policy;
 }
 
+/// --max-block=N and --amalg=N: consume `arg` if it is one, setting
+/// `opt`.
+inline bool solver_flag(const std::string& arg, SolverOptions& opt) {
+  if (auto v = flag_value(arg, "--max-block=")) {
+    opt.max_block = number<int>("--max-block", *v);
+  } else if (auto v = flag_value(arg, "--amalg=")) {
+    opt.amalgamation = number<int>("--amalg", *v);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 /// The matrix source and solver flags every tool takes: --suite=NAME
 /// --scale=S --grid=N --seed=S --max-block=N --amalg=N. Tools that take
 /// a file set `path` from their positional argument.
@@ -84,6 +119,11 @@ struct MatrixFlags {
 
   /// Consume `arg` if it is one of the shared flags.
   bool parse(const std::string& arg) {
+    return parse_source(arg) || solver_flag(arg, opt);
+  }
+
+  /// Consume `arg` if it is --suite, --scale, --grid or --seed.
+  bool parse_source(const std::string& arg) {
     if (auto v = flag_value(arg, "--suite=")) {
       suite = *v;
     } else if (auto v = flag_value(arg, "--scale=")) {
@@ -92,10 +132,6 @@ struct MatrixFlags {
       grid = number<int>("--grid", *v);
     } else if (auto v = flag_value(arg, "--seed=")) {
       seed = number<std::uint64_t>("--seed", *v);
-    } else if (auto v = flag_value(arg, "--max-block=")) {
-      opt.max_block = number<int>("--max-block", *v);
-    } else if (auto v = flag_value(arg, "--amalg=")) {
-      opt.amalgamation = number<int>("--amalg", *v);
     } else {
       return false;
     }
@@ -111,6 +147,15 @@ struct MatrixFlags {
     vo.seed = seed;
     const int g = grid != 0 ? grid : default_grid;
     return gen::stencil5(g, g, 0.1, vo);
+  }
+
+  /// What load(default_grid) reads: the path, the suite name, or
+  /// "stencil5 GxG".
+  std::string describe(int default_grid) const {
+    if (!path.empty()) return path;
+    if (!suite.empty()) return suite;
+    const std::string g = std::to_string(grid != 0 ? grid : default_grid);
+    return "stencil5 " + g + "x" + g;
   }
 };
 

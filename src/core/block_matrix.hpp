@@ -56,7 +56,4 @@ class PackedBlockStore final : public BlockStore {
   std::vector<std::int64_t> u_off_;
 };
 
-/// Historical name: the packed store predates the BlockStore split.
-using BlockMatrix = PackedBlockStore;
-
 }  // namespace sstar

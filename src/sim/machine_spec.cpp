@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/json.hpp"
@@ -72,11 +73,10 @@ MachineModel machine_from_json(const std::string& path, int ranks) {
   return m;
 }
 
-std::string link_json(const LinkCost& l) {
-  std::ostringstream os;
-  os << "{\"latency\": " << l.latency << ", \"bandwidth\": " << l.bandwidth
-     << "}";
-  return os.str();
+void write_link(util::JsonWriter& w, const char* which, const LinkCost& l) {
+  w.key(which).begin_object();
+  w.field("latency", l.latency).field("bandwidth", l.bandwidth);
+  w.end_object();
 }
 
 }  // namespace
@@ -94,27 +94,32 @@ MachineModel resolve_machine(const std::string& spec, int ranks) {
   return machine_from_json(spec, ranks);
 }
 
+void write_machine(util::JsonWriter& w, const MachineModel& m) {
+  w.begin_object().field("name", m.name).field("processors", m.processors);
+  w.key("grid").begin_object();
+  w.field("rows", m.grid.rows).field("cols", m.grid.cols).end_object();
+  w.field("blas_rates",
+          std::vector<double>{m.blas1_rate, m.blas2_rate, m.blas3_rate});
+  w.field("task_overhead", m.task_overhead);
+  w.key("topology").begin_object();
+  w.field("nodes", m.topology.nodes)
+      .field("sockets_per_node", m.topology.sockets_per_node)
+      .field("pes_per_socket", m.topology.pes_per_socket);
+  write_link(w, "socket", m.topology.socket_link);
+  write_link(w, "node", m.topology.node_link);
+  write_link(w, "network", m.topology.network_link);
+  w.end_object();
+  w.field("mapping", m.mapping == GridMapping::kTopologyAware ? "topology"
+                                                              : "round-robin");
+  w.key("rank_to_pe").begin_array();
+  for (int r = 0; r < m.processors; ++r) w.value(m.pe_of_rank(r));
+  w.end_array().end_object();
+}
+
 std::string machine_json(const MachineModel& m) {
-  std::ostringstream os;
-  os << "{\"name\": " << util::json_quote(m.name)
-     << ", \"processors\": " << m.processors << ", \"grid\": {\"rows\": "
-     << m.grid.rows << ", \"cols\": " << m.grid.cols << "}"
-     << ", \"blas_rates\": [" << m.blas1_rate << ", " << m.blas2_rate << ", "
-     << m.blas3_rate << "], \"task_overhead\": " << m.task_overhead
-     << ", \"topology\": {\"nodes\": " << m.topology.nodes
-     << ", \"sockets_per_node\": " << m.topology.sockets_per_node
-     << ", \"pes_per_socket\": " << m.topology.pes_per_socket
-     << ", \"socket\": " << link_json(m.topology.socket_link)
-     << ", \"node\": " << link_json(m.topology.node_link)
-     << ", \"network\": " << link_json(m.topology.network_link) << "}"
-     << ", \"mapping\": "
-     << (m.mapping == GridMapping::kTopologyAware ? "\"topology\""
-                                                  : "\"round-robin\"")
-     << ", \"rank_to_pe\": [";
-  for (int r = 0; r < m.processors; ++r)
-    os << (r ? ", " : "") << m.pe_of_rank(r);
-  os << "]}";
-  return os.str();
+  util::JsonWriter w;
+  write_machine(w, m);
+  return w.str();
 }
 
 }  // namespace sstar::sim

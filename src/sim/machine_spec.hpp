@@ -21,15 +21,18 @@
 //     "mapping": "topology"        // or "round-robin"; optional
 //   }
 //
-// machine_json() renders the resolved model (including its topology
-// and rank placement) as a JSON object so results files are labelled
-// with the machine they were produced on. Every model renders in the
-// topology form; a flat one shows as 1 x 1 x p with three equal links.
+// write_machine() writes the resolved model (including its topology
+// and rank placement) as a JSON object through util::JsonWriter, so
+// results files are labelled with the machine they were produced on;
+// machine_json() is the same object as a one-line document. Every model
+// renders in the topology form; a flat one shows as 1 x 1 x p with
+// three equal links.
 #pragma once
 
 #include <string>
 
 #include "sim/machine.hpp"
+#include "util/json.hpp"
 
 namespace sstar::sim {
 
@@ -39,9 +42,12 @@ namespace sstar::sim {
 /// malformed/incomplete JSON spec.
 MachineModel resolve_machine(const std::string& spec, int ranks);
 
-/// The resolved model as a JSON object string (single line):
-/// name, processors, grid, rates, topology and its link costs,
-/// mapping and rank placement.
+/// Write the resolved model as one JSON object value: name,
+/// processors, grid, rates, topology and its link costs, mapping and
+/// rank placement.
+void write_machine(util::JsonWriter& w, const MachineModel& m);
+
+/// write_machine() as a complete one-line document.
 std::string machine_json(const MachineModel& m);
 
 }  // namespace sstar::sim

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -14,15 +14,10 @@ namespace sstar::trace {
 
 namespace {
 
-// Timestamps are written in microseconds with three decimals
-// (nanosecond resolution) — enough that distinct steady_clock readings
-// stay distinct and the round-trip comparison in tests is exact at the
-// printed precision.
-std::string us(double seconds) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.3f", seconds * 1e6);
-  return buf;
-}
+// Microseconds rounded to whole nanoseconds: distinct steady_clock
+// readings stay distinct, and since a parsed time rounds back to the
+// same nanosecond, exporting a parsed trace reproduces the document.
+double rounded_us(double seconds) { return std::round(seconds * 1e9) / 1e3; }
 
 const char* kind_tag(EventKind k) {
   switch (k) {
@@ -105,32 +100,39 @@ bool read_event(const util::JsonValue& ev, std::size_t entries,
 
 std::string chrome_trace_json(const Trace& trace,
                               const std::string& lane_name) {
-  std::ostringstream os;
-  os << "[\n";
+  util::JsonWriter w;
+  w.begin_array();
   // Lane naming metadata first: one process, one named thread per lane.
   for (int lane = 0; lane < trace.num_lanes; ++lane) {
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << lane
-       << ",\"args\":{\"name\":\"" << lane_name << " " << lane << "\"}},\n";
+    w.begin_object().field("name", "thread_name").field("ph", "M");
+    w.field("pid", 0).field("tid", lane).key("args").begin_object();
+    w.field("name", lane_name + " " + std::to_string(lane));
+    w.end_object().end_object();
   }
-  bool first = true;
   for (const TraceEvent& e : trace.events) {
-    if (!first) os << ",\n";
-    first = false;
     const char* cat = is_kernel(e.kind)        ? "compute"
                       : is_panel_cache(e.kind) ? "memory"
                                                : "comm";
-    os << "{\"name\":\"" << event_label(e) << "\",\"cat\":\"" << cat
-       << "\",\"ph\":\"" << (is_instant(e.kind) ? "i" : "X") << "\",\"ts\":"
-       << us(e.t0);
-    if (!is_instant(e.kind)) os << ",\"dur\":" << us(e.t1 - e.t0);
-    if (is_instant(e.kind)) os << ",\"s\":\"t\"";
-    os << ",\"pid\":0,\"tid\":" << e.lane << ",\"args\":{\"kind\":\""
-       << kind_tag(e.kind) << "\",\"task\":" << e.task << ",\"k\":" << e.k
-       << ",\"j\":" << e.j << ",\"peer\":" << e.peer
-       << ",\"flops\":" << e.flops << ",\"bytes\":" << e.bytes << "}}";
+    w.begin_object().field("name", event_label(e)).field("cat", cat);
+    w.field("ph", is_instant(e.kind) ? "i" : "X").field("ts", rounded_us(e.t0));
+    if (is_instant(e.kind))
+      w.field("s", "t");
+    else
+      w.field("dur", rounded_us(e.t1 - e.t0));
+    w.field("pid", 0).field("tid", e.lane).key("args").begin_object();
+    w.field("kind", kind_tag(e.kind)).field("task", e.task).field("k", e.k);
+    w.field("j", e.j).field("peer", e.peer).field("flops", e.flops);
+    w.field("bytes", e.bytes).end_object().end_object();
   }
-  os << "\n]\n";
-  return os.str();
+  w.end_array();
+  return w.str();
+}
+
+void save_chrome_trace(const std::string& path, const Trace& trace,
+                       const std::string& lane_name) {
+  std::ofstream out(path);
+  out << chrome_trace_json(trace, lane_name) << '\n' << std::flush;
+  SSTAR_CHECK_MSG(out.good(), "cannot write trace file '" << path << "'");
 }
 
 Trace parse_chrome_trace(const std::string& json) {

@@ -5,7 +5,9 @@
 // span and recv wait, one instant ("ph":"i") event per send, plus
 // thread_name metadata naming each lane — loadable directly in
 // chrome://tracing or https://ui.perfetto.dev. Lanes map to tids of a
-// single pid; timestamps are microseconds since the trace epoch.
+// single pid; timestamps and durations are microseconds since the trace
+// epoch, rounded to whole nanoseconds and written by util::JsonWriter
+// in their shortest form, one event per line.
 //
 // parse_chrome_trace() is the inverse (restricted to the fields this
 // module writes): it reads the document with util::parse_json, checks
@@ -24,6 +26,11 @@ namespace sstar::trace {
 /// `lane_name` prefixes lane ids in the metadata ("worker" or "rank").
 std::string chrome_trace_json(const Trace& trace,
                               const std::string& lane_name = "lane");
+
+/// Write chrome_trace_json() to the file `path`; CheckError naming the
+/// path when it cannot be written.
+void save_chrome_trace(const std::string& path, const Trace& trace,
+                       const std::string& lane_name);
 
 /// Parse a chrome_trace_json() document back into a Trace (metadata
 /// events are consumed, not represented), its events stably sorted by

@@ -1,6 +1,9 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/check.hpp"
@@ -266,20 +269,103 @@ JsonValue parse_json(const std::string& text) {
   return Parser(text).document();
 }
 
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
+namespace {
+
+void append_quoted(std::string& out, std::string_view s) {
+  out += '"';
   for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out.push_back(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
     }
   }
-  out += "\"";
-  return out;
+  out += '"';
+}
+
+}  // namespace
+
+void JsonWriter::newline() {
+  out_ += '\n';
+  out_.append(2 * static_cast<std::size_t>(indent_), ' ');
+}
+
+void JsonWriter::before_value(bool container) {
+  if (stack_.empty()) {
+    SSTAR_CHECK_MSG(out_.empty(), "JSON writer: a second top-level value");
+  } else if (stack_.back().object) {
+    SSTAR_CHECK_MSG(keyed_, "JSON writer: an object member without a key");
+    keyed_ = false;
+  } else {
+    Frame& f = stack_.back();
+    if (f.count++ == 0 && container) {
+      f.multiline = true;
+      ++indent_;
+    } else if (f.count > 1) {
+      out_ += f.multiline ? "," : ", ";
+    }
+    if (f.multiline) newline();
+  }
+}
+
+JsonWriter& JsonWriter::open(bool object) {
+  before_value(true);
+  out_ += object ? '{' : '[';
+  stack_.push_back({object, false, 0});
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(bool object) {
+  SSTAR_CHECK_MSG(!stack_.empty() && stack_.back().object == object && !keyed_,
+                  "JSON writer: " << (object ? "end_object" : "end_array")
+                                  << " out of place");
+  if (stack_.back().multiline) {
+    --indent_;
+    newline();
+  }
+  stack_.pop_back();
+  out_ += object ? '}' : ']';
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  SSTAR_CHECK_MSG(!stack_.empty() && stack_.back().object && !keyed_,
+                  "JSON writer: key '" << name << "' outside an object");
+  if (stack_.back().count++ > 0) out_ += ", ";
+  append_quoted(out_, name);
+  out_ += ": ";
+  keyed_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::scalar(std::string_view text) {
+  before_value(false);
+  out_ += text;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  before_value(false);
+  append_quoted(out_, s);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double v) {
+  if (!std::isfinite(v)) return null();
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  return scalar(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+}
+
+const std::string& JsonWriter::str() const {
+  SSTAR_CHECK_MSG(!out_.empty() && stack_.empty(),
+                  "JSON writer: the document is unfinished");
+  return out_;
 }
 
 }  // namespace sstar::util

@@ -43,21 +43,11 @@ TEST(Idamax, HonorsStride) {
   EXPECT_EQ(idamax(3, x.data(), 2), 2);  // elements 1, 3, -9
 }
 
-TEST(ScalAxpyDot, MatchReference) {
+TEST(Scal, MatchesReference) {
   auto x = random_vec(17, 1);
-  auto y = random_vec(17, 2);
   const auto x0 = x;
-  const auto y0 = y;
-
   dscal(17, 2.5, x.data());
   for (int i = 0; i < 17; ++i) EXPECT_DOUBLE_EQ(x[i], 2.5 * x0[i]);
-
-  daxpy(17, -1.5, x.data(), y.data());
-  for (int i = 0; i < 17; ++i) EXPECT_DOUBLE_EQ(y[i], y0[i] - 1.5 * x[i]);
-
-  double ref = 0.0;
-  for (int i = 0; i < 17; ++i) ref += x[i] * y[i];
-  EXPECT_NEAR(ddot(17, x.data(), y.data()), ref, 1e-12);
 }
 
 TEST(Swap, SwapsStridedRows) {
@@ -209,10 +199,10 @@ TEST(Flops, CountersTrackLevels) {
   EXPECT_EQ(d.blas3, 2000u);
 
   FlopRegion r3;
-  daxpy(10, 2.0, x.data(), y.data());
+  dscal(10, 2.0, x.data());
   d = r3.delta();
-  EXPECT_EQ(d.blas1, 20u);
-  EXPECT_EQ(d.total(), 20u);
+  EXPECT_EQ(d.blas1, 10u);
+  EXPECT_EQ(d.total(), 10u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the BlockMatrix numeric storage: addressing, assembly, and
+// Tests for the PackedBlockStore numeric storage: addressing, assembly, and
 // the panel slicing the kernels depend on.
 #include <gtest/gtest.h>
 
@@ -31,7 +31,7 @@ struct Fixture {
 
 TEST(BlockMatrix, AssembleRoundTripsEveryEntry) {
   const auto f = Fixture::make(50, 1, 8, 4);
-  BlockMatrix bm(*f.layout);
+  PackedBlockStore bm(*f.layout);
   bm.assemble(f.a);
   for (int j = 0; j < 50; ++j)
     for (int k = f.a.col_begin(j); k < f.a.col_end(j); ++k)
@@ -40,7 +40,7 @@ TEST(BlockMatrix, AssembleRoundTripsEveryEntry) {
 
 TEST(BlockMatrix, UnstoredPositionsReadZeroAndNullPtr) {
   const auto f = Fixture::make(50, 2, 8, 0);
-  BlockMatrix bm(*f.layout);
+  PackedBlockStore bm(*f.layout);
   bm.assemble(f.a);
   int missing = 0;
   for (int j = 0; j < 50 && missing < 20; ++j) {
@@ -65,7 +65,7 @@ TEST(BlockMatrix, PanelAddressingMatchesEntryPtr) {
   // The fast panel pointers and the slow per-entry lookup must agree on
   // every stored cell.
   const auto f = Fixture::make(60, 3, 10, 4);
-  BlockMatrix bm(*f.layout);
+  PackedBlockStore bm(*f.layout);
   const auto& lay = *f.layout;
   for (int b = 0; b < lay.num_blocks(); ++b) {
     const int w = lay.width(b);
@@ -91,13 +91,13 @@ TEST(BlockMatrix, PanelAddressingMatchesEntryPtr) {
 
 TEST(BlockMatrix, SizeMatchesLayoutStoredEntries) {
   const auto f = Fixture::make(70, 4, 12, 6);
-  BlockMatrix bm(*f.layout);
+  PackedBlockStore bm(*f.layout);
   EXPECT_EQ(bm.size(), f.layout->stored_entries());
 }
 
 TEST(BlockMatrix, ClearZeroesEverything) {
   const auto f = Fixture::make(40, 5, 8, 4);
-  BlockMatrix bm(*f.layout);
+  PackedBlockStore bm(*f.layout);
   bm.assemble(f.a);
   bm.clear();
   for (int j = 0; j < 40; ++j)
@@ -112,7 +112,7 @@ TEST(BlockMatrix, AssembleRejectsOutOfStructureEntry) {
   auto base = make_zero_free_diagonal(testing::random_sparse(30, 2, 6));
   const auto s = static_symbolic_factorization(base);
   BlockLayout layout(s, find_supernodes(s, 6));
-  BlockMatrix bm(layout);
+  PackedBlockStore bm(layout);
 
   for (const bool upper : {true, false}) {
     // Find a position outside the structure on that side.

@@ -12,11 +12,10 @@
 namespace sstar::blas {
 namespace {
 
-// daxpy(n) counts 2n BLAS-1 flops (see dense_blas.cpp).
-void burn_daxpy(int n, int reps) {
+// dscal(n) counts n BLAS-1 flops (see dense_blas.cpp).
+void burn_dscal(int n, int reps) {
   std::vector<double> x(static_cast<std::size_t>(n), 1.0);
-  std::vector<double> y(static_cast<std::size_t>(n), 0.0);
-  for (int r = 0; r < reps; ++r) daxpy(n, 0.5, x.data(), y.data());
+  for (int r = 0; r < reps; ++r) dscal(n, 0.5, x.data());
 }
 
 TEST(FlopsThreaded, MergedCountIsExactAcrossThreads) {
@@ -26,11 +25,11 @@ TEST(FlopsThreaded, MergedCountIsExactAcrossThreads) {
   constexpr int kReps = 100;
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t)
-    pool.emplace_back([] { burn_daxpy(kN, kReps); });
+    pool.emplace_back([] { burn_dscal(kN, kReps); });
   for (auto& th : pool) th.join();
   // Exited threads fold into the retired total; nothing is lost.
   const FlopCount merged = merged_flop_count();
-  EXPECT_EQ(merged.blas1, 2ULL * kN * kReps * kThreads);
+  EXPECT_EQ(merged.blas1, 1ULL * kN * kReps * kThreads);
   EXPECT_EQ(merged.blas2, 0u);
   EXPECT_EQ(merged.blas3, 0u);
 }
@@ -38,21 +37,21 @@ TEST(FlopsThreaded, MergedCountIsExactAcrossThreads) {
 TEST(FlopsThreaded, RegionSeesOnlyOwnThread) {
   reset_flop_counter();
   const FlopRegion region;
-  std::thread worker([] { burn_daxpy(32, 10); });
+  std::thread worker([] { burn_dscal(32, 10); });
   worker.join();
-  // The worker's 640 flops are in the merged total but not in this
+  // The worker's 320 flops are in the merged total but not in this
   // thread's region.
   EXPECT_EQ(region.delta().total(), 0u);
-  EXPECT_EQ(merged_flop_count().blas1, 2ULL * 32 * 10);
+  EXPECT_EQ(merged_flop_count().blas1, 32ULL * 10);
 
-  burn_daxpy(8, 1);
-  EXPECT_EQ(region.delta().blas1, 16u);
-  EXPECT_EQ(merged_flop_count().blas1, 2ULL * 32 * 10 + 16);
+  burn_dscal(8, 1);
+  EXPECT_EQ(region.delta().blas1, 8u);
+  EXPECT_EQ(merged_flop_count().blas1, 32ULL * 10 + 8);
 }
 
 TEST(FlopsThreaded, ResetClearsEverything) {
-  burn_daxpy(16, 2);
-  std::thread worker([] { burn_daxpy(16, 2); });
+  burn_dscal(16, 2);
+  std::thread worker([] { burn_dscal(16, 2); });
   worker.join();
   EXPECT_GT(merged_flop_count().total(), 0u);
   reset_flop_counter();

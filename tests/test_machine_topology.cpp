@@ -266,6 +266,27 @@ TEST(MachineTopology, MachineJsonMetadataRoundTrips) {
   EXPECT_FALSE(flat.has("latency"));
 }
 
+// machine_json writes every cost in the shortest form that reads back
+// to the same double, and quotes whatever the name holds.
+TEST(MachineTopology, MachineJsonKeepsExactCosts) {
+  const std::string path = ::testing::TempDir() + "machine_exact.json";
+  {
+    std::ofstream out(path);
+    out << R"({"name": "q/lab\"1", "latency": 1.2345678901e-6,)"
+        << R"( "bandwidth": 123456789.125, "task_overhead": 3.3e-7})";
+  }
+  const auto m = sim::resolve_machine(path, 4);
+  std::remove(path.c_str());
+  const auto doc = util::parse_json(sim::machine_json(m));
+  EXPECT_EQ(doc.at("name").as_string(), "q/lab\"1");
+  EXPECT_EQ(doc.at("task_overhead").as_number(), 3.3e-7);
+  for (const char* link : {"socket", "node", "network"}) {
+    const util::JsonValue& l = doc.at("topology").at(link);
+    EXPECT_EQ(l.at("latency").as_number(), 1.2345678901e-6) << link;
+    EXPECT_EQ(l.at("bandwidth").as_number(), 123456789.125) << link;
+  }
+}
+
 TEST(MachineTopology, JsonParserBasics) {
   const auto v = util::parse_json(
       R"({"a": [1, 2.5, -3e-2], "s": "x\n\"y\"", "t": true, "n": null})");

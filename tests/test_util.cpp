@@ -1,10 +1,15 @@
 // Unit tests for src/util.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -93,6 +98,82 @@ TEST(TableFormat, Numbers) {
   EXPECT_EQ(fmt_count(0), "0");
   EXPECT_EQ(fmt_count(999), "999");
   EXPECT_EQ(fmt_count(1000), "1,000");
+}
+
+// Every string the writer quotes reads back equal, whatever bytes it
+// holds: quotes, backslashes and control characters are escaped.
+TEST(JsonWriter, StringsRoundTripThroughTheParser) {
+  const std::string cases[] = {"plain",  "q\"uote", "back\\slash", "bs\b",
+                               "\x01one", "nl\ntab\t", "q/lab\"1.json",
+                               std::string("nul\0x", 5)};
+  for (const std::string& s : cases) {
+    util::JsonWriter w;
+    w.begin_object().field("s", s).end_object();
+    EXPECT_EQ(util::parse_json(w.str()).at("s").as_string(), s) << w.str();
+  }
+  util::JsonWriter w;
+  w.value("\b\x01");
+  EXPECT_EQ(w.str(), "\"\\u0008\\u0001\"");
+}
+
+TEST(JsonWriter, NonFiniteNumbersAreNull) {
+  util::JsonWriter w;
+  w.value(std::vector<double>{std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              std::nan(""), 1.5});
+  EXPECT_EQ(w.str(), "[null, null, null, 1.5]");
+}
+
+TEST(JsonWriter, DoublesComeBackBitForBit) {
+  for (const double v : {0.1, 1.0 / 3.0, -0.0, 5e-324, 1e308, 1.2345678901e-6,
+                         -2.5, 3.0}) {
+    util::JsonWriter w;
+    w.value(v);
+    const double back = util::parse_json(w.str()).as_number();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back), std::bit_cast<std::uint64_t>(v))
+        << w.str();
+  }
+  util::JsonWriter w;
+  w.value(std::vector<long long>{-3, 0, 9007199254740993LL});
+  EXPECT_EQ(w.str(), "[-3, 0, 9007199254740993]");
+}
+
+// An array whose elements are objects or arrays puts each on its own
+// line; everything else stays inline.
+TEST(JsonWriter, ArraysOfContainersTakeOneLinePerElement) {
+  util::JsonWriter w;
+  w.begin_object().field("name", "x").field("ok", true).key("runs").begin_array();
+  for (int r = 0; r < 2; ++r) {
+    w.begin_object().field("r", r).field("v", std::vector<int>{r, r + 1});
+    w.key("inner").begin_array().begin_array().end_array().end_array();
+    w.end_object();
+  }
+  w.end_array().key("empty").begin_object().end_object();
+  w.key("n").null().end_object();
+  EXPECT_EQ(w.str(),
+            "{\"name\": \"x\", \"ok\": true, \"runs\": [\n"
+            "  {\"r\": 0, \"v\": [0, 1], \"inner\": [\n"
+            "    []\n"
+            "  ]},\n"
+            "  {\"r\": 1, \"v\": [1, 2], \"inner\": [\n"
+            "    []\n"
+            "  ]}\n"
+            "], \"empty\": {}, \"n\": null}");
+  EXPECT_NO_THROW(util::parse_json(w.str()));
+}
+
+TEST(JsonWriter, MisuseThrows) {
+  util::JsonWriter w;
+  EXPECT_THROW(w.str(), CheckError);  // nothing written
+  w.begin_object();
+  EXPECT_THROW(w.value(1), CheckError);  // member without a key
+  EXPECT_THROW(w.end_array(), CheckError);
+  EXPECT_THROW(w.str(), CheckError);  // unfinished
+  w.end_object();
+  EXPECT_THROW(w.begin_array(), CheckError);  // second document
+  util::JsonWriter a;
+  a.begin_array();
+  EXPECT_THROW(a.key("k"), CheckError);
 }
 
 }  // namespace

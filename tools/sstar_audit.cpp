@@ -26,7 +26,7 @@
 // counterexample wait-for cycle for the deadlock case.
 //
 // Flags: --suite=NAME --scale=S --grid=N --seed=S --ordering=...
-//        --max-block=N --amalg=N (tools/cli_flags.hpp; a numeric value
+//        --max-block=N --amalg=N (cli/flags.hpp; a numeric value
 //        that does not parse exits 2), --programs
 //        --procs=P, --dynamic --threads=T, --self-test [--drop-edge=I],
 //        --comm, --comm-self-test,
@@ -39,7 +39,7 @@
 
 #include "analysis/audit.hpp"
 #include "analysis/comm_audit.hpp"
-#include "cli_flags.hpp"
+#include "cli/flags.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
 #include "core/task_graph.hpp"

@@ -38,7 +38,7 @@
 //     block access sets (exit 1 on a conflicting one).
 //
 // Flags: --suite=NAME --scale=S --grid=N --seed=S --ordering=... and
-//        --max-block=N --amalg=N (tools/cli_flags.hpp; a numeric value
+//        --max-block=N --amalg=N (cli/flags.hpp; a numeric value
 //        that does not parse exits 2);
 //        --ranks=P, --mapping=1d|2d, --schedule=ca|graph (1D),
 //        --sync (2D barrier variant), --shape=RxC (2D grid shape),
@@ -62,14 +62,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "analysis/audit.hpp"
 #include "analysis/comm_audit.hpp"
 #include "blas/kernel_backend.hpp"
-#include "cli_flags.hpp"
+#include "cli/flags.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
 #include "exec/lu_mp.hpp"
@@ -253,9 +252,7 @@ int main(int argc, char** argv) {
     collector.uninstall();
     const trace::Trace tr = collector.take();
     if (!trace_path.empty()) {
-      std::ofstream out(trace_path);
-      if (!out) throw CheckError("cannot write " + trace_path);
-      out << trace::chrome_trace_json(tr, "rank");
+      trace::save_chrome_trace(trace_path, tr, "rank");
       std::printf("trace: %zu event(s) written to %s\n", tr.events.size(),
                   trace_path.c_str());
     }

@@ -18,7 +18,7 @@
 // edges, levels, average parallelism) and runs --verify.
 //
 // Flags: --suite=NAME --scale=S --grid=N --seed=S --max-block=N
-//        --amalg=N (default SolverOptions'; tools/cli_flags.hpp, a
+//        --amalg=N (default SolverOptions'; cli/flags.hpp, a
 //        numeric value that does not parse exits 2; an input the
 //        library rejects exits 1 with "error: ...")
 //        --threads=a,b,c (default 1,2,4,8)
@@ -37,7 +37,7 @@
 
 #include "analysis/audit.hpp"
 #include "analysis/reachability.hpp"
-#include "cli_flags.hpp"
+#include "cli/flags.hpp"
 #include "serve/factorization.hpp"
 #include "serve/session.hpp"
 #include "util/check.hpp"
@@ -46,20 +46,6 @@
 using namespace sstar;
 
 namespace {
-
-std::vector<int> parse_int_list(const char* flag, const std::string& s) {
-  std::vector<int> out;
-  std::string cur;
-  for (const char c : s + ",") {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(cli::number<int>(flag, cur));
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  return out;
-}
 
 std::vector<double> random_panel(int n, int nrhs, std::uint64_t seed) {
   Rng rng(seed);
@@ -156,8 +142,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (in.parse(arg)) continue;
     if (arg.rfind("--alpha=", 0) == 0) in.opt.pivot = cli::alpha(arg.substr(8));
-    else if (arg.rfind("--threads=", 0) == 0) threads = parse_int_list("--threads", arg.substr(10));
-    else if (arg.rfind("--widths=", 0) == 0) widths = parse_int_list("--widths", arg.substr(9));
+    else if (arg.rfind("--threads=", 0) == 0) threads = cli::list<int>("--threads", arg.substr(10));
+    else if (arg.rfind("--widths=", 0) == 0) widths = cli::list<int>("--widths", arg.substr(9));
     else if (arg == "--verify") do_verify = true;
     else if (arg == "--audit") do_audit = true;
     else if (arg == "--self-test") do_self_test = true;
