@@ -15,7 +15,9 @@
 // the sim/memory_model replay prediction — the predicted-vs-measured
 // MEMORY datapoint companion to the runtime validation of
 // trace/validate. The two must agree exactly (the prediction replays
-// the same refcount protocol the store runs).
+// the same refcount protocol the store runs). The bench exits 1 when
+// they do not, or when a run's factors are not bitwise the sequential
+// factorization's.
 //
 // Besides the text table, results go to machine-readable JSON (default
 // results/bench_mp.json, override with --json=PATH); the JSON carries
@@ -78,6 +80,7 @@ int main(int argc, char** argv) {
                     "msgs", "MB moved", "peak MB", "x seq", "pred",
                     "bitwise"});
 
+  bool all_ok = true;
   for (const std::string& name : names) {
     const Prepared p = prepare_matrix(name, opt, /*need_gplu=*/false);
     const BlockLayout& lay = *p.setup.layout;
@@ -122,7 +125,6 @@ int main(int argc, char** argv) {
                       name + "." + v.label + ".r" + std::to_string(ranks),
                       collector.take(), "rank");
         }
-        const bool identical = exec::factors_bitwise_equal(ref, mp);
         // Sums over ranks of the measured and predicted peaks.
         const long long peak = st.peak_store_bytes_total();
         const long long predicted = pred.total_peak_bytes();
@@ -137,6 +139,10 @@ int main(int argc, char** argv) {
         const exec::ExecStats sst =
             v.two_d ? run_2d_real(lay, m, /*async=*/true, sm, ranks)
                     : run_1d_real(lay, m, Schedule1DKind::kGraph, sm, ranks);
+        const bool identical =
+            exec::factors_bitwise_equal(ref, mp) &&
+            exec::factors_bitwise_equal(ref, sm);
+        all_ok = all_ok && identical && peak == predicted;
 
         table.add_row(
             {matrix_label(p), v.label, std::to_string(ranks),
@@ -171,10 +177,11 @@ int main(int argc, char** argv) {
       "executor with the same schedule; 'peak MB' = sum over ranks of "
       "owned + panel-cache high water, 'x seq' = that sum over the "
       "sequential packed store, 'pred' = measured peak vs the "
-      "sim/memory_model replay; 'bitwise' = merged MP factors identical "
-      "to the sequential factorization.");
+      "sim/memory_model replay; 'bitwise' = merged MP factors and the "
+      "shared-memory run's factors identical to the sequential "
+      "factorization.");
   table.print();
 
   write_results("mp", opt.json_path, json);
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "trace/trace.hpp"
 #include "util/check.hpp"
 
 namespace sstar::analysis {
@@ -9,7 +10,6 @@ namespace sstar::analysis {
 namespace {
 
 std::atomic<AccessLog*> g_active{nullptr};
-thread_local int t_current_task = -1;
 
 }  // namespace
 
@@ -40,17 +40,13 @@ AccessLog* AccessLog::active() {
   return g_active.load(std::memory_order_acquire);
 }
 
-int AccessLog::exchange_current_task(int t) {
-  const int prev = t_current_task;
-  t_current_task = t;
-  return prev;
-}
-
 void AccessLog::record(int i, int j, Access access) {
   AccessLog* log = active();
-  if (log == nullptr || t_current_task < 0) return;
+  if (log == nullptr) return;
+  const int task = trace::TraceCollector::current_task();
+  if (task < 0) return;
   const std::lock_guard<std::mutex> lock(log->mu_);
-  log->events_.push_back({t_current_task, {i, j}, access});
+  log->events_.push_back({task, {i, j}, access});
 }
 
 }  // namespace sstar::analysis

@@ -3,16 +3,18 @@
 //
 // When the library is configured with -DSSTAR_AUDIT=ON (compile
 // definition SSTAR_AUDIT_ENABLED), the numeric kernels report every
-// actual (task, block, access-kind) event through the SSTAR_AUDIT_*
-// macros below, and the executors tag each running kernel with its task
-// id (a thread-local, so concurrent workers attribute events correctly).
+// actual (task, block, access-kind) event through SSTAR_AUDIT_RECORD
+// below, each attributed to the task the calling thread runs: the
+// trace's thread task tag (trace::TraceCollector::current_task), which
+// every executor sets around a task body whether or not a trace is
+// being collected, so concurrent workers attribute events correctly.
 // An offline checker (analysis/audit.hpp: check_recorded_accesses) then
 // cross-validates the recorded events against the statically declared
 // sets — catching both under-declared access sets (a kernel touched a
 // block its task never declared) and missing DAG edges (two recorded
 // conflicting accesses whose tasks no dependence path orders).
 //
-// In a default build the macros expand to ((void)0): no code, no
+// In a default build the macro expands to ((void)0): no code, no
 // arguments evaluated, zero overhead. With auditing compiled in but no
 // log installed, the cost is one relaxed atomic load per event site.
 #pragma once
@@ -53,12 +55,8 @@ class AccessLog {
   /// The active log, or nullptr.
   static AccessLog* active();
 
-  /// Tag the calling thread as running executor task t (-1 = none).
-  /// Returns the previous tag so scopes can nest.
-  static int exchange_current_task(int t);
-
-  /// Record one access against the calling thread's current task. No-op
-  /// without an active log or a current task.
+  /// Record one access against the calling thread's current task (the
+  /// trace's task tag). No-op without an active log or a current task.
   static void record(int i, int j, Access access);
 
  private:
@@ -66,28 +64,11 @@ class AccessLog {
   std::vector<AccessEvent> events_;
 };
 
-/// RAII thread tag: marks the enclosed scope as executing task t.
-class ScopedAuditTask {
- public:
-  explicit ScopedAuditTask(int t) : prev_(AccessLog::exchange_current_task(t)) {}
-  ~ScopedAuditTask() { AccessLog::exchange_current_task(prev_); }
-  ScopedAuditTask(const ScopedAuditTask&) = delete;
-  ScopedAuditTask& operator=(const ScopedAuditTask&) = delete;
-
- private:
-  int prev_;
-};
-
 }  // namespace sstar::analysis
 
 #ifdef SSTAR_AUDIT_ENABLED
 #define SSTAR_AUDIT_RECORD(i, j, acc) \
   ::sstar::analysis::AccessLog::record((i), (j), (acc))
-#define SSTAR_AUDIT_TASK(t) \
-  const ::sstar::analysis::ScopedAuditTask sstar_audit_task_scope_(t)
 #else
 #define SSTAR_AUDIT_RECORD(i, j, acc) ((void)0)
-// Evaluates its (side-effect-free) argument so lambda captures used only
-// for auditing do not trip -Wunused-lambda-capture in default builds.
-#define SSTAR_AUDIT_TASK(t) ((void)(t))
 #endif

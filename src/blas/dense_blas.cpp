@@ -3,7 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "blas/flops.hpp"
 #include "blas/kernel_backend.hpp"
 
 namespace sstar::blas {
@@ -22,13 +21,11 @@ int idamax(int n, const double* x, int incx) {
       break;
     }
   }
-  flop_counter().blas1 += static_cast<std::uint64_t>(n);
   return best;
 }
 
 void dscal(int n, double alpha, double* x, int incx) {
   for (int i = 0; i < n; ++i) x[static_cast<std::ptrdiff_t>(i) * incx] *= alpha;
-  flop_counter().blas1 += static_cast<std::uint64_t>(n > 0 ? n : 0);
 }
 
 void dswap(int n, double* x, double* y, int incx, int incy) {
@@ -44,9 +41,6 @@ void dswap(int n, double* x, double* y, int incx, int incy) {
 void dger(int m, int n, double alpha, const double* x, const double* y,
           double* a, int lda, int incx, int incy) {
   active_kernel_ops().dger(m, n, alpha, x, y, a, lda, incx, incy);
-  if (m > 0 && n > 0)
-    flop_counter().blas2 +=
-        2ULL * static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(n);
 }
 
 void dtrsv_lower_unit(int n, const double* a, int lda, double* x) {
@@ -56,8 +50,6 @@ void dtrsv_lower_unit(int n, const double* a, int lda, double* x) {
     const double* col = a + static_cast<std::ptrdiff_t>(j) * lda;
     for (int i = j + 1; i < n; ++i) x[i] -= xj * col[i];
   }
-  flop_counter().blas2 +=
-      static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
 }
 
 void dtrsv_upper(int n, const double* a, int lda, double* x) {
@@ -68,25 +60,16 @@ void dtrsv_upper(int n, const double* a, int lda, double* x) {
     if (xj == 0.0) continue;
     for (int i = 0; i < j; ++i) x[i] -= xj * col[i];
   }
-  flop_counter().blas2 +=
-      static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
 }
 
 void dtrsm_lower_unit(int n, int m, const double* a, int lda, double* b,
                       int ldb) {
   active_kernel_ops().dtrsm_lower_unit(n, m, a, lda, b, ldb);
-  flop_counter().blas3 += static_cast<std::uint64_t>(n) *
-                          static_cast<std::uint64_t>(n) *
-                          static_cast<std::uint64_t>(m);
 }
 
 void dgemm(int m, int n, int k, double alpha, const double* a, int lda,
            const double* b, int ldb, double beta, double* c, int ldc) {
   active_kernel_ops().dgemm(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-  if (m > 0 && n > 0)
-    flop_counter().blas3 += 2ULL * static_cast<std::uint64_t>(m) *
-                            static_cast<std::uint64_t>(n) *
-                            static_cast<std::uint64_t>(k);
 }
 
 void rhs_panel_update(int m, int k, int ncols, const double* a, int lda,
@@ -110,27 +93,18 @@ void rhs_panel_update(int m, int k, int ncols, const double* a, int lda,
   }
   active_kernel_ops().rhs_panel_update(m, k, ncols, a, lda, x, ldx, xrows, y,
                                        ldy, yrows, skip);
-  flop_counter().blas3 += 2ULL * static_cast<std::uint64_t>(m) *
-                          static_cast<std::uint64_t>(k) *
-                          static_cast<std::uint64_t>(ncols);
 }
 
 void rhs_lower_solve(int w, int ncols, const double* a, int lda, double* b,
                      int ldb) {
   if (w <= 0 || ncols <= 0) return;
   active_kernel_ops().rhs_lower_solve(w, ncols, a, lda, b, ldb);
-  flop_counter().blas3 += static_cast<std::uint64_t>(w) *
-                          static_cast<std::uint64_t>(w) *
-                          static_cast<std::uint64_t>(ncols);
 }
 
 void rhs_upper_solve(int w, int ncols, const double* a, int lda, double* b,
                      int ldb) {
   if (w <= 0 || ncols <= 0) return;
   active_kernel_ops().rhs_upper_solve(w, ncols, a, lda, b, ldb);
-  flop_counter().blas3 += static_cast<std::uint64_t>(w) *
-                          static_cast<std::uint64_t>(w) *
-                          static_cast<std::uint64_t>(ncols);
 }
 
 }  // namespace sstar::blas

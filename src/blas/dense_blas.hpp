@@ -3,14 +3,15 @@
 // The paper's S* algorithm owes its performance to funnelling most of the
 // numerical work through DGEMM (BLAS-3) instead of DGEMV (BLAS-2); this
 // module provides those kernels from scratch (no vendor BLAS in this
-// environment — see DESIGN.md substitution #2) with exact flop accounting
-// feeding the Cray T3D/T3E machine model.
+// environment — see DESIGN.md substitution #2). Their flop counts, which
+// the Cray T3D/T3E machine model prices, come from the task model
+// (core/task_model), not from the kernels.
 //
 // Conventions: column-major storage with an explicit leading dimension,
-// like reference BLAS. Each kernel is sequential; parallelism in this
-// project lives at the task level (simulated in src/sim, real threads in
-// src/exec), so kernels may run concurrently on different tasks — flop
-// accounting is therefore thread-local (see flops.hpp).
+// like reference BLAS. Each kernel is sequential and keeps no shared
+// state; parallelism in this project lives at the task level (simulated
+// in src/sim, real threads in src/exec), so kernels may run concurrently
+// on different tasks.
 #pragma once
 
 #include <cstddef>

@@ -1,11 +1,10 @@
 // Pluggable SIMD kernel backends for the dense BLAS layer.
 //
-// The public kernels in blas/dense_blas.hpp keep their signatures and
-// their flop accounting, but the kernels the factorization and the
-// solves run (dgemm, dtrsm_lower_unit and dger for Update(k, j) and
-// Factor(k), the three rhs_* panel kernels for the solves) dispatch
-// through a per-process table of function pointers — one table per
-// instruction-set backend:
+// The public kernels in blas/dense_blas.hpp keep their signatures, but
+// the kernels the factorization and the solves run (dgemm,
+// dtrsm_lower_unit and dger for Update(k, j) and Factor(k), the three
+// rhs_* panel kernels for the solves) dispatch through a per-process
+// table of function pointers — one table per instruction-set backend:
 //
 //   scalar  — the original from-scratch loops; always available and the
 //             bitwise-reference oracle for every other backend;
@@ -18,8 +17,7 @@
 // SSTAR_KERNEL_BACKEND environment variable (values: scalar, avx2,
 // avx512, neon, simd = best non-scalar with scalar fallback, auto) or
 // programmatically with set_kernel_backend(). Switching backends is a
-// quiescent-only operation, like blas::reset_flop_counter(): no kernel
-// may be executing concurrently.
+// quiescent-only operation: no kernel may be executing concurrently.
 //
 // Determinism contract (DESIGN.md §12): every backend is a pure,
 // sequential function of its arguments — for a FIXED backend, factors

@@ -6,6 +6,7 @@
 
 #include "analysis/access_log.hpp"
 #include "blas/dense_blas.hpp"
+#include "core/task_model.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 
@@ -97,8 +98,12 @@ double SStarNumeric::growth_factor() const {
 }
 
 void SStarNumeric::factor_block(int k) {
-  const trace::KernelSpan trace_span(trace::EventKind::kFactor, k, k);
   const BlockLayout& lay = *layout_;
+  const int w = lay.width(k);
+  const int nr = store_->l_ld(k);
+  const blas::FlopCount flops = factor_flops(w, nr);
+  const trace::KernelSpan trace_span(trace::EventKind::kFactor, k, k,
+                                     flops.total());
 #ifdef SSTAR_AUDIT_ENABLED
   SSTAR_AUDIT_RECORD(k, analysis::BlockCoord::kPivotSeq,
                      analysis::Access::kWrite);
@@ -106,13 +111,10 @@ void SStarNumeric::factor_block(int k) {
   for (const BlockRef& lref : lay.l_blocks(k))
     SSTAR_AUDIT_RECORD(lref.block, k, analysis::Access::kWrite);
 #endif
-  const int w = lay.width(k);
   const int base = lay.start(k);
-  const int nr = store_->l_ld(k);
   double* d = store_->diag(k);
   double* p = store_->l_panel(k);
   const auto& prows = lay.panel_rows(k);
-  blas::FlopRegion region;
   int off_diagonal_pivots = 0;
   int relaxed_pivots = 0;
 
@@ -203,7 +205,7 @@ void SStarNumeric::factor_block(int k) {
   }
   factored_[k] = 1;
   const std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.flops += region.delta();
+  stats_.flops += flops;
   stats_.off_diagonal_pivots += off_diagonal_pivots;
   stats_.relaxed_pivots += relaxed_pivots;
 }
@@ -331,7 +333,7 @@ void SStarNumeric::swap_rows_in_block(int m, int t, int j) {
 }
 
 void SStarNumeric::scale_swap(int k, int j) {
-  const trace::KernelSpan trace_span(trace::EventKind::kScale, k, j);
+  const trace::KernelSpan trace_span(trace::EventKind::kScale, k, j, 0);
   const BlockLayout& lay = *layout_;
   SSTAR_CHECK_MSG(factored_[k], "ScaleSwap(" << k << "," << j
                                              << ") before Factor(" << k
@@ -395,7 +397,6 @@ void subtract_tile(const double* src, int sld, int mrows, int ncols,
 }  // namespace
 
 void SStarNumeric::update_block(int k, int j) {
-  const trace::KernelSpan trace_span(trace::EventKind::kUpdate, k, j);
   const BlockLayout& lay = *layout_;
   SSTAR_CHECK(factored_[k]);
   const BlockRef* uref = lay.find_u_block(k, j);
@@ -407,7 +408,11 @@ void SStarNumeric::update_block(int k, int j) {
   double* ukj = store_->u_block(k, uref->offset);
   const int* ucols = lay.panel_cols(k).data() + uref->offset;
   const int lld = store_->l_ld(k);
-  blas::FlopRegion region;
+  // The static S* count the machine model prices: skipped columns'
+  // GEMM and subtract count as run, and skipped_flops reports them.
+  const blas::FlopCount flops = update_flops(wk, lld, ncols);
+  const trace::KernelSpan trace_span(trace::EventKind::kUpdate, k, j,
+                                     flops.total());
   // Scratch is thread-local, not a member: concurrent Update tasks on
   // exec:: workers each get their own buffers.
   thread_local std::vector<double> work;
@@ -457,18 +462,12 @@ void SStarNumeric::update_block(int k, int j) {
   work.resize(static_cast<std::size_t>(lld) * static_cast<std::size_t>(nkept));
   blas::dgemm(lld, nkept, wk, 1.0, store_->l_panel(k), lld, packed.data(),
               wk, 0.0, work.data(), lld);
-  // The counts stay the static S* ones the machine model prices: the
-  // skipped columns' GEMM and subtract count as if run, and
-  // skipped_flops reports them apart. One flop per updated cell for the
-  // subtraction below.
+  // The skipped columns' GEMM and subtract: one subtract per cell.
   const std::uint64_t skipped_cells = static_cast<std::uint64_t>(lld) *
                                       static_cast<std::uint64_t>(ncols - nkept);
   blas::FlopCount skipped;
   skipped.blas1 = skipped_cells;
   skipped.blas3 = 2 * skipped_cells * static_cast<std::uint64_t>(wk);
-  blas::flop_counter().blas1 +=
-      static_cast<std::uint64_t>(lld) * static_cast<std::uint64_t>(ncols);
-  blas::flop_counter().blas3 += skipped.blas3;
 
   // A_ij -= L_ik * U_kj for every nonzero L block below the diagonal.
   const int* prows = lay.panel_rows(k).data();
@@ -520,7 +519,7 @@ void SStarNumeric::update_block(int k, int j) {
     }
   }
   const std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.flops += region.delta();
+  stats_.flops += flops;
   stats_.skipped_flops += skipped;
 }
 

@@ -82,7 +82,8 @@ class PivotError : public CheckError {
 /// Statistics of one numeric factorization run.
 struct FactorStats {
   /// Exact flops by BLAS level: the static S* count (what the paper's
-  /// S* executes), which the machine model and the task model price.
+  /// S* executes), booked per task from the task model
+  /// (core/task_model), which the machine model prices.
   blas::FlopCount flops;
   /// The part of `flops` that Update(k, j) skipped as exactly zero
   /// columns of U_kj (GEMM and subtract); flops - skipped_flops ran.

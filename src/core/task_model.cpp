@@ -2,9 +2,7 @@
 
 namespace sstar {
 
-blas::FlopCount factor_task_flops(const BlockLayout& lay, int k) {
-  const std::int64_t w = lay.width(k);
-  const std::int64_t nr = static_cast<std::int64_t>(lay.panel_rows(k).size());
+blas::FlopCount factor_flops(std::int64_t w, std::int64_t nr) {
   blas::FlopCount f;
   for (std::int64_t ml = 0; ml < w; ++ml) {
     // Pivot search (idamax over the diag tail and, if present, the panel).
@@ -22,17 +20,26 @@ blas::FlopCount factor_task_flops(const BlockLayout& lay, int k) {
   return f;
 }
 
-blas::FlopCount update_task_flops(const BlockLayout& lay, int k, int j) {
+blas::FlopCount update_flops(std::int64_t w, std::int64_t nr,
+                             std::int64_t nc) {
   blas::FlopCount f;
-  const BlockRef* uref = lay.find_u_block(k, j);
-  if (uref == nullptr) return f;
-  const std::int64_t w = lay.width(k);
-  const std::int64_t nc = uref->count;
-  const std::int64_t nr = static_cast<std::int64_t>(lay.panel_rows(k).size());
   f.blas3 += static_cast<std::uint64_t>(w * w * nc);       // DTRSM
   f.blas3 += static_cast<std::uint64_t>(2 * nr * nc * w);  // DGEMM
   f.blas1 += static_cast<std::uint64_t>(nr * nc);          // subtract
   return f;
+}
+
+blas::FlopCount factor_task_flops(const BlockLayout& lay, int k) {
+  return factor_flops(lay.width(k),
+                      static_cast<std::int64_t>(lay.panel_rows(k).size()));
+}
+
+blas::FlopCount update_task_flops(const BlockLayout& lay, int k, int j) {
+  const BlockRef* uref = lay.find_u_block(k, j);
+  if (uref == nullptr) return {};
+  return update_flops(lay.width(k),
+                      static_cast<std::int64_t>(lay.panel_rows(k).size()),
+                      uref->count);
 }
 
 blas::FlopCount update2d_task_flops(const BlockLayout& lay, int k, int i,

@@ -3,8 +3,10 @@
 // Each Factor(k)/Update(k,j) task's flop counts and message payloads are
 // computed exactly from the block layout (they depend only on structure,
 // never on numerical values), so parameter sweeps over machines and
-// processor counts do not need to re-run numerics. The counts match what
-// the kernels in core/numeric.cpp actually execute; a test asserts this.
+// processor counts do not need to re-run numerics. This is the one
+// source of flop counts: the kernels in core/numeric.cpp book
+// factor_flops/update_flops into FactorStats and onto their trace spans,
+// and the per-task forms below price the same formulas from the layout.
 #pragma once
 
 #include <cstdint>
@@ -14,13 +16,23 @@
 
 namespace sstar {
 
-/// Flop counts of Factor(k): per column, pivot search + scale (BLAS-1)
-/// and the rank-1 panel update (BLAS-2).
+/// Flop counts of factoring a w-column block with nr L-panel rows: per
+/// column, pivot search + scale (BLAS-1) and the rank-1 panel update
+/// (BLAS-2).
+blas::FlopCount factor_flops(std::int64_t w, std::int64_t nr);
+
+/// Flop counts of updating nc columns with a w-column block whose L
+/// panel has nr rows: the DTRSM (BLAS-3), the DGEMM over the whole L
+/// panel (BLAS-3) and the subtraction of its product (BLAS-1). Columns
+/// the kernel skips as exactly zero count as run (FactorStats).
+blas::FlopCount update_flops(std::int64_t w, std::int64_t nr,
+                             std::int64_t nc);
+
+/// factor_flops of supernode k.
 blas::FlopCount factor_task_flops(const BlockLayout& lay, int k);
 
-/// Flop counts of Update(k, j) including the delayed row interchange
-/// bookkeeping (BLAS-1), the DTRSM (BLAS-3), the DGEMM over the whole L
-/// panel and the subtraction of its product (BLAS-1).
+/// update_flops of Update(k, j) over U block (k, j)'s columns; zero when
+/// the block is structurally zero.
 blas::FlopCount update_task_flops(const BlockLayout& lay, int k, int j);
 
 /// Flop counts of only the (i, j) target-block slice of Update(k, j) —

@@ -19,17 +19,6 @@
 
 namespace sstar::exec {
 
-double ExecStats::busy_total() const {
-  double sum = 0.0;
-  for (const double b : busy_seconds) sum += b;
-  return sum;
-}
-
-double ExecStats::efficiency() const {
-  return threads > 0 && seconds > 0.0 ? busy_total() / (threads * seconds)
-                                      : 0.0;
-}
-
 int default_thread_count() {
 #ifdef __linux__
   // The affinity mask, not the machine: under `taskset -c 0` this is 1.
@@ -126,18 +115,16 @@ struct RunState {
 
   // Runs task t and releases its successors; a throwing task releases
   // none.
-  void run_task(int t, int self, double* busy) {
+  void run_task(int t, int self) {
     const DagTask& task = tasks[static_cast<std::size_t>(t)];
     if (task.run) {
       const trace::ScopedTraceTask trace_task(t);
-      const WallTimer timer;
       try {
         task.run();
       } catch (...) {
         record_error(t);
         return;
       }
-      *busy += timer.seconds();
       tasks_run.fetch_add(1, std::memory_order_relaxed);
     }
     completed.fetch_add(1, std::memory_order_relaxed);
@@ -150,7 +137,7 @@ struct RunState {
     }
   }
 
-  void worker_loop(int self, double* busy) {
+  void worker_loop(int self) {
     // Tracing: this thread's events (kernel spans emitted inside task
     // bodies) belong to worker lane `self`.
     const trace::ScopedLane trace_lane(self);
@@ -169,7 +156,7 @@ struct RunState {
       // After a failure the run drains: tasks numbered below the lowest
       // thrower still run (one of them may throw first in index order),
       // the rest are dropped unrun.
-      if (t < failed.load(std::memory_order_acquire)) run_task(t, self, busy);
+      if (t < failed.load(std::memory_order_acquire)) run_task(t, self);
       // Successors were pushed (and counted) before this decrement, so
       // pending reaches 0 only when no task can become ready again.
       if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -198,7 +185,6 @@ ExecStats run_dag(const std::vector<DagTask>& tasks,
 
   ExecStats stats;
   stats.threads = nw;
-  stats.busy_seconds.assign(static_cast<std::size_t>(nw), 0.0);
 
   // Indegrees and successor lists, which one worker on forward edges
   // does not need.
@@ -242,9 +228,7 @@ ExecStats run_dag(const std::vector<DagTask>& tasks,
       const DagTask& task = tasks[static_cast<std::size_t>(t)];
       if (!task.run) continue;
       const trace::ScopedTraceTask trace_task(t);
-      const WallTimer timer;
       task.run();
-      stats.busy_seconds[0] += timer.seconds();
       ++stats.tasks_run;
     }
     stats.seconds = wall.seconds();
@@ -272,9 +256,7 @@ ExecStats run_dag(const std::vector<DagTask>& tasks,
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(nw));
   for (int w = 0; w < nw; ++w)
-    pool.emplace_back([&state, w, busy = &stats.busy_seconds[w]] {
-      state.worker_loop(w, busy);
-    });
+    pool.emplace_back([&state, w] { state.worker_loop(w); });
   for (std::thread& th : pool) th.join();
   stats.seconds = wall.seconds();
 

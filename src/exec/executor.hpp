@@ -15,6 +15,12 @@
 // Completion counters use acquire/release ordering, so a task's body
 // happens-before every successor's body; code executed through run_dag
 // needs no further synchronization for data flowing along DAG edges.
+//
+// Each body runs under the trace's thread tags (trace/trace.hpp): the
+// worker's lane and the task's index, which kernel spans carry and the
+// dynamic access log (analysis/access_log) attributes accesses to. The
+// executor reads the clock only around the whole run; per-worker busy
+// and idle time come from a trace of the run (trace::phase_breakdown).
 #pragma once
 
 #include <cstdint>
@@ -42,14 +48,9 @@ struct ExecOptions {
 /// What a run_dag call measured.
 struct ExecStats {
   int threads = 1;
-  double seconds = 0.0;              ///< wall time of the parallel region
-  std::int64_t tasks_run = 0;        ///< tasks with a non-empty body
-  std::int64_t steals = 0;           ///< cross-worker deque pops
-  std::vector<double> busy_seconds;  ///< per worker: time inside bodies
-
-  double busy_total() const;
-  /// busy_total / (threads * seconds): 1.0 = perfectly parallel.
-  double efficiency() const;
+  double seconds = 0.0;        ///< wall time of the parallel region
+  std::int64_t tasks_run = 0;  ///< tasks with a non-empty body
+  std::int64_t steals = 0;     ///< cross-worker deque pops
 };
 
 /// The CPUs this process may run on (its affinity mask; where that is

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <thread>
 
-#include "analysis/access_log.hpp"
 #include "comm/proc_transport.hpp"
 #include "comm/serialize.hpp"
 #include "exec/lu_real.hpp"
@@ -52,14 +51,14 @@ void run_rank(const sim::ParallelProgram& prog, int rank, SStarNumeric& num,
   num.assemble(a);  // a DistBlockStore scatters only its owned columns
 
   // Tracing: this rank's thread records on lane `rank`; each task's
-  // kernel spans and transport events carry the program task id.
+  // kernel spans, transport events and audited block accesses carry
+  // the program task id.
   const trace::ScopedLane trace_lane(rank);
   for (const sim::TaskId t : prog.proc_order(rank)) {
     const sim::TaskDef& def = prog.task(t);
     if (def.kernels.empty() && def.pre_comms.empty() &&
         def.post_comms.empty())
       continue;  // modeling-only task (work shares, barriers)
-    SSTAR_AUDIT_TASK(t);
     const trace::ScopedTraceTask trace_task(t);
     for (const sim::CommOp& op : def.pre_comms) {
       if (op.kind == sim::CommOp::Kind::kRecv) {

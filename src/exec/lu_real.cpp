@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "analysis/access_log.hpp"
 #include "util/check.hpp"
 
 namespace sstar::exec {
@@ -23,7 +22,6 @@ void run_lu_task(SStarNumeric& numeric, const LuTask& task) {
 ExecStats factorize_parallel(const LuTaskGraph& graph, SStarNumeric& numeric,
                              int threads) {
   const auto body = [&graph, &numeric](int t) {
-    SSTAR_AUDIT_TASK(t);
     run_lu_task(numeric, graph.task(t));
   };
   std::vector<DagTask> tasks(static_cast<std::size_t>(graph.num_tasks()));
@@ -58,8 +56,7 @@ ExecStats execute_program(const sim::ParallelProgram& prog,
     const sim::TaskDef& def = prog.task(t);
     DagTask& dt = tasks[static_cast<std::size_t>(t)];
     if (!def.kernels.empty()) {
-      dt.run = [&numeric, &def, t] {
-        SSTAR_AUDIT_TASK(t);
+      dt.run = [&numeric, &def] {
         for (const LuTask& task : def.kernels) run_lu_task(numeric, task);
       };
     }

@@ -1,5 +1,6 @@
 #include "ordering/transversal.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
@@ -85,10 +86,25 @@ Transversal max_transversal(const SparseMatrix& a) {
 
 std::vector<int> zero_free_diagonal_rows(const SparseMatrix& a) {
   Transversal t = max_transversal(a);
-  SSTAR_CHECK_MSG(t.complete(a.cols()),
-                  "matrix is structurally singular: only "
-                      << t.matched << " of " << a.cols()
-                      << " columns matched");
+  const int n = a.cols();
+  if (!t.complete(n)) {
+    // Name the first column and the first row the matching left out, in
+    // A's own numbering.
+    std::vector<char> row_matched(static_cast<std::size_t>(n), 0);
+    int col = -1;
+    for (int j = 0; j < n; ++j) {
+      const int r = t.row_for_col[static_cast<std::size_t>(j)];
+      if (r >= 0)
+        row_matched[static_cast<std::size_t>(r)] = 1;
+      else if (col < 0)
+        col = j;
+    }
+    const auto row = std::find(row_matched.begin(), row_matched.end(), 0) -
+                     row_matched.begin();
+    SSTAR_FAIL("matrix is structurally singular: only "
+               << t.matched << " of " << n << " columns matched; column "
+               << col << " and row " << row << " are unmatched");
+  }
   return std::move(t.row_for_col);
 }
 

@@ -30,7 +30,8 @@ Transversal max_transversal(const SparseMatrix& a);
 
 /// The row permutation (new -> old) of a complete transversal:
 /// A.permuted(result, {}) has a zero-free diagonal. Throws CheckError if
-/// A is structurally singular.
+/// A is structurally singular, naming a column and a row of A that the
+/// maximum transversal leaves unmatched.
 std::vector<int> zero_free_diagonal_rows(const SparseMatrix& a);
 
 /// Convenience: permute rows of A so the diagonal is zero-free. Throws

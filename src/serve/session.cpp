@@ -4,7 +4,6 @@
 
 #include "trace/trace.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace sstar::serve {
 
@@ -26,12 +25,12 @@ SolveSession::SolveSession(std::shared_ptr<const Factorization> factor,
   for (int k = 0; k < nb; ++k) {
     tasks_[static_cast<std::size_t>(graph.forward_task(k))].run =
         [this, num, k] {
-          const trace::KernelSpan span(trace::EventKind::kFSolve, k, -1);
+          const trace::KernelSpan span(trace::EventKind::kFSolve, k, -1, 0);
           num->forward_block_panel(k, panel_.data(), cur_cols_, cur_cols_);
         };
     tasks_[static_cast<std::size_t>(graph.backward_task(k))].run =
         [this, num, k] {
-          const trace::KernelSpan span(trace::EventKind::kBSolve, k, -1);
+          const trace::KernelSpan span(trace::EventKind::kBSolve, k, -1, 0);
           num->backward_block_panel(k, panel_.data(), cur_cols_, cur_cols_);
         };
   }
@@ -42,7 +41,6 @@ SolveSession::SolveSession(std::shared_ptr<const Factorization> factor,
 
 void SolveSession::sweep(int ncols) {
   cur_cols_ = ncols;
-  ++stats_.sweeps;
   if (opt_.threads <= 1) {
     // Inline sequential replay: exactly the order solve() uses.
     const int nb = factor_->graph().num_blocks();
@@ -62,14 +60,9 @@ std::vector<double> SolveSession::solve(const std::vector<double>& b) {
 
 std::vector<double> SolveSession::solve_multi(const std::vector<double>& b,
                                               int nrhs) {
-  const WallTimer timer;
-  std::vector<double> x =
-      solve_in_panels(factor_->setup(), b, nrhs, /*transpose=*/false,
-                      opt_.panel_width, panel_, [this](int w) { sweep(w); });
-  ++stats_.requests;
-  stats_.columns += nrhs;
-  stats_.seconds += timer.seconds();
-  return x;
+  return solve_in_panels(factor_->setup(), b, nrhs, /*transpose=*/false,
+                         opt_.panel_width, panel_,
+                         [this](int w) { sweep(w); });
 }
 
 }  // namespace sstar::serve

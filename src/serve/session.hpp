@@ -1,11 +1,11 @@
 // Per-client solve state against a shared immutable Factorization.
 //
 // Memory model (DESIGN.md §14): ALL mutable state of a solve — the
-// row-major RHS panel scratch, the prebuilt DAG task closures, the
-// running statistics — lives inside the session; the Factorization is
-// only ever read. A session is therefore NOT thread-safe (one session
-// per client thread), but any number of sessions may solve against the
-// same Factorization concurrently with no locking whatsoever.
+// row-major RHS panel scratch and the prebuilt DAG task closures —
+// lives inside the session; the Factorization is only ever read. A
+// session is therefore NOT thread-safe (one session per client
+// thread), but any number of sessions may solve against the same
+// Factorization concurrently with no locking whatsoever.
 //
 // Solves take Solver's one path (solve_in_panels, solve/solver.hpp):
 // the caller's columns are gathered, `panel_width` at a time, straight
@@ -19,7 +19,6 @@
 // panel width, and backend choice (for a fixed backend).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -31,13 +30,6 @@ namespace sstar::serve {
 struct SessionOptions {
   int threads = 1;      ///< workers per sweep; <= 1 runs sweeps inline
   int panel_width = 32; ///< max RHS columns swept through the factor at once
-};
-
-struct SessionStats {
-  std::int64_t requests = 0;  ///< solve()/solve_multi() calls
-  std::int64_t columns = 0;   ///< right-hand-side columns solved
-  std::int64_t sweeps = 0;    ///< factor traversals (panel sweeps)
-  double seconds = 0.0;       ///< wall time inside solve calls
 };
 
 class SolveSession {
@@ -55,14 +47,12 @@ class SolveSession {
 
   const Factorization& factorization() const { return *factor_; }
   const SessionOptions& options() const { return opt_; }
-  const SessionStats& stats() const { return stats_; }
 
  private:
   void sweep(int ncols);  ///< run one panel traversal over panel_
 
   std::shared_ptr<const Factorization> factor_;
   SessionOptions opt_;
-  SessionStats stats_;
 
   // Sweep scratch: row-major n x cur_cols_ panel (row i's values
   // contiguous). Task closures read panel_/cur_cols_ at run time, so

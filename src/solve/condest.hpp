@@ -26,8 +26,8 @@ ConditionEstimate estimate_condition(const Solver& solver,
                                      int max_iterations = 5);
 
 /// Same estimate through a serving session: forward solves route
-/// through the session's panel sweep (the session also books them in
-/// its stats), transpose solves through the wrapped solver. BITWISE
+/// through the session's panel sweep, transpose solves through the
+/// wrapped solver. BITWISE
 /// equal to the Solver overload — session solves reproduce
 /// Solver::solve exactly. `a` must be the matrix the session's
 /// factorization was built from.

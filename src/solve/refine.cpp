@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -11,9 +12,14 @@ namespace {
 
 // Component-wise backward error max_i |r_i| / (|A||x| + |b|)_i (Oettli–
 // Prager) of one column, the standard refinement stopping criterion.
+// +inf when an entry of x or r is not finite: there the quotient would
+// be inf/inf = NaN, which std::max drops.
 double backward_error_col(const SparseMatrix& a, const double* x,
                           const double* b, const double* r) {
   const int n = a.rows();
+  for (int i = 0; i < n; ++i)
+    if (!std::isfinite(x[i]) || !std::isfinite(r[i]))
+      return std::numeric_limits<double>::infinity();
   std::vector<double> denom(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) denom[i] = std::fabs(b[i]);
   for (int j = 0; j < a.cols(); ++j) {
@@ -47,7 +53,9 @@ void multiply_column(const SparseMatrix& a, const double* x, double* y) {
 // The refinement loop over column-major n x nrhs right-hand sides.
 // `solve(panel, ncols)` solves ncols columns as one panel; every
 // still-unconverged column sweeps the factor in ONE panel per
-// iteration, and columns drop out as they converge. Parameterized over
+// iteration, and columns drop out as they converge, or unconverged
+// when their backward error is infinite (a non-finite x or residual
+// cannot be corrected, and the solve would reject it). Parameterized over
 // the panel solve so the Solver and SolveSession entry points share one
 // body; refined_solve is its nrhs == 1 case.
 template <typename SolveFn>
@@ -79,11 +87,11 @@ RefineMultiResult refine(const SparseMatrix& a, const std::vector<double>& b,
       multiply_column(a, xc, ax.data());
       for (int i = 0; i < n; ++i) rc[i] = bc[i] - ax[i];
       out.iterations[static_cast<std::size_t>(c)] = iter;
-      out.backward_error[static_cast<std::size_t>(c)] =
-          backward_error_col(a, xc, bc, rc);
-      if (out.backward_error[static_cast<std::size_t>(c)] <= opt.tolerance)
+      const double e = backward_error_col(a, xc, bc, rc);
+      out.backward_error[static_cast<std::size_t>(c)] = e;
+      if (e <= opt.tolerance)
         out.converged[static_cast<std::size_t>(c)] = true;
-      else
+      else if (std::isfinite(e))
         still.push_back(c);
     }
     active = std::move(still);

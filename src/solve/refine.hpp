@@ -18,9 +18,10 @@ namespace sstar {
 
 /// Component-wise relative backward error max_i |r_i| / (|A||x| + |b|)_i
 /// (Oettli–Prager) of an approximate solution x with residual
-/// r = b - Ax. The refinement stopping criterion, exposed for the
-/// stability monitor (solve/stability.hpp) so its residual gate is the
-/// same arithmetic refinement converges against.
+/// r = b - Ax; +inf when an entry of x or r is not finite. The
+/// refinement stopping criterion, exposed for the stability monitor
+/// (solve/stability.hpp) so its residual gate is the same arithmetic
+/// refinement converges against.
 double componentwise_backward_error(const SparseMatrix& a,
                                     const std::vector<double>& x,
                                     const std::vector<double>& b,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -36,14 +37,22 @@ SolverSetup prepare(const SparseMatrix& a, const SolverOptions& opt) {
   //    The scales come from A and are applied to the one permuted copy
   //    made below, so A itself is never copied.
   if (opt.equilibrate) {
-    // Row scales: 1 / max |row| (empty rows keep scale 1).
+    // A scale is 1 / max (empty rows and columns keep scale 1), with the
+    // max clamped into [DBL_MIN, 1 / DBL_MIN] first, as LAPACK's dgeequ
+    // does: 1 / a subnormal max would overflow to inf, and inf times a
+    // zero column scale is NaN.
+    const auto invert = [](double& s) {
+      constexpr double kSmall = std::numeric_limits<double>::min();
+      s = s > 0.0 ? 1.0 / std::clamp(s, kSmall, 1.0 / kSmall) : 1.0;
+    };
+    // Row scales: 1 / max |row|.
     setup.row_scale.assign(static_cast<std::size_t>(n), 0.0);
     for (int j = 0; j < n; ++j)
       for (int k = a.col_begin(j); k < a.col_end(j); ++k)
         setup.row_scale[a.row_idx()[k]] =
             std::max(setup.row_scale[a.row_idx()[k]],
                      std::fabs(a.values()[k]));
-    for (double& s : setup.row_scale) s = s > 0.0 ? 1.0 / s : 1.0;
+    std::for_each(setup.row_scale.begin(), setup.row_scale.end(), invert);
 
     // Column scales on the row-scaled matrix.
     setup.col_scale.assign(static_cast<std::size_t>(n), 0.0);
@@ -53,7 +62,7 @@ SolverSetup prepare(const SparseMatrix& a, const SolverOptions& opt) {
             std::max(setup.col_scale[j],
                      std::fabs(a.values()[k]) *
                          setup.row_scale[a.row_idx()[k]]);
-    for (double& s : setup.col_scale) s = s > 0.0 ? 1.0 / s : 1.0;
+    std::for_each(setup.col_scale.begin(), setup.col_scale.end(), invert);
   }
 
   // 1. Row transversal for a zero-free diagonal.
@@ -103,11 +112,17 @@ SolverSetup prepare(const SparseMatrix& a, const SolverOptions& opt) {
   setup.col_perm = std::move(q);
   setup.permuted = a.permuted(setup.row_perm, setup.col_perm);
   if (opt.equilibrate) {
+    // One multiply by the two scales' product; where the product
+    // overflows (a clamped subnormal row max), one multiply by each.
     SparseMatrix& p = setup.permuted;
-    for (int j = 0; j < n; ++j)
-      for (int k = p.col_begin(j); k < p.col_end(j); ++k)
-        p.values()[k] *= setup.row_scale[setup.row_perm[p.row_idx()[k]]] *
-                         setup.col_scale[setup.col_perm[j]];
+    for (int j = 0; j < n; ++j) {
+      const double cs = setup.col_scale[setup.col_perm[j]];
+      for (int k = p.col_begin(j); k < p.col_end(j); ++k) {
+        const double rs = setup.row_scale[setup.row_perm[p.row_idx()[k]]];
+        double& v = p.values()[k];
+        v = std::isfinite(rs * cs) ? v * (rs * cs) : v * rs * cs;
+      }
+    }
   }
 
   // 3. Static symbolic factorization + 2D L/U supernode partitioning.
@@ -155,6 +170,14 @@ std::vector<double> solve_in_panels(const SolverSetup& setup,
   const std::size_t n = setup.row_perm.size();
   SSTAR_CHECK(nrhs >= 0 && panel_width >= 1);
   SSTAR_CHECK(b.size() == n * static_cast<std::size_t>(nrhs));
+  // Reject NaN and Inf before any sweep, by their (row, col) in b: past
+  // this point they spread through the sweep into x.
+  const auto bad = std::find_if(b.begin(), b.end(),
+                                [](double v) { return !std::isfinite(v); });
+  SSTAR_CHECK_MSG(bad == b.end(),
+                  "non-finite right-hand side entry "
+                      << *bad << " at (row " << (bad - b.begin()) % n
+                      << ", col " << (bad - b.begin()) / n << ")");
   const auto& in_perm = transpose ? setup.col_perm : setup.row_perm;
   const auto& in_scale = transpose ? setup.col_scale : setup.row_scale;
   const auto& out_perm = transpose ? setup.row_perm : setup.col_perm;

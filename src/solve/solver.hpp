@@ -95,6 +95,8 @@ SolverSetup prepare(const SparseMatrix& a, const SolverOptions& opt);
 /// R (Dr A Dc) Cᵀ, so A gathers through row_perm/row_scale and
 /// scatters through col_perm/col_scale; Aᵀ swaps the two. Each entry
 /// is moved with the same single multiply at any width or chunking.
+/// Throws CheckError naming the first non-finite entry of B
+/// (column-major order) by its (row, col), before any sweep.
 std::vector<double> solve_in_panels(const SolverSetup& setup,
                                     const std::vector<double>& b, int nrhs,
                                     bool transpose, int panel_width,

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <sstream>
 
-#include "blas/flops.hpp"
 #include "util/check.hpp"
 
 namespace sstar::trace {
@@ -139,6 +138,8 @@ int TraceCollector::exchange_task(int task) {
   return prev;
 }
 
+int TraceCollector::current_task() { return tags().task; }
+
 TraceCollector::Buffer* TraceCollector::claim_buffer() {
   const std::lock_guard<std::mutex> lock(mu_);
   buffers_.push_back(std::make_unique<Buffer>());
@@ -177,11 +178,14 @@ Trace TraceCollector::take() {
   return out;
 }
 
-KernelSpan::KernelSpan(EventKind kind, int k, int j)
-    : collector_(TraceCollector::active()), kind_(kind), k_(k), j_(j) {
+KernelSpan::KernelSpan(EventKind kind, int k, int j, std::uint64_t flops)
+    : collector_(TraceCollector::active()),
+      kind_(kind),
+      k_(k),
+      j_(j),
+      flops_(flops) {
   if (collector_ == nullptr) return;
   t0_ = TraceCollector::now();
-  flops0_ = blas::flop_counter().total();
 }
 
 KernelSpan::~KernelSpan() {
@@ -192,8 +196,7 @@ KernelSpan::~KernelSpan() {
   e.j = j_;
   e.t0 = t0_;
   e.t1 = TraceCollector::now();
-  e.flops =
-      static_cast<std::int64_t>(blas::flop_counter().total() - flops0_);
+  e.flops = static_cast<std::int64_t>(flops_);
   TraceCollector::record(e);
 }
 

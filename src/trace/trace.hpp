@@ -6,7 +6,7 @@
 // per-phase time breakdowns: computation, communication, idle. The
 // simulator (sim/event_sim) PREDICTS those; this layer MEASURES them.
 // Kernels emit one span per Factor/ScaleSwap/Update invocation (block
-// coordinates + the exact flops the thread performed inside), the
+// coordinates + the task model's exact flop count of the task), the
 // in-process transport emits one event per send and one wait span per
 // blocking recv (bytes, matched source, tag), and every event lands in
 // a lock-free per-thread buffer merged after the run. Consumers:
@@ -124,6 +124,11 @@ class TraceCollector {
   /// the previous tag.
   static int exchange_task(int task);
 
+  /// The calling thread's task tag (-1 = none), set by the executors
+  /// whether or not a collector is active. The access log attributes
+  /// recorded block accesses to it (analysis/access_log).
+  static int current_task();
+
   /// Append one event on behalf of the calling thread. `e.lane` and
   /// `e.task` are overwritten with the thread's current tags unless
   /// `explicit_lane` is set. No-op when no collector is active.
@@ -165,13 +170,14 @@ class ScopedTraceTask {
   int prev_;
 };
 
-/// RAII kernel span: captures the begin time and the calling thread's
-/// flop counter at construction, emits one event at destruction with
-/// the flop delta. When no collector is active the constructor is a
-/// single relaxed load and the destructor a null check.
+/// RAII kernel span: captures the begin time at construction and emits
+/// one event at destruction carrying the caller's flop count — the task
+/// model's count for Factor and Update (core/task_model), 0 for the
+/// ScaleSwap and solve stages. When no collector is active the
+/// constructor is a single relaxed load and the destructor a null check.
 class KernelSpan {
  public:
-  KernelSpan(EventKind kind, int k, int j);
+  KernelSpan(EventKind kind, int k, int j, std::uint64_t flops);
   ~KernelSpan();
   KernelSpan(const KernelSpan&) = delete;
   KernelSpan& operator=(const KernelSpan&) = delete;
@@ -180,8 +186,8 @@ class KernelSpan {
   TraceCollector* collector_;  // active() at construction
   EventKind kind_;
   int k_, j_;
+  std::uint64_t flops_;
   double t0_ = 0.0;
-  std::uint64_t flops0_ = 0;
 };
 
 }  // namespace sstar::trace

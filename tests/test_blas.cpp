@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "blas/dense_blas.hpp"
-#include "blas/flops.hpp"
 #include "util/rng.hpp"
 
 namespace sstar::blas {
@@ -180,29 +179,6 @@ TEST(Gemm, GeneralAlphaPath) {
   for (auto& v : b3) v *= -3.0;
   dgemm(m, n, k, 1.0, a.data(), m, b3.data(), k, 1.0, c2.data(), m);
   for (std::size_t i = 0; i < c1.size(); ++i) EXPECT_NEAR(c1[i], c2[i], 1e-10);
-}
-
-TEST(Flops, CountersTrackLevels) {
-  reset_flop_counter();
-  auto a = random_vec(100, 1);
-  auto x = random_vec(10, 2);
-  auto y = random_vec(10, 3);
-  FlopRegion region;
-  dger(10, 10, 1.0, x.data(), y.data(), a.data(), 10);
-  auto d = region.delta();
-  EXPECT_EQ(d.blas2, 200u);
-  EXPECT_EQ(d.blas3, 0u);
-
-  FlopRegion r2;
-  dgemm(10, 10, 10, 1.0, a.data(), 10, a.data(), 10, 0.0, a.data(), 10);
-  d = r2.delta();
-  EXPECT_EQ(d.blas3, 2000u);
-
-  FlopRegion r3;
-  dscal(10, 2.0, x.data());
-  d = r3.delta();
-  EXPECT_EQ(d.blas1, 10u);
-  EXPECT_EQ(d.total(), 10u);
 }
 
 }  // namespace

@@ -1,12 +1,18 @@
 // Edge cases and determinism guarantees across the library.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/lu_2d.hpp"
 #include "matrix/io.hpp"
 #include "ordering/transversal.hpp"
+#include "solve/refine.hpp"
 #include "solve/solver.hpp"
+#include "solve/stability.hpp"
 #include "supernode/partition.hpp"
 #include "symbolic/static_symbolic.hpp"
 #include "test_helpers.hpp"
@@ -151,6 +157,104 @@ TEST(Solver, PermutedSolveMatchesUnpermutedSemantics) {
     const auto ax = a.multiply(x);
     for (int r = 0; r < n; ++r)
       EXPECT_NEAR(ax[r], r == i ? 1.0 : 0.0, 1e-10);
+  }
+}
+
+// Hostile matrices, each solved with and without equilibration. Every
+// case states its contract and the test asserts it: the guarded solve
+// passes with componentwise backward error <= 1e-12, or it reports a
+// failed gate, or construction/factorization throws a CheckError (or
+// PivotError) naming the offending column or row. Nothing may crash,
+// hang, or return a non-finite x under a passing gate.
+enum class Contract { kPass, kGateFails, kThrows };
+
+struct HostileCase {
+  const char* name;
+  int n;
+  std::vector<Triplet> entries;
+  std::vector<double> b;
+  Contract plain;         // without equilibration
+  Contract equilibrated;  // with it
+  const char* names = "";  // kThrows: what the message must name
+};
+
+std::vector<HostileCase> hostile_gallery() {
+  const auto pass = Contract::kPass;
+  const auto fails = Contract::kGateFails;
+  const auto throws = Contract::kThrows;
+  return {
+      {"n = 0", 0, {}, {}, pass, pass},
+      {"n = 1", 1, {{0, 0, 3.0}}, {6.0}, pass, pass},
+      {"n = 2", 2, {{0, 0, 2.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 3.0}},
+       {3.0, 4.0}, pass, pass},
+      {"empty column", 3, {{0, 0, 1.0}, {1, 0, 1.0}, {1, 2, 1.0},
+                           {2, 2, 1.0}},
+       {1.0, 1.0, 1.0}, throws, throws, "column 1"},
+      {"empty row", 3, {{0, 0, 1.0}, {0, 1, 1.0}, {0, 2, 2.0}, {1, 1, 1.0},
+                        {1, 2, 1.0}},
+       {1.0, 1.0, 1.0}, throws, throws, "row 2"},
+      // Duplicates are summed: A = [[2, 0], [1, 3]].
+      {"duplicate entries", 2, {{0, 0, 1.0}, {0, 0, 1.0}, {1, 0, 0.5},
+                                {1, 0, 0.5}, {1, 1, 3.0}},
+       {2.0, 4.0}, pass, pass},
+      // Stored zeros on the diagonal: the transversal may match them, and
+      // the pivot search must still find the off-diagonal ones.
+      {"explicit zeros", 2, {{0, 0, 0.0}, {0, 1, 1.0}, {1, 0, 1.0},
+                             {1, 1, 0.0}},
+       {1.0, 2.0}, pass, pass},
+      {"zero pivot", 2, {{0, 0, 1.0}, {1, 1, 0.0}}, {1.0, 1.0}, throws,
+       throws, "column 1"},
+      {"1e-310 diagonal", 2, {{0, 0, 1e-310}, {1, 1, 1.0}}, {1e-310, 1.0},
+       pass, pass},
+      {"4e-320 diagonal", 2, {{0, 0, 4e-320}, {1, 1, 1.0}}, {4e-320, 1.0},
+       pass, pass},
+      // Rows scaled by 1e300 and 1e-300: without equilibration the
+      // multiplier 1e-600 underflows to 0, and one refinement step does
+      // not recover; equilibration makes the matrix [[1, 1], [1, 2]].
+      {"1e+-300 scaling", 2, {{0, 0, 1e300}, {0, 1, 1e300}, {1, 0, 1e-300},
+                              {1, 1, 2e-300}},
+       {2e300, 3e-300}, fails, pass},
+      // x = (1e310, -1e310) overflows to (inf, -inf).
+      {"overflowing solution", 2, {{0, 0, 1e-300}, {1, 0, 0.5}, {1, 1, 1.0}},
+       {1e10, 1.0}, fails, fails},
+  };
+}
+
+TEST(EdgeCases, HostileMatrixGallery) {
+  for (const HostileCase& c : hostile_gallery()) {
+    const SparseMatrix a = SparseMatrix::from_triplets(c.n, c.n, c.entries);
+    for (const bool equilibrate : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.name << (equilibrate ? ", equilibrated" : ""));
+      const Contract want = equilibrate ? c.equilibrated : c.plain;
+      SolverOptions opt;
+      opt.equilibrate = equilibrate;
+      if (want == Contract::kThrows) {
+        try {
+          Solver solver(a, opt);
+          solver.factorize();
+          ADD_FAILURE() << "accepted";
+        } catch (const CheckError& e) {
+          EXPECT_NE(std::string(e.what()).find(c.names), std::string::npos)
+              << e.what();
+        }
+        continue;
+      }
+      Solver solver(a, opt);
+      solver.factorize();
+      const StabilityReport rep = guarded_solve(solver, a, c.b);
+      ASSERT_EQ(rep.x.size(), static_cast<std::size_t>(c.n));
+      const bool finite = std::all_of(
+          rep.x.begin(), rep.x.end(),
+          [](double v) { return std::isfinite(v); });
+      EXPECT_TRUE(finite || !rep.gate_passed);
+      EXPECT_EQ(rep.gate_passed, want == Contract::kPass) << rep.describe();
+      if (want != Contract::kPass) continue;
+      const std::vector<double> ax = a.multiply(rep.x);
+      std::vector<double> r(c.b.size());
+      for (std::size_t i = 0; i < r.size(); ++i) r[i] = c.b[i] - ax[i];
+      EXPECT_LE(componentwise_backward_error(a, rep.x, c.b, r), 1e-12);
+    }
   }
 }
 

@@ -232,10 +232,7 @@ TEST(Executor, StatsAreCoherent) {
   const ExecStats st = run_dag(tasks, {}, threads(4));
   EXPECT_EQ(st.threads, 4);
   EXPECT_EQ(st.tasks_run, 64);
-  EXPECT_EQ(static_cast<int>(st.busy_seconds.size()), 4);
   EXPECT_GT(st.seconds, 0.0);
-  EXPECT_GE(st.busy_total(), 0.0);
-  EXPECT_GE(st.efficiency(), 0.0);
 }
 
 }  // namespace

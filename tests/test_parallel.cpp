@@ -78,8 +78,8 @@ TEST(TaskGraph, StructureMatchesPaperProperties) {
 }
 
 TEST(TaskModel, MatchesExecutedFlopsExactly) {
-  // The analytic model must equal the kernel's own flop counters —
-  // otherwise every simulated time in the benches is fiction.
+  // The counts the kernels book per task must sum to the model's total
+  // for the layout: one formula prices the simulation and the stats.
   const auto f = Fixture::make(70, 4, 23, 10, 4);
   SStarNumeric num(*f.layout);
   num.assemble(f.a);

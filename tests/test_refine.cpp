@@ -4,8 +4,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
+#include "serve/factorization.hpp"
+#include "serve/session.hpp"
 #include "solve/refine.hpp"
+#include "solve/stability.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -70,6 +74,43 @@ TEST(Refine, ReportsFailureWhenCapped) {
       refined_solve(solver, a, testing::random_vector(40, 1), opt);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.iterations, 0);
+}
+
+// A = [[1e-300, 0], [0.5, 1]] and b = (1e10, 1) solve to x = (inf, -inf).
+// Where x or r is not finite the backward error is +inf, not the NaN
+// that max() would drop, so no gate passes it, and refinement does not
+// feed the non-finite residual into another solve.
+TEST(Refine, NonFiniteSolutionNeverConverges) {
+  const auto a = SparseMatrix::from_triplets(
+      2, 2, {{0, 0, 1e-300}, {1, 0, 0.5}, {1, 1, 1.0}});
+  const std::vector<double> b{1e10, 1.0};
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto factor = serve::Factorization::create(a);
+  const Solver& solver = factor->solver();
+
+  const auto x = solver.solve(b);
+  ASSERT_FALSE(std::isfinite(x[0]));
+  const auto ax = a.multiply(x);
+  const std::vector<double> r{b[0] - ax[0], b[1] - ax[1]};
+  EXPECT_EQ(componentwise_backward_error(a, x, b, r), inf);
+
+  const RefineResult one = refined_solve(solver, a, b);
+  EXPECT_FALSE(one.converged);
+  EXPECT_EQ(one.backward_error, inf);
+  EXPECT_EQ(one.iterations, 0);
+
+  // Next to a benign column, which still converges.
+  std::vector<double> panel = b;
+  panel.insert(panel.end(), {1e-300, 1.5});  // A (1, 1)
+  serve::SolveSession session(factor);
+  const RefineMultiResult multi = refined_solve_multi(session, a, panel, 2);
+  EXPECT_FALSE(multi.converged[0]);
+  EXPECT_EQ(multi.backward_error[0], inf);
+  EXPECT_TRUE(multi.converged[1]);
+
+  Solver guarded(a);
+  guarded.factorize();
+  EXPECT_FALSE(guarded_solve(guarded, a, b).gate_passed);
 }
 
 TEST(Refine, RequiresFactorizedSolver) {

@@ -125,28 +125,5 @@ TEST(ServeConcurrent, HandleOutlivesTheCreatingScope) {
   expect_bits_equal(got, want, "post-release solve");
 }
 
-TEST(ServeConcurrent, StatsStayPerSession) {
-  const int n = 50;
-  const SparseMatrix a = testing::random_sparse(n, 4, 830);
-  const auto factor = serve::Factorization::create(a);
-  constexpr int kClients = 4;
-  std::vector<serve::SessionStats> stats(kClients);
-  std::vector<std::thread> clients;
-  for (int cl = 0; cl < kClients; ++cl)
-    clients.emplace_back([&, cl] {
-      serve::SolveSession session(factor);
-      const auto b = random_panel(n, cl + 1, 840 + static_cast<std::uint64_t>(cl));
-      for (int rep = 0; rep < cl + 1; ++rep) session.solve_multi(b, cl + 1);
-      stats[cl] = session.stats();
-    });
-  for (auto& t : clients) t.join();
-  for (int cl = 0; cl < kClients; ++cl) {
-    EXPECT_EQ(stats[cl].requests, cl + 1);
-    EXPECT_EQ(stats[cl].columns, static_cast<std::int64_t>(cl + 1) * (cl + 1));
-    EXPECT_EQ(stats[cl].sweeps, cl + 1);
-    EXPECT_GE(stats[cl].seconds, 0.0);
-  }
-}
-
 }  // namespace
 }  // namespace sstar

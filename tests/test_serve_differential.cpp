@@ -11,7 +11,9 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "serve/factorization.hpp"
@@ -19,6 +21,8 @@
 #include "solve/condest.hpp"
 #include "solve/refine.hpp"
 #include "test_helpers.hpp"
+#include "trace/trace.hpp"
+#include "util/check.hpp"
 
 namespace sstar {
 namespace {
@@ -29,6 +33,14 @@ std::vector<int> serve_thread_counts() {
     if (t >= 1) return {t};
   }
   return {1, 2, 4, 8};
+}
+
+// Factor traversals a traced run made: one FS(0) span per panel sweep.
+int sweeps(const trace::Trace& tr) {
+  int n = 0;
+  for (const trace::TraceEvent& e : tr.events)
+    n += e.kind == trace::EventKind::kFSolve && e.k == 0 ? 1 : 0;
+  return n;
 }
 
 // Bit-pattern equality: the contract is bitwise identity, not numeric
@@ -100,11 +112,12 @@ TEST(ServeDifferential, SessionMatchesSolverBitwise) {
       for (const int threads : serve_thread_counts()) {
         for (const int pw : {5, 32}) {
           serve::SolveSession session(factor, {threads, pw});
+          trace::TraceCollector collector;
+          collector.install();
           const auto got = session.solve_multi(b, nrhs);
+          collector.uninstall();
           expect_bits_equal(got, want, "session solve_multi");
-          EXPECT_EQ(session.stats().requests, 1);
-          EXPECT_EQ(session.stats().columns, nrhs);
-          EXPECT_EQ(session.stats().sweeps, (nrhs + pw - 1) / pw);
+          EXPECT_EQ(sweeps(collector.take()), (nrhs + pw - 1) / pw);
         }
       }
     }
@@ -142,9 +155,55 @@ TEST(ServeDifferential, EmptyPanelIsANoop) {
   const SparseMatrix a = testing::random_sparse(40, 4, 400);
   const auto factor = serve::Factorization::create(a);
   serve::SolveSession session(factor);
+  trace::TraceCollector collector;
+  collector.install();
   const auto x = session.solve_multi({}, 0);
+  collector.uninstall();
   EXPECT_TRUE(x.empty());
-  EXPECT_EQ(session.stats().sweeps, 0);
+  EXPECT_EQ(sweeps(collector.take()), 0);
+}
+
+// A NaN or Inf in B fails before any sweep, naming its (row, col) in B,
+// through every entry point that gathers B: the four Solver solves,
+// refinement and sessions. A session that rejected a request solves the
+// next one bitwise as before.
+TEST(ServeDifferential, NonFiniteRightHandSideFailsBeforeAnySweep) {
+  const int n = 60;
+  const SparseMatrix a = testing::random_sparse(n, 4, 500);
+  const auto factor = serve::Factorization::create(a);
+  const Solver& solver = factor->solver();
+  const auto expect_names = [](const auto& solve, const char* where) {
+    try {
+      solve();
+      ADD_FAILURE() << "non-finite right-hand side accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+          << e.what();
+    }
+  };
+  std::vector<double> b = testing::random_vector(n, 501);
+  b[17] = std::numeric_limits<double>::quiet_NaN();
+  // Column 2 of a 3-column panel: at panel width 1 the first two columns
+  // would be swept before its gather.
+  std::vector<double> panel = random_panel(n, 3, 502);
+  panel[2 * n + 5] = -std::numeric_limits<double>::infinity();
+  const std::vector<double> good = random_panel(n, 3, 503);
+
+  expect_names([&] { solver.solve(b); }, "nan at (row 17, col 0)");
+  expect_names([&] { solver.solve_transpose(b); }, "nan at (row 17, col 0)");
+  expect_names([&] { solver.solve_multi(panel, 3); }, "inf at (row 5, col 2)");
+  expect_names([&] { solver.solve_transpose_multi(panel, 3); },
+               "inf at (row 5, col 2)");
+  expect_names([&] { refined_solve(solver, a, b); }, "(row 17, col 0)");
+  for (const int threads : serve_thread_counts()) {
+    serve::SolveSession session(factor, {threads, 1});
+    expect_names([&] { session.solve_multi(panel, 3); },
+                 "inf at (row 5, col 2)");
+    expect_names([&] { refined_solve_multi(session, a, panel, 3); },
+                 "(row 5, col 2)");
+    expect_bits_equal(session.solve_multi(good, 3),
+                      solver.solve_multi(good, 3), "after a rejected request");
+  }
 }
 
 TEST(RefineMulti, ColumnsBitwiseEqualSingleRhsPath) {

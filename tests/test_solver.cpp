@@ -74,6 +74,24 @@ TEST(Solver, RejectsStructurallySingular) {
   EXPECT_THROW(Solver{a}, CheckError);
 }
 
+// The message names a column and a row the maximum transversal leaves
+// unmatched, in A's own numbering.
+TEST(Solver, StructurallySingularNamesUnmatchedColumnAndRow) {
+  const auto a =
+      SparseMatrix::from_triplets(2, 2, {{0, 0, 1.0}, {1, 0, 1.0}});
+  try {
+    Solver solver(a);
+    FAIL() << "structurally singular matrix accepted";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("only 1 of 2 columns matched"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("column 1 and row 1 are unmatched"),
+              std::string::npos)
+        << what;
+  }
+}
+
 // Plants `value` at the first stored entry of column 7 that is (`diag`)
 // or is not the diagonal, and expects prepare() to name that entry by its
 // original (row, col) before the pivot search can misreport it.

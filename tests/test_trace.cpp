@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "blas/flops.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
 #include "core/task_graph.hpp"
@@ -147,18 +146,16 @@ TEST(Trace, EventLabels) {
 
 // The sequential factorize() emits one Factor span per block and
 // Scale+Update span pairs, all on lane 0, whose flop sum equals the
-// thread's BLAS counter delta exactly.
+// factorization's exact count.
 TEST(Trace, SequentialFactorizeEmitsKernelSpans) {
   const auto f = Fixture::make(80, 4, 11);
   SStarNumeric num(*f.layout);
   num.assemble(f.a);
 
   trace::TraceCollector c;
-  const std::uint64_t flops0 = blas::flop_counter().total();
   c.install();
   num.factorize();
   c.uninstall();
-  const std::uint64_t flops1 = blas::flop_counter().total();
   const trace::Trace tr = c.take();
 
   int factor = 0, scale = 0, update = 0;
@@ -175,7 +172,7 @@ TEST(Trace, SequentialFactorizeEmitsKernelSpans) {
   EXPECT_EQ(factor, f.layout->num_blocks());
   EXPECT_EQ(scale, update);
   EXPECT_EQ(tr.num_lanes, 1);
-  EXPECT_EQ(span_flops, static_cast<std::int64_t>(flops1 - flops0));
+  EXPECT_EQ(span_flops, static_cast<std::int64_t>(num.stats().flops.total()));
 }
 
 // ----------------------------------------------------------------------
@@ -368,12 +365,10 @@ void check_invariants(const Variant& v, int ranks, const Fixture& f,
   const sim::ParallelProgram prog = build_variant(v, *f.layout, m);
 
   trace::TraceCollector collector;
-  const blas::FlopCount flops_before = blas::merged_flop_count();
   collector.install();
   SStarNumeric mp(*f.layout);
   const exec::MpStats st = exec::execute_program_mp(prog, f.a, mp);
   collector.uninstall();
-  const blas::FlopCount flops_after = blas::merged_flop_count();
   const trace::Trace tr = collector.take();
 
   // Tracing never perturbs the numerics.
@@ -422,14 +417,14 @@ void check_invariants(const Variant& v, int ranks, const Fixture& f,
   EXPECT_EQ(traced_tasks, expected_tasks);
 
   // Comm totals reconcile with the transport's own counters, and the
-  // kernel flop total with the process-wide BLAS counters.
+  // kernel flop total with the sequential factorization's exact count.
   const trace::PhaseBreakdown b = trace::phase_breakdown(tr);
   EXPECT_EQ(b.sends, st.total_messages());
   EXPECT_EQ(b.recvs, st.total_messages());
   EXPECT_EQ(b.total_sent_bytes, st.total_bytes());
   EXPECT_EQ(b.total_recv_bytes, st.total_bytes());
-  EXPECT_EQ(b.total_flops, static_cast<std::int64_t>(
-                               flops_after.total() - flops_before.total()));
+  EXPECT_EQ(b.total_flops,
+            static_cast<std::int64_t>(ref.stats().flops.total()));
 
   // The measured order never contradicts the program DAG on
   // conflicting-access pairs.

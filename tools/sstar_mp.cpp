@@ -17,9 +17,10 @@
 //     / idle — the measured version of the paper's Tables 5-7 split)
 //     of the traced run,
 //   * checks the trace against independent counts: summed span flops
-//     against the sequential reference's exact flops (the one count
-//     that sees forked ranks under --transport=proc), send events and
-//     bytes against the transport's counters (exit 1 on a mismatch),
+//     against the sequential reference's exact flops (so every Factor
+//     and Update task ran exactly once, on some rank, forked ranks
+//     under --transport=proc included), send events and bytes against
+//     the transport's counters (exit 1 on a mismatch),
 //   * checks an end-to-end solve residual,
 //   * with --memory, prints a per-rank store table (owned bytes, cache
 //     high water, panels cached) against the sim/memory_model
@@ -320,8 +321,8 @@ int main(int argc, char** argv) {
     failures += traffic.ok() ? 0 : 1;
 
     // The trace against independent counts: span flops against the
-    // sequential reference's (forked ranks' BLAS counters never reach
-    // this process), send events against the transport's counters.
+    // sequential reference's, send events against the transport's
+    // counters.
     const auto ref_flops =
         static_cast<std::int64_t>(ref.stats().flops.total());
     const bool flops_ok = phases.total_flops == ref_flops;
