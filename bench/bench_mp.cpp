@@ -1,14 +1,13 @@
 // Message-passing SPMD runtime benchmark.
 //
-// Runs the rank-per-thread message-passing executor (exec/lu_mp) —
-// private per-rank replicas, real factor-panel sends/receives over the
-// in-process transport — against the shared-memory work-stealing
-// executor on the same schedules, per rank count: measured seconds,
-// message count, communicated bytes, and a bitwise check of the merged
-// factors against the sequential factorization. The communication
-// columns are the point: the MP runtime pays for its distribution
-// honesty in serialized panel traffic, and this bench tracks that cost
-// alongside the wall clock.
+// Runs the message-passing executor (exec/lu_mp) — private per-rank
+// replicas, real factor-panel sends/receives over the transport — per
+// program and rank count: measured seconds against the sequential
+// factorization's, message count, communicated bytes, and a bitwise
+// check of the merged factors against the sequential factorization.
+// The communication columns are the point: the MP runtime pays for its
+// distribution honesty in serialized panel traffic, and this bench
+// tracks that cost alongside the wall clock.
 //
 // Each MP run also reports its measured per-rank peak store bytes
 // (owned area + panel-cache high water, from DistBlockStore) next to
@@ -75,10 +74,9 @@ int main(int argc, char** argv) {
   }
   json.end_object().key("matrices").begin_array();
 
-  TextTable table("bench_mp — message-passing vs shared-memory execution");
-  table.set_header({"matrix", "program", "ranks", "seq s", "mp s", "sm s",
-                    "msgs", "MB moved", "peak MB", "x seq", "pred",
-                    "bitwise"});
+  TextTable table("bench_mp — message-passing execution");
+  table.set_header({"matrix", "program", "ranks", "seq s", "mp s", "msgs",
+                    "MB moved", "peak MB", "x seq", "pred", "bitwise"});
 
   bool all_ok = true;
   for (const std::string& name : names) {
@@ -134,20 +132,13 @@ int main(int argc, char** argv) {
         for (const sim::MpMemoryPrediction::Rank& pr : pred.ranks)
           predicted_peaks.push_back(pr.peak_bytes);
 
-        SStarNumeric sm(lay);
-        sm.assemble(p.setup.permuted);
-        const exec::ExecStats sst =
-            v.two_d ? run_2d_real(lay, m, /*async=*/true, sm, ranks)
-                    : run_1d_real(lay, m, Schedule1DKind::kGraph, sm, ranks);
-        const bool identical =
-            exec::factors_bitwise_equal(ref, mp) &&
-            exec::factors_bitwise_equal(ref, sm);
+        const bool identical = exec::factors_bitwise_equal(ref, mp);
         all_ok = all_ok && identical && peak == predicted;
 
         table.add_row(
             {matrix_label(p), v.label, std::to_string(ranks),
              fmt_double(seq_seconds, 3), fmt_double(st.seconds, 3),
-             fmt_double(sst.seconds, 3), std::to_string(st.total_messages()),
+             std::to_string(st.total_messages()),
              fmt_double(static_cast<double>(st.total_bytes()) / 1.0e6, 2),
              fmt_double(static_cast<double>(peak) / 1.0e6, 2),
              fmt_double(static_cast<double>(peak) /
@@ -157,7 +148,6 @@ int main(int argc, char** argv) {
              identical ? "ok" : "MISMATCH"});
         json.begin_object().field("ranks", ranks).field("program", v.label);
         json.field("mp_seconds", st.seconds);
-        json.field("shared_memory_seconds", sst.seconds);
         json.field("messages", st.total_messages());
         json.field("bytes", st.total_bytes());
         json.field("identical_to_sequential", identical);
@@ -172,14 +162,12 @@ int main(int argc, char** argv) {
   json.end_array().end_object();
 
   table.set_footnote(
-      "mp = rank-per-thread message-passing executor (owner-only stores, "
-      "serialized factor-panel traffic); sm = shared-memory work-stealing "
-      "executor with the same schedule; 'peak MB' = sum over ranks of "
-      "owned + panel-cache high water, 'x seq' = that sum over the "
-      "sequential packed store, 'pred' = measured peak vs the "
-      "sim/memory_model replay; 'bitwise' = merged MP factors and the "
-      "shared-memory run's factors identical to the sequential "
-      "factorization.");
+      "mp = message-passing executor, one rank per thread or process "
+      "(owner-only stores, serialized factor-panel traffic); 'peak MB' = "
+      "sum over ranks of owned + panel-cache high water, 'x seq' = that "
+      "sum over the sequential packed store, 'pred' = measured peak vs the "
+      "sim/memory_model replay; 'bitwise' = merged MP factors identical "
+      "to the sequential factorization.");
   table.print();
 
   write_results("mp", opt.json_path, json);

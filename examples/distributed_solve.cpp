@@ -2,8 +2,8 @@
 // FEM-fluid-class matrix (a goodwin replica) with the 2D asynchronous
 // code across a sweep of processor counts, verify the parallel numerics
 // against the sequential factors, and print the speedup curve. Each P
-// builds ONE program: the simulator prices it and the thread executor
-// runs its kernels. Exits 1 if any P is not bit-identical.
+// builds ONE program: the simulator prices it and P message-passing
+// ranks run its kernels. Exits 1 if any P is not bit-identical.
 //
 //   ./example_distributed_solve [scale]   (default 0.25)
 #include <cstdio>
@@ -12,7 +12,7 @@
 #include "baseline/gplu.hpp"
 #include "cli/flags.hpp"
 #include "core/lu_2d.hpp"
-#include "exec/lu_real.hpp"
+#include "exec/lu_mp.hpp"
 #include "matrix/suite.hpp"
 #include "solve/solver.hpp"
 #include "util/table.hpp"
@@ -50,11 +50,10 @@ int main(int argc, char** argv) {
     const auto prog = build_2d_program(*setup.layout, m, /*async=*/true);
     const auto res = simulate_run(prog, m, /*grid_columns=*/true);
     if (p == 1) t1 = res.seconds;
-    // The same program's kernels, run on one thread, must produce
-    // bit-identical factors.
+    // The same program, run on P ranks, must produce bit-identical
+    // factors.
     SStarNumeric num(*setup.layout);
-    num.assemble(setup.permuted);
-    exec::execute_program(prog, num, /*threads=*/1);
+    exec::execute_program_mp(prog, setup.permuted, num);
     const auto got = num.solve(b);
     bool same = true;
     for (std::size_t i = 0; i < b.size(); ++i) same &= got[i] == want[i];

@@ -11,18 +11,14 @@ namespace sstar::analysis {
 namespace {
 
 /// Internal normalized form every audit reduces to: per-task declared
-/// access sets, display labels, happens-before edges, and the
-/// sequential order violations are reported in.
+/// access sets, display labels and happens-before edges. Task ids are
+/// the model's sequential order, which violations are reported in.
 struct TaskSystem {
   std::vector<std::vector<BlockAccess>> sets;  ///< per task, deduped
   std::vector<std::string> labels;
   std::vector<std::pair<int, int>> edges;
-  std::vector<int> position;  ///< sequential position; empty = task id
 
   int num_tasks() const { return static_cast<int>(sets.size()); }
-  int pos(int t) const {
-    return position.empty() ? t : position[static_cast<std::size_t>(t)];
-  }
 };
 
 /// Sort by block and collapse duplicates, a write absorbing a read.
@@ -63,7 +59,6 @@ TaskSystem program_system(const sim::ParallelProgram& prog,
 TaskSystem solve_system(const SolveGraph& graph,
                         const std::vector<std::pair<int, int>>& edges) {
   TaskSystem sys;
-  const int nb = graph.num_blocks();
   for (int t = 0; t < graph.num_tasks(); ++t) {
     std::vector<BlockAccess> set;
     for (const SolveGraph::RowAccess& a : graph.access_set(t))
@@ -71,10 +66,6 @@ TaskSystem solve_system(const SolveGraph& graph,
                      a.write ? Access::kWrite : Access::kRead});
     sys.sets.push_back(dedupe(std::move(set)));
     sys.labels.push_back(graph.task_label(t));
-    // Sequential sweep FS(0..nb-1), BS(nb-1..0).
-    sys.position.push_back(graph.is_forward(t)
-                               ? graph.block_of(t)
-                               : 2 * nb - 1 - graph.block_of(t));
   }
   sys.edges = edges;
   return sys;
@@ -108,7 +99,7 @@ void normalize(std::vector<ResourceAccess>* flat) {
 /// The ordered-conflict sweep every audit shares: over a normalized
 /// flat access list, every W/W or R/W pair on one resource must be
 /// ordered by a happens-before path. Unordered pairs are reported with
-/// the sequentially earlier task first.
+/// the lower task id, the sequentially earlier task, first.
 AuditReport sweep(const TaskSystem& sys, std::vector<ResourceAccess> flat) {
   AuditReport report;
   report.num_tasks = sys.num_tasks();
@@ -135,9 +126,9 @@ AuditReport sweep(const TaskSystem& sys, std::vector<ResourceAccess> flat) {
           continue;  // R/R never conflicts
         ++report.pairs_checked;
         if (reach.ordered(flat[p].task, flat[q].task)) continue;
-        const bool p_first = sys.pos(flat[p].task) < sys.pos(flat[q].task);
-        const ResourceAccess& first = p_first ? flat[p] : flat[q];
-        const ResourceAccess& second = p_first ? flat[q] : flat[p];
+        // Sorted by task within a resource: p is the earlier task.
+        const ResourceAccess& first = flat[p];
+        const ResourceAccess& second = flat[q];
         AuditViolation v;
         v.task_a = first.task;
         v.task_b = second.task;

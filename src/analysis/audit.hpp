@@ -40,10 +40,10 @@
 
 namespace sstar::analysis {
 
-/// A conflicting access pair no dependence path orders. task_a precedes
-/// task_b in the audited model's sequential order — creation order, or
-/// the sweep order for the solve DAG — so the minimal repair is an edge
-/// a -> b.
+/// A conflicting access pair no dependence path orders. task_a < task_b,
+/// and task ids are the audited model's sequential order — creation
+/// order, or the sweep order for the solve DAG — so the minimal repair
+/// is an edge a -> b.
 struct AuditViolation {
   int task_a = 0;
   int task_b = 0;
@@ -88,9 +88,8 @@ AuditReport audit_program(const sim::ParallelProgram& prog,
 
 /// Audit the solve DAG: each task's row-block accesses
 /// (SolveGraph::access_set) become BlockCoord::kSolveRows resources.
-/// Violations are normalized to the sequential sweep order
-/// FS(0..nb-1), BS(nb-1..0), so task_a -> task_b is the edge a
-/// sequential replay would need.
+/// Task ids are the sweep order FS(0..nb-1), BS(nb-1..0), so
+/// task_a -> task_b is the edge a sequential replay would need.
 AuditReport audit_solve_graph(const SolveGraph& graph);
 
 /// Same, with an explicit edge list replacing graph.edges() — the
@@ -124,8 +123,7 @@ struct DynamicAuditReport {
 DynamicAuditReport check_recorded_accesses(
     const LuTaskGraph& graph, const std::vector<AccessEvent>& events);
 
-/// Same for an execute_program() or MP run (event task ids are the
-/// program's task ids).
+/// Same for an MP run (event task ids are the program's task ids).
 DynamicAuditReport check_recorded_accesses(
     const sim::ParallelProgram& prog, const BlockLayout& layout,
     const std::vector<AccessEvent>& events);

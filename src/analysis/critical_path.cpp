@@ -37,11 +37,11 @@ DagCriticalPath realized_dag_critical_path(const trace::Trace& trace,
     if (t >= 0) out.total_seconds += dur;
   }
 
-  // Longest path in one topological sweep.
+  // Longest path in one sweep over the ids, a topological order.
   std::vector<double> dist(static_cast<std::size_t>(nt), 0.0);
   std::vector<int> from(static_cast<std::size_t>(nt), -1);
   int best = -1;
-  for (const int t : graph.topological_order()) {
+  for (int t = 0; t < nt; ++t) {
     const std::size_t ut = static_cast<std::size_t>(t);
     for (const int p : graph.preds(t))
       if (dist[static_cast<std::size_t>(p)] > dist[ut]) {

@@ -50,8 +50,8 @@ void dtrsm_lower_unit(int n, int m, const double* a, int lda, double* b,
                       int ldb);
 
 /// C = alpha * A * B + beta * C with A (m x k), B (k x n), C (m x n),
-/// all column-major. Register-blocked micro-kernel; counts 2*m*n*k
-/// BLAS-3 flops. This is the workhorse DGEMM of Update(k, j).
+/// all column-major. Register-blocked micro-kernel. This is the
+/// workhorse DGEMM of Update(k, j).
 void dgemm(int m, int n, int k, double alpha, const double* a, int lda,
            const double* b, int ldb, double beta, double* c, int ldc);
 
@@ -65,19 +65,18 @@ void dgemm(int m, int n, int k, double alpha, const double* a, int lda,
 /// optional row index maps (xrows/yrows, nullptr = rows 0..k-1/0..m-1).
 /// With skip_zero_x_rows the all-zero rows of x are skipped, matching
 /// the forward substitution's bm == 0.0 short-cut; the skip mask is
-/// computed here so it is backend-independent. Counts 2*m*k*ncols
-/// BLAS-3 flops.
+/// computed here so it is backend-independent.
 void rhs_panel_update(int m, int k, int ncols, const double* a, int lda,
                       const double* x, int ldx, const int* xrows, double* y,
                       int ldy, const int* yrows, bool skip_zero_x_rows);
 
 /// In-place unit-lower-triangular solve of the w x ncols row-major panel
-/// b against the column-major block a; counts w*w*ncols BLAS-3 flops.
+/// b against the column-major block a.
 void rhs_lower_solve(int w, int ncols, const double* a, int lda, double* b,
                      int ldb);
 
 /// In-place upper-triangular solve (left-looking row order) of the
-/// w x ncols row-major panel b; counts w*w*ncols BLAS-3 flops.
+/// w x ncols row-major panel b.
 void rhs_upper_solve(int w, int ncols, const double* a, int lda, double* b,
                      int ldb);
 

@@ -40,8 +40,8 @@ enum class KernelBackend { kScalar, kAvx2, kAvx512, kNeon };
 /// The per-backend compute table. Entries implement reference-BLAS
 /// semantics (beta == 0 is assignment: the output is never read, so
 /// NaN/Inf in uninitialized memory cannot propagate; alpha == 0 or
-/// k == 0 reduce to the beta handling alone) and do NO flop accounting
-/// — the dispatch wrappers in dense_blas.cpp count, so accounting is
+/// k == 0 reduce to the beta handling alone) and do NO flop accounting:
+/// flops come from the task model (core/task_model), so accounting is
 /// backend-independent.
 struct KernelOps {
   const char* name;

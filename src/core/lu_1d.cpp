@@ -1,7 +1,6 @@
 #include "core/lu_1d.hpp"
 
 #include "core/task_model.hpp"
-#include "exec/lu_real.hpp"
 #include "sim/comm_plan.hpp"
 #include "util/check.hpp"
 
@@ -73,14 +72,6 @@ ParallelRunResult run_1d(const BlockLayout& layout,
                          Schedule1DKind kind, bool capture_gantt) {
   return simulate_run(build_1d_program(layout, machine, kind), machine,
                       /*grid_columns=*/false, capture_gantt);
-}
-
-exec::ExecStats run_1d_real(const BlockLayout& layout,
-                            const sim::MachineModel& machine,
-                            Schedule1DKind kind, SStarNumeric& numeric,
-                            int threads) {
-  return exec::execute_program(build_1d_program(layout, machine, kind),
-                               numeric, threads);
 }
 
 exec::MpStats run_1d_mp(const BlockLayout& layout,

@@ -6,14 +6,13 @@
 // and graph scheduling (the RAPID substitute of sched/list_schedule).
 //
 // The built program is pure data (sim/event_sim.hpp): run_1d simulates
-// it for the paper's parallel-time metrics, run_1d_real executes the
-// same program's kernels on threads and run_1d_mp on message-passing
-// ranks, both producing factors bitwise-identical to factorize().
+// it for the paper's parallel-time metrics, and run_1d_mp executes the
+// same program's kernels on message-passing ranks, producing factors
+// bitwise-identical to factorize().
 #pragma once
 
 #include "core/numeric.hpp"
 #include "core/parallel_run.hpp"
-#include "exec/executor.hpp"
 #include "exec/lu_mp.hpp"
 #include "sched/list_schedule.hpp"
 #include "sim/event_sim.hpp"
@@ -41,17 +40,6 @@ sim::ParallelProgram build_1d_program(const BlockLayout& layout,
 ParallelRunResult run_1d(const BlockLayout& layout,
                          const sim::MachineModel& machine,
                          Schedule1DKind kind, bool capture_gantt = false);
-
-/// Real-execution path (DESIGN.md "Simulated vs. real execution"): build
-/// the SAME 1D program, then run its kernels on `threads` hardware
-/// threads instead of advancing virtual clocks. The schedule's processor
-/// assignment becomes the worker affinity hints. Returns wall-clock
-/// stats; the factors in `numeric` are bitwise-identical to a
-/// sequential factorize().
-exec::ExecStats run_1d_real(const BlockLayout& layout,
-                            const sim::MachineModel& machine,
-                            Schedule1DKind kind, SStarNumeric& numeric,
-                            int threads = 0);
 
 /// Message-passing execution (exec/lu_mp): build the SAME 1D program,
 /// then run it with one thread per virtual processor, private numeric

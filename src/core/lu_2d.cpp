@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/task_model.hpp"
-#include "exec/lu_real.hpp"
 #include "sim/comm_plan.hpp"
 #include "util/check.hpp"
 
@@ -355,13 +354,6 @@ ParallelRunResult run_2d(const BlockLayout& layout,
                          bool capture_gantt) {
   return simulate_run(build_2d_program(layout, machine, async), machine,
                       /*grid_columns=*/true, capture_gantt);
-}
-
-exec::ExecStats run_2d_real(const BlockLayout& layout,
-                            const sim::MachineModel& machine, bool async,
-                            SStarNumeric& numeric, int threads) {
-  return exec::execute_program(build_2d_program(layout, machine, async),
-                               numeric, threads);
 }
 
 exec::MpStats run_2d_mp(const BlockLayout& layout,

@@ -21,15 +21,14 @@
 // variant adds a barrier between elimination steps (§6.3.1's
 // comparison). The LuTask kernels ride on FP (Factor) and on the
 // block-owner processor's UF/UR tasks (ScaleSwap+Update); the other
-// tasks only model time. run_2d simulates the program, run_2d_real and
-// run_2d_mp execute the same program's kernels on threads or ranks.
+// tasks only model time. run_2d simulates the program, and run_2d_mp
+// executes the same program's kernels on message-passing ranks.
 #pragma once
 
 #include <vector>
 
 #include "core/numeric.hpp"
 #include "core/parallel_run.hpp"
-#include "exec/executor.hpp"
 #include "exec/lu_mp.hpp"
 #include "sim/event_sim.hpp"
 
@@ -65,16 +64,6 @@ std::vector<int> offdiag_interchanges_per_block(const BlockLayout& layout,
 ParallelRunResult run_2d(const BlockLayout& layout,
                          const sim::MachineModel& machine, bool async = true,
                          bool capture_gantt = false);
-
-/// Real-execution path (DESIGN.md "Simulated vs. real execution"): build
-/// the SAME 2D SPMD program, then run its kernels on `threads` hardware
-/// threads — program order per virtual processor and every message edge
-/// become real dependencies, the virtual processor id becomes the worker
-/// affinity hint. The factors in `numeric` are bitwise-identical to a
-/// sequential factorize().
-exec::ExecStats run_2d_real(const BlockLayout& layout,
-                            const sim::MachineModel& machine, bool async,
-                            SStarNumeric& numeric, int threads = 0);
 
 /// Message-passing execution (exec/lu_mp): run the SAME 2D SPMD program
 /// with one thread per grid position, private numeric replicas, and

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/check.hpp"
-
 namespace sstar {
 
 SolveGraph::SolveGraph(const BlockLayout& layout)
@@ -33,34 +31,16 @@ SolveGraph::SolveGraph(const BlockLayout& layout)
   std::sort(edges_.begin(), edges_.end());
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 
-  // Level sets by longest path (Kahn order). The graph is acyclic by
-  // construction — every edge goes from a lower task per the sequential
-  // order FS(0..nb-1), BS(nb-1..0) — but CHECK anyway.
+  // Level sets by longest path. Edges point forward and are sorted by
+  // source, so every edge into a task precedes the edges out of it.
   const int nt = num_tasks();
   level_.assign(static_cast<size_t>(nt), 0);
-  std::vector<std::vector<int>> succ(static_cast<size_t>(nt));
-  std::vector<int> indeg(static_cast<size_t>(nt), 0);
-  for (const auto& e : edges_) {
-    succ[static_cast<size_t>(e.first)].push_back(e.second);
-    ++indeg[static_cast<size_t>(e.second)];
-  }
-  std::vector<int> ready;
-  for (int t = 0; t < nt; ++t)
-    if (indeg[static_cast<size_t>(t)] == 0) ready.push_back(t);
-  int processed = 0;
   int max_level = 0;
-  while (!ready.empty()) {
-    const int u = ready.back();
-    ready.pop_back();
-    ++processed;
-    max_level = std::max(max_level, level_[static_cast<size_t>(u)]);
-    for (int v : succ[static_cast<size_t>(u)]) {
-      level_[static_cast<size_t>(v)] = std::max(
-          level_[static_cast<size_t>(v)], level_[static_cast<size_t>(u)] + 1);
-      if (--indeg[static_cast<size_t>(v)] == 0) ready.push_back(v);
-    }
+  for (const auto& [from, to] : edges_) {
+    int& lv = level_[static_cast<size_t>(to)];
+    lv = std::max(lv, level_[static_cast<size_t>(from)] + 1);
+    max_level = std::max(max_level, lv);
   }
-  SSTAR_CHECK_MSG(processed == nt, "solve graph has a cycle");
   levels_.assign(static_cast<size_t>(nt == 0 ? 0 : max_level + 1), {});
   for (int t = 0; t < nt; ++t)
     levels_[static_cast<size_t>(level_[static_cast<size_t>(t)])].push_back(t);

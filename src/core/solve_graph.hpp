@@ -21,9 +21,12 @@
 //   3. BS(j) -> BS(k) for every U block (k, j): BS(k) gathers the
 //      solved values of column block j.
 //
-// Level sets (longest-path depth) expose the schedule's available
-// parallelism; the static auditor (analysis::audit_solve_graph) proves
-// the edge set orders every conflicting row-block access pair.
+// Task ids are the sequential sweep's order, FS(0..nb-1) then
+// BS(nb-1..0), so every edge points forward (from < to) and the executor
+// runs the DAG directly. Level sets (longest-path depth) expose the
+// schedule's available parallelism; the static auditor
+// (analysis::audit_solve_graph) proves the edge set orders every
+// conflicting row-block access pair.
 #pragma once
 
 #include <string>
@@ -42,14 +45,17 @@ class SolveGraph {
   int num_blocks() const { return nb_; }
   int num_tasks() const { return 2 * nb_; }
 
-  /// Task ids: FS(k) = k, BS(k) = num_blocks() + k.
+  /// Task ids in sweep order: FS(k) = k, BS(k) = 2 * num_blocks() - 1 - k.
   int forward_task(int k) const { return k; }
-  int backward_task(int k) const { return nb_ + k; }
+  int backward_task(int k) const { return 2 * nb_ - 1 - k; }
   bool is_forward(int task) const { return task < nb_; }
-  int block_of(int task) const { return task < nb_ ? task : task - nb_; }
+  int block_of(int task) const {
+    return task < nb_ ? task : 2 * nb_ - 1 - task;
+  }
   std::string task_label(int task) const;  // "FS(3)" / "BS(7)"
 
-  /// All dependence edges (from, to), deduplicated and sorted.
+  /// All dependence edges (from, to), from < to, deduplicated and
+  /// sorted.
   const std::vector<std::pair<int, int>>& edges() const { return edges_; }
 
   /// Level sets: level_of(t) = longest dependence path into t; tasks of

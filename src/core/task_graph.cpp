@@ -55,13 +55,4 @@ int LuTaskGraph::update_task(int k, int j) const {
   return -1;
 }
 
-std::vector<int> LuTaskGraph::topological_order() const {
-  // Construction order is topological: every edge goes from a task
-  // created earlier (Factor(k) precedes its updates; property-2/3 edges
-  // come from earlier stages).
-  std::vector<int> order(tasks_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  return order;
-}
-
 }  // namespace sstar

@@ -29,7 +29,9 @@ struct LuTaskEdge {
   int to = 0;
 };
 
-/// Kernel-level LU task DAG over a block layout.
+/// Kernel-level LU task DAG over a block layout. Task ids are the
+/// sequential loop's order (stage k: Factor(k), then its updates), so
+/// every edge points from a lower id to a higher one.
 class LuTaskGraph {
  public:
   explicit LuTaskGraph(const BlockLayout& layout);
@@ -47,9 +49,6 @@ class LuTaskGraph {
   /// Predecessor/successor lists.
   const std::vector<int>& preds(int t) const { return preds_[t]; }
   const std::vector<int>& succs(int t) const { return succs_[t]; }
-
-  /// A topological order (tasks were created in one).
-  std::vector<int> topological_order() const;
 
  private:
   const BlockLayout* layout_;

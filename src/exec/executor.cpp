@@ -57,8 +57,7 @@ struct RunState {
   std::exception_ptr err;
 
   std::atomic<std::int64_t> steals{0};
-  std::atomic<std::int64_t> tasks_run{0};
-  std::atomic<int> completed{0};  ///< tasks run (or bodiless) without throwing
+  std::atomic<int> completed{0};  ///< tasks run without throwing
 
   RunState(const std::vector<DagTask>& t, int workers_n)
       : tasks(t), succs(t.size()), indeg(t.size()),
@@ -116,16 +115,12 @@ struct RunState {
   // Runs task t and releases its successors; a throwing task releases
   // none.
   void run_task(int t, int self) {
-    const DagTask& task = tasks[static_cast<std::size_t>(t)];
-    if (task.run) {
+    try {
       const trace::ScopedTraceTask trace_task(t);
-      try {
-        task.run();
-      } catch (...) {
-        record_error(t);
-        return;
-      }
-      tasks_run.fetch_add(1, std::memory_order_relaxed);
+      tasks[static_cast<std::size_t>(t)].run();
+    } catch (...) {
+      record_error(t);
+      return;
     }
     completed.fetch_add(1, std::memory_order_relaxed);
     for (const int s : succs[static_cast<std::size_t>(t)]) {
@@ -170,73 +165,40 @@ struct RunState {
 }  // namespace
 
 ExecStats run_dag(const std::vector<DagTask>& tasks,
-                  const std::vector<DagEdge>& edges, const ExecOptions& opt) {
+                  const std::vector<DagEdge>& edges, int threads) {
   const int n = static_cast<int>(tasks.size());
-  const int nw =
-      std::max(1, opt.threads > 0 ? opt.threads : default_thread_count());
+  const int nw = std::max(1, threads > 0 ? threads : default_thread_count());
 
-  bool forward = true;
-  for (const DagEdge& e : edges) {
-    SSTAR_CHECK_MSG(e.from >= 0 && e.from < n && e.to >= 0 && e.to < n,
+  // Forward edges cannot form a cycle, and make index order the
+  // one-worker order and the error rule's order.
+  for (const DagEdge& e : edges)
+    SSTAR_CHECK_MSG(e.from >= 0 && e.from < e.to && e.to < n,
                     "edge (" << e.from << " -> " << e.to
-                             << ") outside task range [0, " << n << ")");
-    forward = forward && e.from < e.to;
-  }
+                             << ") does not point forward within [0, " << n
+                             << ")");
 
   ExecStats stats;
   stats.threads = nw;
 
-  // Indegrees and successor lists, which one worker on forward edges
-  // does not need.
-  std::vector<int> indeg0;
-  std::vector<std::vector<int>> succs;
-  if (nw > 1 || !forward) {
-    indeg0.assign(static_cast<std::size_t>(n), 0);
-    succs.resize(static_cast<std::size_t>(n));
-    for (const DagEdge& e : edges) {
-      succs[static_cast<std::size_t>(e.from)].push_back(e.to);
-      ++indeg0[static_cast<std::size_t>(e.to)];
-    }
-  }
-
-  // The one-worker execution order: index order when every edge points
-  // forward (such edges cannot form a cycle), else a Kahn pass, which
-  // also rejects cyclic inputs before any task runs.
-  std::vector<int> order;
-  if (!forward) {
-    order.reserve(static_cast<std::size_t>(n));
-    std::vector<int> indeg = indeg0;
-    for (int t = 0; t < n; ++t)
-      if (indeg[static_cast<std::size_t>(t)] == 0) order.push_back(t);
-    for (std::size_t head = 0; head < order.size(); ++head)
-      for (const int s : succs[static_cast<std::size_t>(order[head])])
-        if (--indeg[static_cast<std::size_t>(s)] == 0) order.push_back(s);
-    SSTAR_CHECK_MSG(static_cast<int>(order.size()) == n,
-                    "task graph has a cycle ("
-                        << n - static_cast<int>(order.size())
-                        << " tasks unreachable)");
-  }
-
   if (nw == 1) {
     // Inline execution: the 1-thread baseline pays no pool overhead, and
-    // the first task to throw is the lowest-numbered thrower when edges
-    // point forward.
+    // the first task to throw is the lowest-numbered thrower.
     const trace::ScopedLane trace_lane(0);
     const WallTimer wall;
-    for (int i = 0; i < n; ++i) {
-      const int t = forward ? i : order[static_cast<std::size_t>(i)];
-      const DagTask& task = tasks[static_cast<std::size_t>(t)];
-      if (!task.run) continue;
+    for (int t = 0; t < n; ++t) {
       const trace::ScopedTraceTask trace_task(t);
-      task.run();
-      ++stats.tasks_run;
+      tasks[static_cast<std::size_t>(t)].run();
     }
     stats.seconds = wall.seconds();
     return stats;
   }
 
   RunState state(tasks, nw);
-  state.succs = std::move(succs);
+  std::vector<int> indeg0(static_cast<std::size_t>(n), 0);
+  for (const DagEdge& e : edges) {
+    state.succs[static_cast<std::size_t>(e.from)].push_back(e.to);
+    ++indeg0[static_cast<std::size_t>(e.to)];
+  }
   for (int t = 0; t < n; ++t)
     state.indeg[static_cast<std::size_t>(t)].store(
         indeg0[static_cast<std::size_t>(t)], std::memory_order_relaxed);
@@ -263,7 +225,6 @@ ExecStats run_dag(const std::vector<DagTask>& tasks,
   if (state.err) std::rethrow_exception(state.err);
   SSTAR_CHECK_MSG(state.completed.load() == n,
                   "executor finished with unrun tasks");
-  stats.tasks_run = state.tasks_run.load();
   stats.steals = state.steals.load();
   return stats;
 }

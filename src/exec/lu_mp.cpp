@@ -124,17 +124,22 @@ std::unique_ptr<SStarNumeric> build_replica(
 // sides (owned supernodes' diag/L/pivots/pivot-monitor, then the U
 // slices the rank owns as column owner — exactly what the merge
 // consumes), so no per-field offsets are exchanged. Error propagation
-// mirrors the threaded path: a rank's own failure (CheckError) is the
-// root cause and aborts the transport; abort propagation and watchdog /
-// deadlock errors are reconstructed from their recorded kind. A rank
+// mirrors the threaded path: a rank's own failure (CheckError, or a
+// PivotError with its pivot, column and cause) is the root cause and
+// aborts the transport; abort propagation and watchdog / deadlock
+// errors are reconstructed from their recorded kind. A rank
 // process that DIES instead of reporting (crash, _exit injection) is
 // caught by the parent's waitpid monitor, which aborts the transport so
 // live peers unblock promptly instead of riding out the watchdog.
 
 struct RankResult {
   std::int32_t status = 0;      // 0 = never reported, 1 = ok, 2 = error
-  std::int32_t error_kind = 0;  // 1 CheckError, 2 TransportError, 3 Deadlock
+  std::int32_t error_kind = 0;  // 1 CheckError, 2 TransportError,
+                                // 3 Deadlock, 4 PivotError
   char error_msg[4096] = {};
+  double pivot = 0.0;  // error_kind 4: PivotError's fields
+  std::int32_t pivot_column = -1;
+  std::int32_t pivot_cause = 0;
   MpStats::RankMemoryStats mem;
   std::int64_t trace_count = 0;
   std::int32_t trace_overflow = 0;
@@ -180,16 +185,7 @@ MpStats execute_program_mp_proc(const sim::ParallelProgram& prog,
   const BlockLayout& lay = result.layout();
   const int ranks = prog.processors();
 
-  std::unique_ptr<comm::ProcTransport> own_tp;
-  comm::Transport* tp = opt.transport;
-  if (tp == nullptr) {
-    own_tp = std::make_unique<comm::ProcTransport>(
-        ranks, opt.watchdog_seconds, opt.proc_pool_bytes);
-    tp = own_tp.get();
-  }
-  SSTAR_CHECK_MSG(tp->ranks() == ranks, "transport has " << tp->ranks()
-                                                         << " ranks, program "
-                                                         << ranks);
+  comm::ProcTransport tp(ranks, opt.watchdog_seconds, opt.proc_pool_bytes);
 
   const bool tracing = trace::TraceCollector::active() != nullptr;
 
@@ -242,7 +238,7 @@ MpStats execute_program_mp_proc(const sim::ParallelProgram& prog,
       DistBlockStore* store = nullptr;
       const std::unique_ptr<SStarNumeric> num =
           build_replica(lay, owner, uses, r, result, opt, &store);
-      run_rank(prog, r, *num, a, *tp);
+      run_rank(prog, r, *num, a, tp);
 
       std::uint8_t* blob = seg + blob_off[static_cast<std::size_t>(r)];
       const auto put = [&blob](const void* p, std::size_t n) {
@@ -287,10 +283,16 @@ MpStats execute_program_mp_proc(const sim::ParallelProgram& prog,
       std::ostringstream os;
       os << "rank " << r << " failed: " << e.what();
       res.error_kind = 1;
+      if (const auto* pe = dynamic_cast<const PivotError*>(&e)) {
+        res.error_kind = 4;
+        res.pivot = pe->pivot();
+        res.pivot_column = pe->column();
+        res.pivot_cause = static_cast<std::int32_t>(pe->cause());
+      }
       std::strncpy(res.error_msg, os.str().c_str(),
                    sizeof(res.error_msg) - 1);
       res.status = 2;
-      tp->abort(os.str());
+      tp.abort(os.str());
     }
     if (tracing) {
       // The collector (and this thread's buffer) came across the fork;
@@ -344,7 +346,7 @@ MpStats execute_program_mp_proc(const sim::ParallelProgram& prog,
         os << "exit code " << (WIFEXITED(st) ? WEXITSTATUS(st) : -1);
       os << ") before completing its program";
       if (death_msg.empty()) death_msg = os.str();
-      tp->abort(os.str());
+      tp.abort(os.str());
     }
   }
   const double seconds = timer.seconds();
@@ -367,10 +369,16 @@ MpStats execute_program_mp_proc(const sim::ParallelProgram& prog,
   }
 
   // Error resolution, mirroring the threaded path: a rank's own failure
-  // is the root cause; deadlock and abort propagation come after.
-  for (int r = 0; r < ranks; ++r)
-    if (results[r].status == 2 && results[r].error_kind == 1)
-      throw CheckError(results[r].error_msg);
+  // is the root cause, rethrown with its type; deadlock and abort
+  // propagation come after.
+  for (int r = 0; r < ranks; ++r) {
+    const RankResult& res = results[r];
+    if (res.status != 2) continue;
+    if (res.error_kind == 4)
+      throw PivotError(res.pivot, res.pivot_column,
+                       static_cast<PivotError::Cause>(res.pivot_cause));
+    if (res.error_kind == 1) throw CheckError(res.error_msg);
+  }
   for (int r = 0; r < ranks; ++r)
     if (results[r].status == 2 && results[r].error_kind == 3)
       throw comm::DeadlockError(results[r].error_msg);
@@ -421,7 +429,7 @@ MpStats execute_program_mp_proc(const sim::ParallelProgram& prog,
   stats.rank_stats.reserve(static_cast<std::size_t>(ranks));
   stats.memory.reserve(static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r) {
-    stats.rank_stats.push_back(tp->stats(r));
+    stats.rank_stats.push_back(tp.stats(r));
     stats.memory.push_back(results[r].mem);
   }
   return stats;
@@ -481,16 +489,7 @@ MpStats execute_program_mp(const sim::ParallelProgram& prog,
 #endif
   }
 
-  std::unique_ptr<comm::InProcTransport> own_tp;
-  comm::Transport* tp = opt.transport;
-  if (tp == nullptr) {
-    own_tp =
-        std::make_unique<comm::InProcTransport>(ranks, opt.watchdog_seconds);
-    tp = own_tp.get();
-  }
-  SSTAR_CHECK_MSG(tp->ranks() == ranks, "transport has " << tp->ranks()
-                                                         << " ranks, program "
-                                                         << ranks);
+  comm::InProcTransport tp(ranks, opt.watchdog_seconds);
 
   std::vector<std::unique_ptr<SStarNumeric>> replicas;
   std::vector<DistBlockStore*> stores;  // non-owning views into replicas
@@ -513,7 +512,7 @@ MpStats execute_program_mp(const sim::ParallelProgram& prog,
   for (int r = 0; r < ranks; ++r) {
     threads.emplace_back([&, r] {
       try {
-        run_rank(prog, r, *replicas[static_cast<std::size_t>(r)], a, *tp);
+        run_rank(prog, r, *replicas[static_cast<std::size_t>(r)], a, tp);
       } catch (const comm::TransportError&) {
         const std::lock_guard<std::mutex> lock(err_mu);
         if (!any_failure) any_failure = std::current_exception();
@@ -524,7 +523,7 @@ MpStats execute_program_mp(const sim::ParallelProgram& prog,
         }
         std::ostringstream os;
         os << "rank " << r << " failed: " << e.what();
-        tp->abort(os.str());
+        tp.abort(os.str());
       }
     });
   }
@@ -567,7 +566,7 @@ MpStats execute_program_mp(const sim::ParallelProgram& prog,
   stats.rank_stats.reserve(static_cast<std::size_t>(ranks));
   stats.memory.reserve(static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r) {
-    stats.rank_stats.push_back(tp->stats(r));
+    stats.rank_stats.push_back(tp.stats(r));
     const DistBlockStore& s = *stores[static_cast<std::size_t>(r)];
     MpStats::RankMemoryStats m;
     m.owned_bytes = s.owned_doubles() * 8;

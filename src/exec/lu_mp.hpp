@@ -22,8 +22,8 @@
 //                  supplies the refcount).
 //
 // The kernels themselves run through exec::run_lu_task, the one dispatch
-// the threaded executors (exec/lu_real) share; the program is the same
-// data the simulator prices and the auditors check.
+// the threaded LU DAG executor (exec/lu_real) uses too; the program is
+// the same data the simulator prices and the auditors check.
 //
 // Because every rank executes its program order and the per-column
 // kernel sequence equals the sequential one, the merged factors are
@@ -56,7 +56,7 @@ struct MpOptions {
   /// hang (only reached when progress stalls without a provable
   /// deadlock, e.g. a wedged peer thread).
   double watchdog_seconds = 120.0;
-  /// How ranks are realized when `transport` is null:
+  /// How ranks are realized:
   ///   kInProc — one thread per rank, InProcTransport mailboxes;
   ///   kProc   — one OS PROCESS per rank, ProcTransport shared-memory
   ///             mailboxes (comm/proc_transport; Linux only). Ranks then
@@ -71,11 +71,6 @@ struct MpOptions {
   /// kProc: shared-memory message-pool capacity per run (bump-allocated;
   /// untouched pages cost nothing). See ProcTransport::kDefaultPoolBytes.
   std::size_t proc_pool_bytes = std::size_t{256} << 20;
-  /// Plug in an external transport (the MPI seam). Must satisfy
-  /// ranks() == program processors; stats are read back from it.
-  /// nullptr = a fresh transport of `transport_kind` per call. With
-  /// kProc the transport must use process-shared primitives.
-  comm::Transport* transport = nullptr;
   /// TEST HOOK: called once per rank on its freshly built store, before
   /// the rank runs (e.g. to force an early panel release with
   /// set_release_override and prove the failure is caught loudly).
@@ -109,14 +104,15 @@ struct MpStats {
   int panels_leaked() const;
 };
 
-/// Execute `prog` on one thread per rank: each rank runs its tasks'
-/// LuTask kernels through exec::run_lu_task, the dispatch the threaded
-/// executors share, and its comm ops through the transport (the comm
-/// plan must have been attached — both 1D and 2D builders do this).
-/// `a` is assembled per rank; `result` (constructed on the same layout)
-/// receives the merged factors: for each supernode the owner's
-/// diagonal/L panel/pivots and, per U block, the column-owner's slice.
-/// Throws on rank failure or deadlock; never hangs.
+/// Execute `prog` on one thread (or, under kProc, one process) per rank:
+/// each rank runs its tasks' LuTask kernels through exec::run_lu_task,
+/// and its comm ops through the transport (the comm plan must have been
+/// attached — both 1D and 2D builders do this). `a` is assembled per
+/// rank; `result` (constructed on the same layout) receives the merged
+/// factors: for each supernode the owner's diagonal/L panel/pivots and,
+/// per U block, the column-owner's slice. Throws on rank failure (a
+/// rank's PivotError keeps its type on both transports) or deadlock;
+/// never hangs.
 MpStats execute_program_mp(const sim::ParallelProgram& prog,
                            const SparseMatrix& a, SStarNumeric& result,
                            const MpOptions& opt = {});

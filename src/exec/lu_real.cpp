@@ -38,38 +38,12 @@ ExecStats factorize_parallel(const LuTaskGraph& graph, SStarNumeric& numeric,
   edges.reserve(graph.edges().size());
   for (const LuTaskEdge& e : graph.edges()) edges.push_back({e.from, e.to});
 
-  ExecOptions eo;
-  eo.threads = threads;
-  return run_dag(tasks, edges, eo);
+  return run_dag(tasks, edges, threads);
 }
 
 ExecStats factorize_parallel(SStarNumeric& numeric, int threads) {
   const LuTaskGraph graph(numeric.layout());
   return factorize_parallel(graph, numeric, threads);
-}
-
-ExecStats execute_program(const sim::ParallelProgram& prog,
-                          SStarNumeric& numeric, int threads) {
-  const int n = static_cast<int>(prog.num_tasks());
-  std::vector<DagTask> tasks(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t) {
-    const sim::TaskDef& def = prog.task(t);
-    DagTask& dt = tasks[static_cast<std::size_t>(t)];
-    if (!def.kernels.empty()) {
-      dt.run = [&numeric, &def] {
-        for (const LuTask& task : def.kernels) run_lu_task(numeric, task);
-      };
-    }
-    dt.affinity = def.proc;
-  }
-
-  std::vector<DagEdge> edges;
-  for (const auto& [from, to] : prog.happens_before_edges())
-    edges.push_back({from, to});
-
-  ExecOptions eo;
-  eo.threads = threads;
-  return run_dag(tasks, edges, eo);
 }
 
 bool factors_bitwise_equal(const SStarNumeric& a, const SStarNumeric& b) {

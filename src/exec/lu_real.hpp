@@ -1,5 +1,4 @@
-// Real-thread execution of the LU task DAG (§4.1) and of built SPMD
-// programs — the wall-clock counterpart of the simulated drivers.
+// Real-thread execution of the LU task DAG (§4.1).
 //
 // factorize_parallel() runs Factor(k) / Update(k, j) straight from the
 // LuTaskGraph on run_dag workers. Because the graph already serializes
@@ -16,16 +15,14 @@
 // run_dag's error rule makes a failing factorization throw the loop's
 // PivotError at every thread count.
 //
-// execute_program() runs a built 1D/2D program (core/lu_1d, core/lu_2d)
-// the same way: its tasks' LuTask kernels, ordered by the program's
-// happens-before edges. Both paths, and the message-passing ranks of
-// exec/lu_mp, run kernels through the one dispatch run_lu_task().
+// Built 1D/2D programs (core/lu_1d, core/lu_2d) run on the
+// message-passing ranks of exec/lu_mp; both executors run kernels
+// through the one dispatch run_lu_task().
 #pragma once
 
 #include "core/numeric.hpp"
 #include "core/task_graph.hpp"
 #include "exec/executor.hpp"
-#include "sim/event_sim.hpp"
 
 namespace sstar::exec {
 
@@ -44,15 +41,6 @@ ExecStats factorize_parallel(const LuTaskGraph& graph, SStarNumeric& numeric,
 
 /// Same, building the LuTaskGraph internally.
 ExecStats factorize_parallel(SStarNumeric& numeric, int threads = 0);
-
-/// Execute a built program's kernels against `numeric` (assembled) on
-/// real threads. Dependencies are the program's own: per-processor
-/// program order plus every message edge; each task's virtual processor
-/// becomes its worker affinity hint. The same program can also be
-/// simulated, run on ranks, audited and trace-validated: programs are
-/// pure data.
-ExecStats execute_program(const sim::ParallelProgram& prog,
-                          SStarNumeric& numeric, int threads = 0);
 
 /// True iff the two factorizations hold bit-for-bit identical values:
 /// same pivot sequence, same diagonal blocks, same L and U panels. The

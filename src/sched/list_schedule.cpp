@@ -32,9 +32,8 @@ std::vector<double> bottom_levels(const LuTaskGraph& graph,
                                   const TaskCosts& costs,
                                   const sim::MachineModel& m) {
   std::vector<double> bl(graph.num_tasks(), 0.0);
-  const auto order = graph.topological_order();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const int t = *it;
+  // Task ids are a topological order: successors have higher ids.
+  for (int t = graph.num_tasks() - 1; t >= 0; --t) {
     double best = 0.0;
     for (const int s : graph.succs(t)) {
       double edge = 0.0;

@@ -1,5 +1,6 @@
 #include "serve/session.hpp"
 
+#include <algorithm>
 #include <cstddef>
 
 #include "trace/trace.hpp"
@@ -41,17 +42,9 @@ SolveSession::SolveSession(std::shared_ptr<const Factorization> factor,
 
 void SolveSession::sweep(int ncols) {
   cur_cols_ = ncols;
-  if (opt_.threads <= 1) {
-    // Inline sequential replay: exactly the order solve() uses.
-    const int nb = factor_->graph().num_blocks();
-    for (int k = 0; k < nb; ++k) tasks_[static_cast<std::size_t>(k)].run();
-    for (int k = nb - 1; k >= 0; --k)
-      tasks_[static_cast<std::size_t>(nb + k)].run();
-    return;
-  }
-  exec::ExecOptions eopt;
-  eopt.threads = opt_.threads;
-  exec::run_dag(tasks_, edges_, eopt);
+  // Task ids are the sweep order, so one worker runs exactly the order
+  // solve() uses.
+  exec::run_dag(tasks_, edges_, std::max(1, opt_.threads));
 }
 
 std::vector<double> SolveSession::solve(const std::vector<double>& b) {

@@ -12,11 +12,12 @@
 // into the session's row-major panel, swept through the per-supernode
 // stages (core/numeric panel kernels, routed through the dispatched SIMD
 // backends), and scattered back. Only the sweep is the session's own:
-// with threads > 1 it replays the factor's solve DAG (core/solve_graph)
-// on the work-stealing executor; the DAG's writer chains order every
-// conflicting row-block access in sequential order, so results are
-// BITWISE identical to Solver::solve per column at any thread count,
-// panel width, and backend choice (for a fixed backend).
+// it runs the factor's solve DAG (core/solve_graph) on the work-stealing
+// executor, whose one worker runs it in the sweep order solve() uses;
+// the DAG's writer chains order every conflicting row-block access in
+// sequential order, so results are BITWISE identical to Solver::solve
+// per column at any thread count, panel width, and backend choice (for
+// a fixed backend).
 #pragma once
 
 #include <memory>

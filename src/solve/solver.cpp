@@ -65,15 +65,9 @@ SolverSetup prepare(const SparseMatrix& a, const SolverOptions& opt) {
     std::for_each(setup.col_scale.begin(), setup.col_scale.end(), invert);
   }
 
-  // 1. Row transversal for a zero-free diagonal.
-  std::vector<int> rowt(n);
-  std::iota(rowt.begin(), rowt.end(), 0);
-  if (opt.use_transversal) {
-    rowt = zero_free_diagonal_rows(a);
-  } else {
-    SSTAR_CHECK_MSG(a.zero_diagonal_count() == 0,
-                    "diagonal has zeros and use_transversal is off");
-  }
+  // 1. Row transversal for a zero-free diagonal (fails typed on a
+  //    structurally singular matrix).
+  const std::vector<int> rowt = zero_free_diagonal_rows(a);
 
   // 2. Fill-reducing column ordering q, applied to the rows after the
   //    transversal too, so the zero-free diagonal is preserved (the paper

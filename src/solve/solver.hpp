@@ -49,9 +49,6 @@ struct SolverOptions {
   /// Fill-reducing column ordering.
   enum class Ordering { kMinDegreeAtA, kNestedDissection, kRcm, kNatural };
   Ordering ordering = Ordering::kMinDegreeAtA;
-  /// Row permutation to a zero-free diagonal (Duff's transversal). Must
-  /// stay on unless the input already has a zero-free diagonal.
-  bool use_transversal = true;
   /// Row/column equilibration (SuperLU-style): scale rows to unit
   /// max-magnitude, then columns likewise, before pivoting. Improves
   /// pivot choices on badly scaled systems; solves transparently undo it.

@@ -67,15 +67,14 @@ TEST_P(SuiteIntegration, ParallelRunsMatchSequentialBitwise) {
   const auto m = sim::MachineModel::cray_t3e(8);
   for (int mode = 0; mode < 3; ++mode) {
     SStarNumeric num(*setup.layout);
-    num.assemble(setup.permuted);
     if (mode == 0)
-      run_1d_real(*setup.layout, m.with_grid({1, 8}),
-                  Schedule1DKind::kComputeAhead, num, 1);
+      run_1d_mp(*setup.layout, m.with_grid({1, 8}),
+                Schedule1DKind::kComputeAhead, setup.permuted, num);
     else if (mode == 1)
-      run_1d_real(*setup.layout, m.with_grid({1, 8}), Schedule1DKind::kGraph,
-                  num, 1);
+      run_1d_mp(*setup.layout, m.with_grid({1, 8}), Schedule1DKind::kGraph,
+                setup.permuted, num);
     else
-      run_2d_real(*setup.layout, m, /*async=*/true, num, 1);
+      run_2d_mp(*setup.layout, m, /*async=*/true, setup.permuted, num);
     const auto got = num.solve(b);
     for (int i = 0; i < a.rows(); ++i)
       ASSERT_EQ(got[i], want[i]) << GetParam() << " mode " << mode;

@@ -66,8 +66,7 @@ TEST(Lu2dStructure, PathologicalGridsStillCorrect) {
     const auto m =
         sim::MachineModel::cray_t3e(g.size()).with_grid(g);
     SStarNumeric num(*f.layout);
-    num.assemble(f.a);
-    const auto res = run_2d_real(*f.layout, m, true, num, 1);
+    const auto res = run_2d_mp(*f.layout, m, true, f.a, num);
     EXPECT_GT(res.seconds, 0.0);
     const auto got = num.solve(b);
     for (int i = 0; i < 70; ++i)

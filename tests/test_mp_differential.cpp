@@ -3,8 +3,9 @@
 // factorization — private per-rank replicas, real factor-panel
 // sends/receives, NaN-poisoned unowned storage — must produce factors
 // BITWISE-identical to the sequential factorize() and to the
-// shared-memory executor, on both the 1D column-block programs and the
-// 2D block-cyclic pipelined program, at every tested rank count. An
+// shared-memory executor's run of the LU task DAG, on both the 1D
+// column-block programs and the 2D block-cyclic pipelined program, at
+// every tested rank count. An
 // end-to-end solve on the merged factors must hit sequential residual
 // quality exactly (same bits in, same bits out).
 //
@@ -78,6 +79,10 @@ TEST(MpDifferential, Fuzz1DAgainstSequentialAndSharedMemory) {
     const int n = 60 + 30 * static_cast<int>(seed % 4);
     const auto f = Fixture::make(n, 4, seed, 8, 4);
     const auto ref = f.sequential();
+    // Shared-memory path: the LU task DAG on two workers.
+    SStarNumeric sm(*f.layout);
+    sm.assemble(f.a);
+    exec::factorize_parallel(sm, 2);
     for (const int ranks : {2, 4}) {
       const sim::MachineModel m = sim::MachineModel::cray_t3e(ranks);
       for (const auto kind :
@@ -91,11 +96,6 @@ TEST(MpDifferential, Fuzz1DAgainstSequentialAndSharedMemory) {
         EXPECT_EQ(mp.pivot_of_col(), ref->pivot_of_col());
         EXPECT_GT(st.total_messages(), 0);
         expect_stats_consistent(st);
-
-        // Shared-memory path over the same schedule kind.
-        SStarNumeric sm(*f.layout);
-        sm.assemble(f.a);
-        run_1d_real(*f.layout, m, kind, sm, 2);
         EXPECT_TRUE(exec::factors_bitwise_equal(sm, mp));
         ++checked;
       }
@@ -108,6 +108,9 @@ TEST(MpDifferential, Fuzz2DAgainstSequentialAndSharedMemory) {
   for (const std::uint64_t seed : {5u, 29u}) {
     const auto f = Fixture::make(100, 4, seed, 8, 4);
     const auto ref = f.sequential();
+    SStarNumeric sm(*f.layout);
+    sm.assemble(f.a);
+    exec::factorize_parallel(sm, 2);
     for (const int ranks : {2, 4}) {
       const sim::MachineModel m = sim::MachineModel::cray_t3e(ranks);
       for (const bool async : {true, false}) {
@@ -118,10 +121,6 @@ TEST(MpDifferential, Fuzz2DAgainstSequentialAndSharedMemory) {
             << (async ? " async" : " sync");
         EXPECT_EQ(mp.pivot_of_col(), ref->pivot_of_col());
         expect_stats_consistent(st);
-
-        SStarNumeric sm(*f.layout);
-        sm.assemble(f.a);
-        run_2d_real(*f.layout, m, async, sm, 2);
         EXPECT_TRUE(exec::factors_bitwise_equal(sm, mp));
       }
     }

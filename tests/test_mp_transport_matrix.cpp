@@ -20,6 +20,7 @@
 #include "exec/lu_mp.hpp"
 #include "exec/lu_real.hpp"
 #include "ordering/transversal.hpp"
+#include "solve/solver.hpp"
 #include "supernode/partition.hpp"
 #include "symbolic/static_symbolic.hpp"
 #include "test_helpers.hpp"
@@ -187,6 +188,57 @@ TEST(MpTransportMatrix, TracedProcRunPassesValidatorUnderHierarchicalModel) {
   EXPECT_GT(report.measured_tasks, 0u);
   EXPECT_GT(report.predicted_makespan, 0.0);
   EXPECT_GT(report.measured_makespan, 0.0);
+}
+
+// A rank's PivotError reaches the caller as a PivotError on both
+// transports, naming the column and cause the sequential loop names:
+// kProc carries them across the process boundary in its result segment.
+TEST(MpTransportMatrix, PivotErrorIsTypedOnBothTransports) {
+  // 40 independent 2x2 blocks; block 7 is [[1,1],[1,1]], numerically
+  // singular.
+  std::vector<Triplet> t;
+  for (int b = 0; b < 40; ++b) {
+    const int r = 2 * b;
+    const bool singular = b == 7;
+    t.push_back({r, r, singular ? 1.0 : 4.0});
+    t.push_back({r + 1, r, 1.0});
+    t.push_back({r, r + 1, 1.0});
+    t.push_back({r + 1, r + 1, singular ? 1.0 : 3.0});
+  }
+  const SparseMatrix a = SparseMatrix::from_triplets(80, 80, t);
+  SolverOptions so;
+  so.max_block = 2;
+  const SolverSetup setup = prepare(a, so);
+
+  int want = -1;
+  try {
+    SStarNumeric seq(*setup.layout);
+    seq.assemble(setup.permuted);
+    seq.factorize();
+  } catch (const PivotError& e) {
+    want = e.column();
+  }
+  ASSERT_GE(want, 0) << "the sequential loop did not fail";
+
+  const sim::ParallelProgram prog = build_1d_program(
+      *setup.layout, sim::MachineModel::cray_t3e(4),
+      Schedule1DKind::kComputeAhead);
+  for (const auto kind : {exec::MpOptions::TransportKind::kInProc,
+                          exec::MpOptions::TransportKind::kProc}) {
+    const bool proc = kind == exec::MpOptions::TransportKind::kProc;
+    exec::MpOptions opt;
+    opt.transport_kind = kind;
+    SStarNumeric mp(*setup.layout);
+    try {
+      exec::execute_program_mp(prog, setup.permuted, mp, opt);
+      ADD_FAILURE() << "singular matrix factorized, proc=" << proc;
+    } catch (const PivotError& e) {
+      EXPECT_EQ(e.column(), want) << "proc=" << proc;
+      EXPECT_EQ(e.cause(), PivotError::Cause::kPivot) << "proc=" << proc;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "untyped failure, proc=" << proc << ": " << e.what();
+    }
+  }
 }
 
 #endif  // __linux__

@@ -121,20 +121,19 @@ TEST_P(ParallelDrivers, NumericsIdenticalToSequential) {
 
   auto m = sim::MachineModel::cray_t3e(cfg.procs);
   SStarNumeric num(*f.layout);
-  num.assemble(f.a);
-  exec::ExecStats res;
+  exec::MpStats res;
   switch (cfg.kind) {
     case 0:
-      res = run_1d_real(*f.layout, m, Schedule1DKind::kComputeAhead, num, 1);
+      res = run_1d_mp(*f.layout, m, Schedule1DKind::kComputeAhead, f.a, num);
       break;
     case 1:
-      res = run_1d_real(*f.layout, m, Schedule1DKind::kGraph, num, 1);
+      res = run_1d_mp(*f.layout, m, Schedule1DKind::kGraph, f.a, num);
       break;
     case 2:
-      res = run_2d_real(*f.layout, m, /*async=*/true, num, 1);
+      res = run_2d_mp(*f.layout, m, /*async=*/true, f.a, num);
       break;
     default:
-      res = run_2d_real(*f.layout, m, /*async=*/false, num, 1);
+      res = run_2d_mp(*f.layout, m, /*async=*/false, f.a, num);
       break;
   }
   EXPECT_GT(res.seconds, 0.0);

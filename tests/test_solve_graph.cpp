@@ -68,16 +68,19 @@ TEST(SolveGraph, LevelsRespectEveryEdge) {
 }
 
 TEST(SolveGraph, EdgesFollowSequentialOrder) {
-  // Every edge respects the sequential sweep FS(0..nb-1), BS(nb-1..0):
-  // the graph is a relaxation of that total order, never a reordering.
+  // Task ids are the sequential sweep FS(0..nb-1), BS(nb-1..0), and
+  // every edge points forward: the graph is a relaxation of that total
+  // order, never a reordering.
   const auto f = Fixture::make(100, 5);
   const SolveGraph g(*f.layout);
   const int nb = g.num_blocks();
-  auto seq_pos = [nb, &g](int t) {
-    return g.is_forward(t) ? g.block_of(t) : 2 * nb - 1 - g.block_of(t);
-  };
+  for (int k = 0; k < nb; ++k) {
+    EXPECT_EQ(g.forward_task(k), k);
+    EXPECT_EQ(g.backward_task(k), 2 * nb - 1 - k);
+  }
   for (const auto& e : g.edges())
-    ASSERT_LT(seq_pos(e.first), seq_pos(e.second));
+    ASSERT_LT(e.first, e.second)
+        << g.task_label(e.first) << " -> " << g.task_label(e.second);
 }
 
 TEST(SolveGraph, AuditCleanAcrossSuite) {

@@ -260,10 +260,8 @@ SolverSetup two_ata_reference(const SparseMatrix& a, const SolverOptions& opt) {
         a0.values()[k] *=
             setup.row_scale[a0.row_idx()[k]] * setup.col_scale[j];
   }
-  std::vector<int> rowt(n);
-  std::iota(rowt.begin(), rowt.end(), 0);
-  SparseMatrix a1 = a0;
-  if (opt.use_transversal) a1 = make_zero_free_diagonal(a0, &rowt);
+  std::vector<int> rowt;
+  SparseMatrix a1 = make_zero_free_diagonal(a0, &rowt);
   std::vector<int> q(n);
   std::iota(q.begin(), q.end(), 0);
   switch (opt.ordering) {
